@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError
+from .kernels import _sqdist
 
 DIAG_UPPER_FACTOR = 6.0  # pragmatic universal factor, flagged in the method label
 _BRUTE_MAX_BALLS = 4096
@@ -149,17 +150,13 @@ def diag_entropy_bounds(op: DiagonalOperator, n: int) -> EntropyEstimate:
 # point clouds
 
 
-def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.maximum(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1), 0.0)
-
-
 def _cluster_center(points: np.ndarray, iters: int = 32) -> tuple[np.ndarray, float]:
     """Approximate min-enclosing-ball center: centroid plus farthest-point walk."""
     best_c = points.mean(axis=0)
-    best_r = float(np.sqrt(_pairwise_sq(points, best_c[None, :]).max()))
+    best_r = float(np.sqrt(_sqdist(points, best_c[None, :]).max()))
     c = best_c.copy()
     for t in range(1, iters + 1):
-        d2 = _pairwise_sq(points, c[None, :])[:, 0]
+        d2 = _sqdist(points, c[None, :])[:, 0]
         j = int(np.argmax(d2))
         r = math.sqrt(float(d2[j]))
         if r < best_r:
@@ -169,7 +166,7 @@ def _cluster_center(points: np.ndarray, iters: int = 32) -> tuple[np.ndarray, fl
 
 
 def _kcenter_radius(points: np.ndarray, centers: np.ndarray) -> float:
-    d2 = _pairwise_sq(points, centers)
+    d2 = _sqdist(points, centers)
     return float(np.sqrt(d2.min(axis=1).max()))
 
 
@@ -197,13 +194,13 @@ def brute_cover_entropy(points: np.ndarray, n: int, seed: int = 0) -> EntropyEst
     if m > balls:
         first = 0
         sel = [first]
-        mind2 = _pairwise_sq(pts, pts[first : first + 1])[:, 0]
+        mind2 = _sqdist(pts, pts[first : first + 1])[:, 0]
         insertion = math.inf
         for _ in range(balls):
             j = int(np.argmax(mind2))
             insertion = math.sqrt(float(mind2[j]))
             sel.append(j)
-            mind2 = np.minimum(mind2, _pairwise_sq(pts, pts[j : j + 1])[:, 0])
+            mind2 = np.minimum(mind2, _sqdist(pts, pts[j : j + 1])[:, 0])
         lower = insertion / 2.0
 
     # ---- covering upper bound
@@ -215,7 +212,7 @@ def brute_cover_entropy(points: np.ndarray, n: int, seed: int = 0) -> EntropyEst
         best = _kcenter_radius(pts, centers)
         cur = centers.copy()
         for _ in range(rounds):
-            assign = np.argmin(_pairwise_sq(pts, cur), axis=1)
+            assign = np.argmin(_sqdist(pts, cur), axis=1)
             moved = False
             for c in range(cur.shape[0]):
                 members = pts[assign == c]
@@ -236,11 +233,11 @@ def brute_cover_entropy(points: np.ndarray, n: int, seed: int = 0) -> EntropyEst
     rng = np.random.default_rng(seed)
     uppers = []
     greedy_centers_idx = [0]
-    mind2 = _pairwise_sq(pts, pts[:1])[:, 0]
+    mind2 = _sqdist(pts, pts[:1])[:, 0]
     for _ in range(balls - 1):
         j = int(np.argmax(mind2))
         greedy_centers_idx.append(j)
-        mind2 = np.minimum(mind2, _pairwise_sq(pts, pts[j : j + 1])[:, 0])
+        mind2 = np.minimum(mind2, _sqdist(pts, pts[j : j + 1])[:, 0])
     uppers.append(lloyd_minimax(pts[greedy_centers_idx].copy()))
     for _ in range(3):
         idx = rng.choice(m, size=balls, replace=False)

@@ -93,7 +93,7 @@ def gram_matrix(kernel: Kernel, points) -> np.ndarray:
     if not kernel.domain.contains(pts):
         raise DomainError("design point outside the kernel domain")
     if pts.shape[0] > 1:
-        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
+        d2 = _sqdist(pts, pts)
         np.fill_diagonal(d2, np.inf)
         if d2.min() <= _DUPLICATE_TOL**2:
             raise DegenerateDesignError("duplicate points in design")

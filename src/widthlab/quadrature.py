@@ -102,8 +102,12 @@ class QuadratureRule:
         return float(self.weights.sum())
 
     def signature(self) -> str:
-        """Stable identifier used for spectrum cache keys."""
-        return f"{self.exactness_hint}|m={self.size}|mass={self.mass:.17g}"
+        """Stable identifier of the rule and the box it covers; the spectrum cache key."""
+        sig = f"{self.exactness_hint}|m={self.size}|mass={self.mass:.17g}"
+        if self.box is not None:
+            for name, corner in (("lo", self.box.lo), ("hi", self.box.hi)):
+                sig += f"|{name}=" + ",".join(f"{v:.17g}" for v in corner)
+        return sig
 
     def integrate(self, values: np.ndarray) -> float:
         values = np.asarray(values, dtype=float)

@@ -2,11 +2,14 @@
 
 Every run is driven by an ExperimentConfig, writes CSV artifacts with
 17-significant-digit numbers and newline line endings (bit-stable for
-acceptance diffs), and records provenance in a manifest. Spectra are
-cached on disk keyed by kernel, parameters, and quadrature signature.
-Independent width cells may evaluate on a thread pool; all emission is
-serialized through the main thread after sorting, so outputs are
-byte-deterministic for a fixed config and seed.
+acceptance diffs), and records every file it writes in a manifest. The
+visible spectrum CSV pair is written once per call. Only Nystrom spectra
+are cached, as one binary file under `cache/` keyed by the kernel, the
+quadrature rule and its box, `n_eigs` and the package version; analytic
+spectra are recomputed on every run. Independent width cells may evaluate
+on a thread pool; all emission is serialized through the main thread
+after sorting, so outputs are byte-deterministic for a fixed config and
+seed.
 """
 
 from __future__ import annotations
@@ -14,11 +17,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -26,7 +31,7 @@ from .version import __version__
 from .asymptotics import RateSeries, SlopeReport, Verdict, fit_loglog, gap_report
 from .config import ExperimentConfig
 from .entropy import CarlReport, DiagonalOperator, carl_check, diag_entropy_bounds
-from .errors import ChainViolationError
+from .errors import ChainViolationError, ConfigError
 from .interpolation import (
     DesignSet,
     greedy_design,
@@ -40,7 +45,6 @@ from .quadrature import Box, QuadratureRule, midpoint_rule
 from .spectral import (
     SpectrumEstimate,
     analytic_spectrum,
-    analytic_trace,
     has_analytic_spectrum,
     nystrom_spectrum,
 )
@@ -68,12 +72,25 @@ def _p_label(p: float) -> str:
     return "inf" if p == math.inf else f"{p:g}"
 
 
-def write_csv(path: Path, header: str, rows: list[str]):
+def write_artifact(path: Path, chunks: Iterable[str], manifest: RunManifest):
+    """Write one artifact with newline line endings and list it in the manifest.
+
+    Chunks are written as they come, so a large CSV is never joined into
+    one string in memory.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+        fh.writelines(chunks)
+    manifest.files.append(str(path))
+
+
+def write_csv(path: Path, header: str, rows: list[str], manifest: RunManifest):
+    write_artifact(path, (line + "\n" for line in [header, *rows]), manifest)
+
+
+def _write_design(path: Path, des: DesignSet, manifest: RunManifest):
+    header = ",".join(f"x{i + 1}" for i in range(des.kernel.dim))
+    write_csv(path, header, [",".join(fmt(c) for c in pt) for pt in des.points], manifest)
 
 
 @dataclass
@@ -136,65 +153,88 @@ def quad_from_config(cfg: ExperimentConfig, kernel: Kernel) -> QuadratureRule:
     return midpoint_rule(kernel.domain, cfg.quad_points)
 
 
+def _setup(cfg: ExperimentConfig, out_dir: str | Path | None) -> tuple[Path, RunManifest, Kernel, QuadratureRule]:
+    """Output directory, a fresh manifest, the kernel and the quadrature of one call."""
+    out = Path(out_dir) if out_dir is not None else Path(str(cfg.get("run", "out_dir")))
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = RunManifest(config_hash=cfg.config_hash(), preset=cfg.preset_name)
+    kernel = kernel_from_config(cfg)
+    return out, manifest, kernel, quad_from_config(cfg, kernel)
+
+
 # ---------------------------------------------------------------------------
 # spectrum stage with disk cache
 
 
-def _spectrum_cache_key(cfg: ExperimentConfig, kernel: Kernel, quad: QuadratureRule, source: str) -> str:
-    raw = f"{kernel.identifier()}|{quad.signature()}|n_eigs={cfg.get('spectrum', 'n_eigs')}|source={source}"
-    return hashlib.sha256(raw.encode()).hexdigest()[:20]
+def _spectrum_source(cfg: ExperimentConfig) -> str:
+    """`spectrum.source` resolved to analytic or nystrom.
+
+    The registered closed forms hold on the unit interval only, so `auto`
+    falls back to Nystrom on any other box and `analytic` is rejected there.
+    """
+    source = str(cfg.get("spectrum", "source"))
+    closed_form = has_analytic_spectrum(cfg.kernel_id) and cfg.domain_axes() == [(0.0, 1.0)]
+    if source == "auto":
+        return "analytic" if closed_form else "nystrom"
+    if source == "analytic" and not closed_form:
+        raise ConfigError(
+            f"field spectrum.source = analytic: no closed-form eigensystem for kernel "
+            f"'{cfg.kernel_id}' on domain {cfg.domain_axes()}; the registry covers brownian and bridge on [0, 1]"
+        )
+    return source
 
 
-def _save_spectrum(path_base: Path, spectrum: SpectrumEstimate, meta: str):
-    rows = [f"{i + 1},{fmt(v)}" for i, v in enumerate(spectrum.eigenvalues)]
-    write_csv(path_base.with_suffix(".csv"), f"# {meta}\nindex,eigenvalue", rows)
-    vec_rows = [",".join(fmt(v) for v in row) for row in spectrum.eigvec_node_values]
-    write_csv(path_base.with_name(path_base.name + "_vectors").with_suffix(".csv"), f"# {meta}", vec_rows)
+def _spectrum_cache_path(out_dir: Path, kernel: Kernel, quad: QuadratureRule, n_eigs: int) -> Path:
+    raw = f"{kernel.identifier()}|{quad.signature()}|n_eigs={n_eigs}|version={__version__}"
+    return out_dir / "cache" / f"spectrum_{hashlib.sha256(raw.encode()).hexdigest()[:20]}.npz"
 
 
-def _load_spectrum(path_base: Path, quad: QuadratureRule, kernel_id: str, source: str, trace: float | None) -> SpectrumEstimate | None:
-    csv_path = path_base.with_suffix(".csv")
-    vec_path = path_base.with_name(path_base.name + "_vectors").with_suffix(".csv")
-    if not (csv_path.exists() and vec_path.exists()):
+def _load_spectrum(path: Path, kernel: Kernel, quad: QuadratureRule) -> SpectrumEstimate | None:
+    if not path.exists():
         return None
-    lam = np.array([float(line.split(",")[1]) for line in csv_path.read_text().splitlines()[2:]])
-    V = np.loadtxt(vec_path, delimiter=",", skiprows=1, ndmin=2)
-    basis = None
-    if source == "analytic" and has_analytic_spectrum(kernel_id):
-        basis = analytic_spectrum(kernel_id, lam.size, quad).basis
-    return SpectrumEstimate(lam, V, quad, kernel_id, source=source, trace=trace, basis=basis)
+    with np.load(path) as cached:
+        return SpectrumEstimate(
+            cached["eigenvalues"], cached["node_values"], quad, kernel.identifier(), clamped=int(cached["clamped"])
+        )
+
+
+def _cache_spectrum(path: Path, spectrum: SpectrumEstimate):
+    """Write under a temporary name first, so a reader never sees a partial file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    with open(tmp, "wb") as fh:
+        np.savez(fh, eigenvalues=spectrum.eigenvalues, node_values=spectrum.eigvec_node_values, clamped=spectrum.clamped)
+    os.replace(tmp, path)
+
+
+def _save_spectrum(path_base: Path, spectrum: SpectrumEstimate, meta: str, manifest: RunManifest):
+    """The visible `spectrum_<id>.csv` and `spectrum_<id>_vectors.csv` pair."""
+    rows = [f"{i + 1},{fmt(v)}" for i, v in enumerate(spectrum.eigenvalues)]
+    write_csv(path_base.with_suffix(".csv"), f"# {meta}\nindex,eigenvalue", rows, manifest)
+    vec_rows = [",".join(fmt(v) for v in row) for row in spectrum.eigvec_node_values]
+    write_csv(path_base.with_name(path_base.name + "_vectors.csv"), f"# {meta}", vec_rows, manifest)
 
 
 def stage_spectrum(
     cfg: ExperimentConfig, kernel: Kernel, quad: QuadratureRule, out_dir: Path, manifest: RunManifest
 ) -> SpectrumEstimate:
     n_eigs = int(cfg.get("spectrum", "n_eigs"))
-    source = str(cfg.get("spectrum", "source"))
-    if source == "auto":
-        source = "analytic" if has_analytic_spectrum(cfg.kernel_id) else "nystrom"
-    trace_exact = None
-    if source == "analytic":
-        trace_exact = analytic_trace(cfg.kernel_id)
-    key = _spectrum_cache_key(cfg, kernel, quad, source)
-    cache_base = out_dir / "cache" / f"spectrum_{key}"
+    source = _spectrum_source(cfg)
     with _Timer(manifest, "spectrum"):
-        spectrum = _load_spectrum(cache_base, quad, cfg.kernel_id if source == "analytic" else kernel.identifier(), source, trace_exact)
-        if spectrum is not None:
-            manifest.cache_hits += 1
+        if source == "analytic":
+            spectrum = analytic_spectrum(cfg.kernel_id, n_eigs, quad)
         else:
-            if source == "analytic":
-                spectrum = analytic_spectrum(cfg.kernel_id, n_eigs, quad)
-            else:
+            cache_path = _spectrum_cache_path(out_dir, kernel, quad, n_eigs)
+            spectrum = _load_spectrum(cache_path, kernel, quad)
+            if spectrum is None:
                 spectrum = nystrom_spectrum(kernel, quad, n_eigs)
-                if spectrum.clamped:
-                    manifest.warn(f"nystrom: {spectrum.clamped} negative eigenvalues clamped to zero")
-            meta = f"widthlab-spectrum kernel={kernel.identifier()} quad={quad.signature()} source={source}"
-            _save_spectrum(cache_base, spectrum, meta)
-    # visible copy next to the run outputs
-    meta = f"widthlab-spectrum kernel={kernel.identifier()} quad={quad.signature()} source={source}"
-    out_base = out_dir / f"spectrum_{cfg.kernel_id}"
-    _save_spectrum(out_base, spectrum, meta)
-    manifest.files.append(str(out_base.with_suffix(".csv")))
+                _cache_spectrum(cache_path, spectrum)
+            else:
+                manifest.cache_hits += 1
+        if spectrum.clamped:
+            manifest.warn(f"nystrom: {spectrum.clamped} negative eigenvalues clamped to zero")
+        meta = f"widthlab-spectrum kernel={kernel.identifier()} quad={quad.signature()} source={source}"
+        _save_spectrum(out_dir / f"spectrum_{cfg.kernel_id}", spectrum, meta, manifest)
     return spectrum
 
 
@@ -238,7 +278,6 @@ def stage_widths(
     spectrum: SpectrumEstimate,
     out_dir: Path,
     manifest: RunManifest,
-    workers: int = 1,
 ) -> WidthStage:
     n_grid = [int(n) for n in cfg.get("widths", "n_grid")]
     dense_max = min(int(cfg.get("widths", "dense_n_max")), spectrum.n_eigs - 1)
@@ -317,6 +356,7 @@ def stage_widths(
             val = interpolation_width(des, quad, p, eval_grid=eval_grid)
         return cell, des, val
 
+    workers = int(cfg.get("run", "workers"))
     with _Timer(manifest, "widths.interpolation"):
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -332,13 +372,9 @@ def stage_widths(
         if des.jitter:
             manifest.warn(f"design ({strategy}, n={n}): Cholesky jitter {des.jitter:.3e} applied")
 
-    # design CSVs
     for (strategy, n, plab), des in sorted(designs.items()):
-        if plab != "any":
-            continue
-        path = out_dir / "designs" / f"design_{kid}_{strategy}_n{n}.csv"
-        write_csv(path, ",".join(f"x{i + 1}" for i in range(kernel.dim)), [",".join(fmt(c) for c in pt) for pt in des.points])
-        manifest.files.append(str(path))
+        if plab == "any":
+            _write_design(out_dir / "designs" / f"design_{kid}_{strategy}_n{n}.csv", des, manifest)
 
     return WidthStage(curves, rows, designs, mercer)
 
@@ -387,9 +423,7 @@ class EntropyStage:
     carl_reports: dict[float, CarlReport]
 
 
-def stage_entropy(
-    cfg: ExperimentConfig, spectrum: SpectrumEstimate, out_dir: Path, manifest: RunManifest
-) -> EntropyStage:
+def stage_entropy(cfg: ExperimentConfig, spectrum: SpectrumEstimate, manifest: RunManifest) -> EntropyStage:
     seed = int(cfg.get("run", "seed"))
     kid = cfg.kernel_id
     sigma = np.sqrt(spectrum.eigenvalues)
@@ -438,7 +472,12 @@ def stage_entropy(
 class FitStage:
     reports: dict[str, SlopeReport]
     gap_reports: dict[str, SlopeReport]
-    eig_report: SlopeReport | None
+    eig_report: SlopeReport
+
+    @property
+    def slopes(self) -> dict[str, SlopeReport]:
+        """Every fit by its slopes.csv label, in slopes.csv order."""
+        return {"eigenvalues": self.eig_report, **dict(sorted(self.reports.items())), **dict(sorted(self.gap_reports.items()))}
 
 
 def stage_fits(cfg: ExperimentConfig, spectrum: SpectrumEstimate, width_stage: WidthStage, manifest: RunManifest) -> FitStage:
@@ -451,7 +490,6 @@ def stage_fits(cfg: ExperimentConfig, spectrum: SpectrumEstimate, width_stage: W
         reports["d_L2"] = fit_loglog(d_series, window=window)
         a_series = width_stage.curves["a_L2"].series(label="a-L2[sqrt-eigentail]")
         reports["a_L2"] = fit_loglog(a_series, window=window)
-        eig_report = None
         lam = spectrum.eigenvalues
         pos = lam > 0
         eig_series = RateSeries(np.arange(1, lam.size + 1)[pos], lam[pos], "eigenvalues")
@@ -511,37 +549,28 @@ class CampaignResult:
         return all(t.status == "met" for t in self.targets)
 
 
-def _eval_targets(cfg: ExperimentConfig, fits: FitStage) -> list[TargetResult]:
-    exploratory = bool(cfg.target("exploratory"))
-    miss = "exploratory-miss" if exploratory else "target-miss"
-    out: list[TargetResult] = []
+# slope target name -> label of the fit it checks, in evaluation order
+_TARGET_LABELS = (
+    ("eigenvalue_slope", "eigenvalues"),
+    ("d_slope", "d_L2"),
+    ("i_slope", "I-Linf[greedy]"),
+    ("gap_slope", "gap_Linf"),
+    ("hilbert_gap_slope", "gap_L2_linear_vs_kolmogorov"),
+)
 
-    def check(name: str, observed: float | None, pair):
-        if pair is None or observed is None:
-            return
+
+def _eval_targets(cfg: ExperimentConfig, fits: FitStage) -> list[TargetResult]:
+    miss = "exploratory-miss" if cfg.target("exploratory") else "target-miss"
+    slopes = fits.slopes
+    out: list[TargetResult] = []
+    for name, label in _TARGET_LABELS:
+        pair = cfg.target(name)
+        if pair is None or label not in slopes:
+            continue
         expected, tol = pair
+        observed = slopes[label].slope
         status = "met" if abs(observed - expected) <= tol else miss
         out.append(TargetResult(name, observed, expected, tol, status))
-
-    check("eigenvalue_slope", fits.eig_report.slope if fits.eig_report else None, cfg.target("eigenvalue_slope"))
-    check("d_slope", fits.reports["d_L2"].slope if "d_L2" in fits.reports else None, cfg.target("d_slope"))
-    check(
-        "i_slope",
-        fits.reports["I-Linf[greedy]"].slope if "I-Linf[greedy]" in fits.reports else None,
-        cfg.target("i_slope"),
-    )
-    check(
-        "gap_slope",
-        fits.gap_reports["gap_Linf"].slope if "gap_Linf" in fits.gap_reports else None,
-        cfg.target("gap_slope"),
-    )
-    check(
-        "hilbert_gap_slope",
-        fits.gap_reports["gap_L2_linear_vs_kolmogorov"].slope
-        if "gap_L2_linear_vs_kolmogorov" in fits.gap_reports
-        else None,
-        cfg.target("hilbert_gap_slope"),
-    )
     return out
 
 
@@ -564,30 +593,17 @@ def _write_width_rows(out_dir: Path, rows: list[tuple], manifest: RunManifest):
         for line in path.read_text().splitlines()[1:]:
             if line and line.split(",", 1)[0] not in new_scales:
                 kept.append(line)
-    write_csv(path, header, kept + txt_rows)
-    manifest.files.append(str(path))
+    write_csv(path, header, kept + txt_rows, manifest)
 
 
 def _write_slopes(out_dir: Path, fits: FitStage, targets: list[TargetResult], manifest: RunManifest):
-    header = "label,slope,stderr,window_lo,window_hi,status"
-    status_by_name = {t.name: t.status for t in targets}
-    rows = []
-    items = [("eigenvalues", fits.eig_report, status_by_name.get("eigenvalue_slope", "fit"))] if fits.eig_report else []
-    items += [(lbl, rep, "fit") for lbl, rep in sorted(fits.reports.items())]
-    items += [(lbl, rep, "fit") for lbl, rep in sorted(fits.gap_reports.items())]
-    for lbl, rep, status in items:
-        if lbl == "d_L2":
-            status = status_by_name.get("d_slope", status)
-        if lbl == "I-Linf[greedy]":
-            status = status_by_name.get("i_slope", status)
-        if lbl == "gap_Linf":
-            status = status_by_name.get("gap_slope", status)
-        if lbl == "gap_L2_linear_vs_kolmogorov":
-            status = status_by_name.get("hilbert_gap_slope", status)
-        rows.append(f"{lbl},{fmt(rep.slope)},{fmt(rep.stderr)},{rep.window[0]},{rep.window[1]},{status}")
-    path = out_dir / "slopes.csv"
-    write_csv(path, header, rows)
-    manifest.files.append(str(path))
+    label_of = dict(_TARGET_LABELS)
+    status = {label_of[t.name]: t.status for t in targets}
+    rows = [
+        f"{lbl},{fmt(rep.slope)},{fmt(rep.stderr)},{rep.window[0]},{rep.window[1]},{status.get(lbl, 'fit')}"
+        for lbl, rep in fits.slopes.items()
+    ]
+    write_csv(out_dir / "slopes.csv", "label,slope,stderr,window_lo,window_hi,status", rows, manifest)
 
 
 def _write_report(
@@ -595,7 +611,6 @@ def _write_report(
     cfg: ExperimentConfig,
     targets: list[TargetResult],
     verdicts: list[Verdict],
-    fits: FitStage,
     entropy_stage: EntropyStage,
     manifest: RunManifest,
 ):
@@ -629,50 +644,36 @@ def _write_report(
         lines.append("warnings:")
         for w in manifest.warnings:
             lines.append(f"  - {w}")
-    path = out_dir / "report.txt"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    manifest.files.append(str(path))
-    verdict_path = out_dir / "verdicts.json"
-    with open(verdict_path, "w", newline="\n") as fh:
-        json.dump([v.to_record() for v in verdicts], fh, indent=2)
-        fh.write("\n")
-    manifest.files.append(str(verdict_path))
+    write_artifact(out_dir / "report.txt", ["\n".join(lines) + "\n"], manifest)
+    write_artifact(out_dir / "verdicts.json", [json.dumps([v.to_record() for v in verdicts], indent=2) + "\n"], manifest)
+
+
+def _verdicts(cfg: ExperimentConfig, entropy_stage: EntropyStage) -> list[Verdict]:
+    alpha = cfg.target("alpha")
+    if alpha is None:
+        return []
+    slope_tol = float(cfg.get("fit", "slope_tol"))
+    e_l2, e_linf = entropy_stage.e_l2_report, entropy_stage.e_linf_report
+    return [
+        rate_transfer_verdict(e_l2, e_linf, math.inf, float(alpha), slope_tol),
+        width_gap_verdict(e_l2, e_linf, float(alpha), slope_tol),
+    ]
 
 
 def run_campaign(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> CampaignResult:
     """Run the full pipeline for one config and write all artifacts."""
-    out = Path(out_dir) if out_dir is not None else Path(str(cfg.get("run", "out_dir")))
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(config_hash=cfg.config_hash(), preset=cfg.preset_name)
-    workers = int(cfg.get("run", "workers"))
-
-    kernel = kernel_from_config(cfg)
-    quad = quad_from_config(cfg, kernel)
+    out, manifest, kernel, quad = _setup(cfg, out_dir)
     spectrum = stage_spectrum(cfg, kernel, quad, out, manifest)
-    width_stage = stage_widths(cfg, kernel, quad, spectrum, out, manifest, workers=workers)
+    width_stage = stage_widths(cfg, kernel, quad, spectrum, out, manifest)
     validate_chain(width_stage)
-    entropy_stage = stage_entropy(cfg, spectrum, out, manifest)
+    entropy_stage = stage_entropy(cfg, spectrum, manifest)
     fits = stage_fits(cfg, spectrum, width_stage, manifest)
-
-    alpha = cfg.target("alpha")
-    verdicts: list[Verdict] = []
-    if alpha is not None:
-        slope_tol = float(cfg.get("fit", "slope_tol"))
-        verdicts.append(
-            rate_transfer_verdict(entropy_stage.e_l2_report, entropy_stage.e_linf_report, math.inf, float(alpha), slope_tol)
-        )
-        verdicts.append(
-            width_gap_verdict(entropy_stage.e_l2_report, entropy_stage.e_linf_report, float(alpha), slope_tol)
-        )
-
+    verdicts = _verdicts(cfg, entropy_stage)
     targets = _eval_targets(cfg, fits)
     _write_width_rows(out, width_stage.rows + entropy_stage.rows, manifest)
     _write_slopes(out, fits, targets, manifest)
-    _write_report(out, cfg, targets, verdicts, fits, entropy_stage, manifest)
-    with open(out / "config_resolved.txt", "w", newline="\n") as fh:
-        fh.write(cfg.dump())
+    _write_report(out, cfg, targets, verdicts, entropy_stage, manifest)
+    write_artifact(out / "config_resolved.txt", [cfg.dump()], manifest)
     manifest.save(out / "manifest.json")
     return CampaignResult(out, manifest, targets, verdicts, fits, entropy_stage, width_stage)
 
@@ -681,24 +682,16 @@ def run_campaign(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> Ca
 
 
 def run_spectrum_only(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> SpectrumEstimate:
-    out = Path(out_dir) if out_dir is not None else Path(str(cfg.get("run", "out_dir")))
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(config_hash=cfg.config_hash(), preset=cfg.preset_name)
-    kernel = kernel_from_config(cfg)
-    quad = quad_from_config(cfg, kernel)
+    out, manifest, kernel, quad = _setup(cfg, out_dir)
     spectrum = stage_spectrum(cfg, kernel, quad, out, manifest)
     manifest.save(out / "manifest.json")
     return spectrum
 
 
 def run_widths_only(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> WidthStage:
-    out = Path(out_dir) if out_dir is not None else Path(str(cfg.get("run", "out_dir")))
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(config_hash=cfg.config_hash(), preset=cfg.preset_name)
-    kernel = kernel_from_config(cfg)
-    quad = quad_from_config(cfg, kernel)
+    out, manifest, kernel, quad = _setup(cfg, out_dir)
     spectrum = stage_spectrum(cfg, kernel, quad, out, manifest)
-    stage = stage_widths(cfg, kernel, quad, spectrum, out, manifest, workers=int(cfg.get("run", "workers")))
+    stage = stage_widths(cfg, kernel, quad, spectrum, out, manifest)
     validate_chain(stage)
     _write_width_rows(out, stage.rows, manifest)
     manifest.save(out / "manifest.json")
@@ -706,32 +699,21 @@ def run_widths_only(cfg: ExperimentConfig, out_dir: str | Path | None = None) ->
 
 
 def run_greedy_only(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> DesignSet:
-    out = Path(out_dir) if out_dir is not None else Path(str(cfg.get("run", "out_dir")))
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(config_hash=cfg.config_hash(), preset=cfg.preset_name)
-    kernel = kernel_from_config(cfg)
+    out, manifest, kernel, _ = _setup(cfg, out_dir)
     n_max = max(int(n) for n in cfg.get("widths", "n_grid"))
-    candidates = kernel.domain.grid(cfg.candidate_points, endpoint=True)
-    des = greedy_design(kernel, candidates, n_max)
-    path = out / "designs" / f"design_{cfg.kernel_id}_greedy_n{n_max}.csv"
-    write_csv(path, ",".join(f"x{i + 1}" for i in range(kernel.dim)), [",".join(fmt(c) for c in pt) for pt in des.points])
+    des = greedy_design(kernel, kernel.domain.grid(cfg.candidate_points, endpoint=True), n_max)
+    _write_design(out / "designs" / f"design_{cfg.kernel_id}_greedy_n{n_max}.csv", des, manifest)
     if des.greedy_sup_path is not None:
-        sup_path = out / "designs" / f"greedy_sup_{cfg.kernel_id}.csv"
-        write_csv(sup_path, "step,sup_power", [f"{i},{fmt(v)}" for i, v in enumerate(des.greedy_sup_path)])
-        manifest.files.append(str(sup_path))
-    manifest.files.append(str(path))
+        sup_rows = [f"{i},{fmt(v)}" for i, v in enumerate(des.greedy_sup_path)]
+        write_csv(out / "designs" / f"greedy_sup_{cfg.kernel_id}.csv", "step,sup_power", sup_rows, manifest)
     manifest.save(out / "manifest.json")
     return des
 
 
 def run_entropy_only(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> EntropyStage:
-    out = Path(out_dir) if out_dir is not None else Path(str(cfg.get("run", "out_dir")))
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(config_hash=cfg.config_hash(), preset=cfg.preset_name)
-    kernel = kernel_from_config(cfg)
-    quad = quad_from_config(cfg, kernel)
+    out, manifest, kernel, quad = _setup(cfg, out_dir)
     spectrum = stage_spectrum(cfg, kernel, quad, out, manifest)
-    stage = stage_entropy(cfg, spectrum, out, manifest)
+    stage = stage_entropy(cfg, spectrum, manifest)
     _write_width_rows(out, stage.rows, manifest)
     manifest.save(out / "manifest.json")
     return stage

@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+from pathlib import Path
 
 import pytest
 
@@ -134,15 +135,62 @@ class TestSpectrumCommand:
         assert first == pytest.approx(0.405285, abs=1e-5)
 
     def test_cache_hit_identical_bytes(self, tmp_path):
-        cfgfile = tmp_path / "c.ini"
-        cfgfile.write_text(small_config(tmp_path))
+        # only Nystrom spectra are cached; analytic ones are recomputed
+        for source, hits in (("nystrom", 1), ("analytic", 0)):
+            cfgfile = tmp_path / f"{source}.ini"
+            cfgfile.write_text(small_config(tmp_path, source).replace("source = analytic", f"source = {source}"))
+            out = tmp_path / source
+            assert main(["spectrum", "--config", str(cfgfile)]) == 0
+            names = ("spectrum_brownian.csv", "spectrum_brownian_vectors.csv")
+            first = [(out / name).read_bytes() for name in names]
+            assert main(["spectrum", "--config", str(cfgfile)]) == 0
+            assert [(out / name).read_bytes() for name in names] == first
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["cache_hits"] == hits
+
+
+def spectrum_lambda1(out_dir, kernel_id="brownian"):
+    return float((out_dir / f"spectrum_{kernel_id}.csv").read_text().splitlines()[2].split(",")[1])
+
+
+class TestSpectrumIdentity:
+    """The spectrum solved and cached is the operator on the configured box."""
+
+    def test_auto_off_unit_interval_uses_nystrom(self, tmp_path, capsys):
+        text = small_config(tmp_path).replace("id = brownian", "id = brownian\ndomain = 0,2")
+        cfgfile = tmp_path / "auto.ini"
+        cfgfile.write_text(text.replace("source = analytic", "source = auto"))
         assert main(["spectrum", "--config", str(cfgfile)]) == 0
-        spectrum1 = (tmp_path / "out" / "spectrum_brownian.csv").read_bytes()
-        assert main(["spectrum", "--config", str(cfgfile)]) == 0
-        spectrum2 = (tmp_path / "out" / "spectrum_brownian.csv").read_bytes()
-        assert spectrum1 == spectrum2
+        assert "source nystrom" in capsys.readouterr().out
+        assert spectrum_lambda1(tmp_path / "out") == pytest.approx(1.6211410216123456, abs=1e-9)
+        cfgfile = tmp_path / "analytic.ini"
+        cfgfile.write_text(text)
+        assert main(["spectrum", "--config", str(cfgfile)]) == 2
+        assert "spectrum.source" in capsys.readouterr().err
+
+    def test_cache_key_holds_box_position(self, tmp_path):
+        text = small_config(tmp_path).replace("source = analytic", "source = nystrom").replace("n_eigs = 80", "n_eigs = 40")
+        for domain in ("0,1", "1,2"):
+            cfgfile = tmp_path / f"{domain}.ini"
+            cfgfile.write_text(text.replace("id = brownian", f"id = brownian\ndomain = {domain}"))
+            assert main(["spectrum", "--config", str(cfgfile)]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["cache_hits"] == 1
+        assert manifest["cache_hits"] == 0
+        assert spectrum_lambda1(tmp_path / "out") == pytest.approx(1.3510347878580942, abs=1e-9)
+
+    def test_warm_run_keeps_clamp_warning(self, tmp_path):
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(
+            "[kernel]\nid = gaussian\nlength_scale = 1.0\n[quadrature]\npoints_per_axis = 100\n"
+            f"[spectrum]\nn_eigs = 100\nsource = nystrom\n[run]\nout_dir = {tmp_path / 'out'}\n"
+        )
+        runs = []
+        for _ in range(2):
+            assert main(["spectrum", "--config", str(cfgfile)]) == 0
+            runs.append(json.loads((tmp_path / "out" / "manifest.json").read_text()))
+        assert [r["cache_hits"] for r in runs] == [0, 1]
+        assert any("clamped" in w for w in runs[0]["warnings"])
+        assert runs[1]["warnings"] == runs[0]["warnings"]
 
 
 class TestWidthsCommand:
@@ -183,6 +231,14 @@ class TestCampaignCommand:
         out = tmp_path / "out"
         for f in ("widths.csv", "slopes.csv", "report.txt", "verdicts.json", "manifest.json"):
             assert (out / f).exists(), f
+        # the manifest lists every artifact once; the cache is not an artifact
+        listed = json.loads((out / "manifest.json").read_text())["files"]
+        assert all(Path(f).exists() for f in listed)
+        assert len(set(listed)) == len(listed)
+        written = {
+            str(p) for p in out.rglob("*") if p.is_file() and p.name != "manifest.json" and "cache" not in p.relative_to(out).parts
+        }
+        assert written == set(listed)
         assert main(["report", "--out", str(out)]) == 0
         text = capsys.readouterr().out
         assert "verdicts" in text
