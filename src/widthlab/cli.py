@@ -30,8 +30,6 @@ def _resolve_config(args) -> ExperimentConfig:
         raise ConfigError("provide --config PATH or --preset NAME")
     if getattr(args, "seed", None) is not None:
         cfg.values["run"]["seed"] = int(args.seed)
-    if getattr(args, "workers", None) is not None:
-        cfg.values["run"]["workers"] = int(args.workers)
     if getattr(args, "out", None):
         cfg.values["run"]["out_dir"] = str(args.out)
     return cfg
@@ -42,7 +40,6 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--preset", choices=sorted(PRESETS), help="built-in campaign preset")
     sub.add_argument("--out", help="output directory (overrides run.out_dir)")
     sub.add_argument("--seed", type=int, help="seed override (overrides run.seed)")
-    sub.add_argument("--workers", type=int, help="worker cap for width cells")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,8 +3,8 @@
 The config format is INI-style sections of `key = value` lines. Unknown
 sections or keys are rejected with the offending field named, so a
 config file documents exactly what a run did. Presets are built-in
-configs for the three standing campaigns; `--seed`, `--out`, and
-`--workers` may override their run section from the command line.
+configs for the three standing campaigns; `--seed` and `--out` may
+override their run section from the command line.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "window": ("intpair", (4, 64)),
         "entropy_window": ("intpair", (8, 64)),
         "slope_tol": ("float", 0.1),
-        "ratio_cap": ("float", 32.0),
     },
     "targets": {
         "alpha": ("float", None),
@@ -62,7 +61,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     "run": {
         "seed": ("int", 0),
         "out_dir": ("str", "runs/out"),
-        "workers": ("int", 1),
+        "workers": ("int", 1),  # ignored; width cells run serially
     },
 }
 
@@ -226,9 +225,21 @@ def _validate(cfg: ExperimentConfig):
     axes = cfg.domain_axes()
     if len(axes) != cfg.dim:
         raise ConfigError("field kernel.domain does not match kernel.dim")
-    n_grid = cfg.get("widths", "n_grid")
-    if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or (n_grid and n_grid[0] < 1):
-        raise ConfigError("field widths.n_grid must be strictly increasing positive integers")
+    if any(hi <= lo for lo, hi in axes):
+        raise ConfigError(f"field kernel.domain needs lo < hi on every axis, got {axes}")
+    if not cfg.get("kernel", "length_scale") > 0:
+        raise ConfigError("field kernel.length_scale must be > 0")
+    for name in ("quadrature.points_per_axis", "widths.eval_points_per_axis", "widths.candidate_points_per_axis"):
+        v = cfg.get(*name.split("."))
+        if v is not None and v < 1:
+            raise ConfigError(f"field {name} must be >= 1, got {v}")
+    for section in ("widths", "entropy"):
+        n_grid = cfg.get(section, "n_grid")
+        if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or (n_grid and n_grid[0] < 1):
+            raise ConfigError(f"field {section}.n_grid must be strictly increasing positive integers")
+    n_max = max(cfg.get("widths", "n_grid"), default=0)
+    if {"greedy", "multistart"} & set(cfg.get("widths", "strategies")) and n_max > cfg.candidate_points**cfg.dim:
+        raise ConfigError(f"field widths.candidate_points_per_axis gives fewer candidates than the {n_max} points of widths.n_grid")
     for p in cfg.get("widths", "p_values"):
         if not (p == math.inf or p >= 2.0):
             raise ConfigError(f"field widths.p_values entries must be >= 2 or inf, got {p}")
@@ -237,9 +248,19 @@ def _validate(cfg: ExperimentConfig):
             raise ConfigError(f"unknown strategy '{s}' in widths.strategies")
     if cfg.get("spectrum", "source") not in _VALID_SOURCES:
         raise ConfigError(f"field spectrum.source must be one of {_VALID_SOURCES}")
+    for key in ("window", "entropy_window"):
+        lo, hi = cfg.get("fit", key)
+        if lo < 1 or hi <= lo:
+            raise ConfigError(f"field fit.{key} must be an increasing positive pair")
     lo, hi = cfg.get("fit", "window")
-    if lo < 1 or hi <= lo:
-        raise ConfigError("field fit.window must be an increasing positive pair")
+    top = min(cfg.get("widths", "dense_n_max"), cfg.get("spectrum", "n_eigs") - 1)
+    if min(hi, top) - lo < 3:
+        raise ConfigError(
+            f"field fit.window keeps fewer than 4 of the indices 1..{top} set by widths.dense_n_max and spectrum.n_eigs"
+        )
+    lo, hi = cfg.get("fit", "entropy_window")
+    if sum(lo <= n <= hi for n in cfg.get("entropy", "n_grid")) < 4:
+        raise ConfigError("field fit.entropy_window keeps fewer than 4 entries of entropy.n_grid")
     if cfg.get("run", "workers") < 1:
         raise ConfigError("field run.workers must be >= 1")
 

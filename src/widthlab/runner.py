@@ -3,24 +3,23 @@
 Every run is driven by an ExperimentConfig, writes CSV artifacts with
 17-significant-digit numbers and newline line endings (bit-stable for
 acceptance diffs), and records every file it writes in a manifest. The
-visible spectrum CSV pair is written once per call. Only Nystrom spectra
-are cached, as one binary file under `cache/` keyed by the kernel, the
-quadrature rule and its box, `n_eigs` and the package version; analytic
-spectra are recomputed on every run. Independent width cells may evaluate
-on a thread pool; all emission is serialized through the main thread
-after sorting, so outputs are byte-deterministic for a fixed config and
-seed.
+visible spectrum, an eigenvalue CSV and a `.npy` of eigenfunction node
+values, is written once per call. Only Nystrom spectra are cached, as one
+binary file under `cache/` keyed by the kernel, the quadrature rule and
+its box, `n_eigs` and the package version; analytic spectra are
+recomputed on every run. Width cells run serially, so outputs are
+byte-deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -208,11 +207,12 @@ def _cache_spectrum(path: Path, spectrum: SpectrumEstimate):
 
 
 def _save_spectrum(path_base: Path, spectrum: SpectrumEstimate, meta: str, manifest: RunManifest):
-    """The visible `spectrum_<id>.csv` and `spectrum_<id>_vectors.csv` pair."""
+    """The visible `spectrum_<id>.csv` (meta, eigenvalues) and `spectrum_<id>_vectors.npy` (node values)."""
     rows = [f"{i + 1},{fmt(v)}" for i, v in enumerate(spectrum.eigenvalues)]
     write_csv(path_base.with_suffix(".csv"), f"# {meta}\nindex,eigenvalue", rows, manifest)
-    vec_rows = [",".join(fmt(v) for v in row) for row in spectrum.eigvec_node_values]
-    write_csv(path_base.with_name(path_base.name + "_vectors.csv"), f"# {meta}", vec_rows, manifest)
+    vectors = path_base.with_name(path_base.name + "_vectors.npy")
+    np.save(vectors, spectrum.eigvec_node_values)
+    manifest.files.append(str(vectors))
 
 
 def stage_spectrum(
@@ -247,7 +247,6 @@ class WidthStage:
     curves: dict[str, WidthCurve]
     rows: list[tuple]  # (scale_id, n, kind, value, method, kernel_id, p_label, seed)
     designs: dict[tuple[str, int, str], DesignSet]
-    mercer_curve: dict[int, float]
 
 
 def _mercer_envelope_sup(spectrum: SpectrumEstimate, kernel: Kernel, grid: np.ndarray, ns: list[int]) -> dict[int, float]:
@@ -260,7 +259,7 @@ def _mercer_envelope_sup(spectrum: SpectrumEstimate, kernel: Kernel, grid: np.nd
     step = 2048
     for i in range(0, grid.shape[0], step):
         blk = grid[i : i + step]
-        V = spectrum.basis(blk) if spectrum.basis is not None else spectrum.extend(kernel, blk)
+        V = spectrum.extend(kernel, blk)
         lam = spectrum.eigenvalues[: V.shape[1]]
         heads = np.cumsum(V**2 * lam[None, :], axis=1)
         diag = kernel.diag(blk)
@@ -339,44 +338,30 @@ def stage_widths(
         curves["I_Lp_upper"].add(0, v0, KIND_UPPER, f"empty-p{_p_label(p)}")
         rows.append(("I_Lp_upper", 0, KIND_UPPER, v0, "empty", kid, _p_label(p), seed))
 
-    cells = []
-    for strategy in strategies:
-        for p in p_values:
-            for n in n_grid:
-                cells.append((strategy, p, n))
-
-    def eval_cell(cell):
-        strategy, p, n = cell
-        if strategy == "multistart":
-            des, val = optimize_interpolation_width(
-                kernel, quad, p, n, strategy="multistart", candidates=candidates, eval_grid=eval_grid, seed=seed
-            )
-        else:
-            des = designs[(strategy, n, "any")]
-            val = interpolation_width(des, quad, p, eval_grid=eval_grid)
-        return cell, des, val
-
-    workers = int(cfg.get("run", "workers"))
+    if cfg.get("run", "workers") > 1:
+        manifest.warn(f"run.workers = {cfg.get('run', 'workers')} ignored: width cells run serially")
+    # widths.csv keeps its rows in (strategy, p label, n) order
+    cells = sorted(itertools.product(strategies, p_values, n_grid), key=lambda c: (c[0], _p_label(c[1]), c[2]))
     with _Timer(manifest, "widths.interpolation"):
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(eval_cell, cells))
-        else:
-            results = [eval_cell(c) for c in cells]
-
-    results.sort(key=lambda r: (r[0][0], _p_label(r[0][1]), r[0][2]))
-    for (strategy, p, n), des, val in results:
-        designs[(strategy, n, _p_label(p))] = des
-        curves["I_Lp_upper"].add(n, val, KIND_UPPER, f"{strategy}-p{_p_label(p)}")
-        rows.append(("I_Lp_upper", n, KIND_UPPER, val, strategy, kid, _p_label(p), seed))
-        if des.jitter:
-            manifest.warn(f"design ({strategy}, n={n}): Cholesky jitter {des.jitter:.3e} applied")
+        for strategy, p, n in cells:
+            if strategy == "multistart":
+                des, val = optimize_interpolation_width(
+                    kernel, quad, p, n, strategy="multistart", candidates=candidates, eval_grid=eval_grid, seed=seed
+                )
+            else:
+                des = designs[(strategy, n, "any")]
+                val = interpolation_width(des, quad, p, eval_grid=eval_grid)
+            designs[(strategy, n, _p_label(p))] = des
+            curves["I_Lp_upper"].add(n, val, KIND_UPPER, f"{strategy}-p{_p_label(p)}")
+            rows.append(("I_Lp_upper", n, KIND_UPPER, val, strategy, kid, _p_label(p), seed))
+            if des.jitter:
+                manifest.warn(f"design ({strategy}, n={n}): Cholesky jitter {des.jitter:.3e} applied")
 
     for (strategy, n, plab), des in sorted(designs.items()):
         if plab == "any":
             _write_design(out_dir / "designs" / f"design_{kid}_{strategy}_n{n}.csv", des, manifest)
 
-    return WidthStage(curves, rows, designs, mercer)
+    return WidthStage(curves, rows, designs)
 
 
 def validate_chain(stage: WidthStage, tol: float = _CHAIN_SLACK):

@@ -33,10 +33,10 @@ class SpectrumEstimate:
 
     eigvec_node_values has shape (nodes, n_eigs) and satisfies
     V^T diag(w) V = I up to ORTHONORMALITY_TOL. `trace` is the exact
-    operator trace when known (analytic spectra), else None. `basis`
-    evaluates eigenfunctions at arbitrary points when a closed form is
-    available; Nystrom spectra fall back to the extension formula via
-    `extend`.
+    operator trace when known (analytic spectra), else None. `extend`
+    evaluates eigenfunctions at arbitrary points, through the closed-form
+    `basis` when one is registered and the Nystrom extension formula
+    otherwise.
     """
 
     eigenvalues: np.ndarray
@@ -65,7 +65,7 @@ class SpectrumEstimate:
         G = V.T @ (self.quad.weights[:, None] * V)
         return float(np.abs(G - np.eye(V.shape[1])).max())
 
-    def extend(self, kernel: Kernel, points: np.ndarray, n_modes: int | None = None) -> np.ndarray:
+    def extend(self, kernel: Kernel | None, points: np.ndarray, n_modes: int | None = None) -> np.ndarray:
         """Eigenfunction values at arbitrary points.
 
         Uses the closed form when registered, otherwise the Nystrom
@@ -85,13 +85,9 @@ class SpectrumEstimate:
 
     def to_expansion(self, kernel: Kernel | None = None, n_terms: int | None = None) -> MercerExpansion:
         m = n_terms or self.n_eigs
-        if self.basis is not None:
-            basis = self.basis
-        else:
-            if kernel is None:
-                raise ValueError("Nystrom expansion needs the kernel for the extension formula")
-            basis = lambda X: self.extend(kernel, X, m)  # noqa: E731
-        return MercerExpansion(self.eigenvalues[:m], basis, m, self.source, quad=self.quad)
+        if self.basis is None and kernel is None:
+            raise ValueError("Nystrom expansion needs the kernel for the extension formula")
+        return MercerExpansion(self.eigenvalues[:m], lambda X: self.extend(kernel, X, m), m, self.source, quad=self.quad)
 
 
 def nystrom_spectrum(kernel: Kernel, quad: QuadratureRule, n_eigs: int) -> SpectrumEstimate:

@@ -172,7 +172,7 @@ def mercer_projection_upper(
         V = spectrum.eigvec_node_values
     else:
         grid = np.atleast_2d(np.asarray(grid, dtype=float))
-        V = spectrum.extend(kernel, grid) if spectrum.basis is None else spectrum.basis(grid)
+        V = spectrum.extend(kernel, grid)
     lam = spectrum.eigenvalues
     if diag_values is not None:
         head = (V[:, :n] ** 2) @ lam[:n] if n else np.zeros(grid.shape[0])
@@ -220,7 +220,7 @@ def build_ellipsoid(
         V = spectrum.eigvec_node_values[:, :m]
     else:
         grid = np.atleast_2d(np.asarray(grid, dtype=float))
-        V = spectrum.basis(grid)[:, :m] if spectrum.basis is not None else spectrum.extend(kernel, grid, m)
+        V = spectrum.extend(kernel, grid, m)
     Phi = V * np.sqrt(spectrum.eigenvalues[:m])[None, :]
     return EllipsoidModel(Phi, grid, spectrum)
 

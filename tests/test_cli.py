@@ -4,11 +4,13 @@ import filecmp
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import widthlab as wl
 from widthlab.cli import main
 from widthlab.errors import ChainViolationError, ConfigError
+from widthlab.runner import run_spectrum_only
 
 
 SMALL_CONFIG = """
@@ -50,6 +52,8 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="widths.colours"):
             wl.parse_config("[kernel]\nid = brownian\n[widths]\ncolours = red\n")
+        with pytest.raises(ConfigError, match="fit.ratio_cap"):
+            wl.parse_config("[kernel]\nid = brownian\n[fit]\nratio_cap = 32\n")
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="plotting"):
@@ -87,7 +91,33 @@ class TestConfigParsing:
         assert again.config_hash() == cfg.config_hash()
 
 
+# each of these passed validation once and then ended in a traceback
+INVALID_FIELDS = {
+    "entropy.n_grid": lambda t: t + "[entropy]\nn_grid = 0,1,2,4,8\n",
+    "fit.window": lambda t: t.replace("window = 2,16", "window = 100,200"),
+    "fit.entropy_window": lambda t: t.replace("window = 2,16", "window = 2,16\nentropy_window = 100,200"),
+    "quadrature.points_per_axis": lambda t: t.replace("points_per_axis = 400", "points_per_axis = 0"),
+    "kernel.length_scale": lambda t: t.replace("id = brownian", "id = matern32\nlength_scale = 0").replace(
+        "source = analytic", "source = nystrom"
+    ),
+    "kernel.domain": lambda t: t.replace("id = brownian", "id = brownian\ndomain = 1,0").replace(
+        "source = analytic", "source = nystrom"
+    ),
+    "widths.candidate_points_per_axis": lambda t: t.replace("candidate_points_per_axis = 1025", "candidate_points_per_axis = 5"),
+    "spectrum.n_eigs": lambda t: t.replace("n_eigs = 80", "n_eigs = 1"),
+}
+
+
 class TestCliExitCodes:
+    @pytest.mark.parametrize("field", sorted(INVALID_FIELDS))
+    def test_invalid_field_exit_2(self, tmp_path, capsys, field):
+        cfgfile = tmp_path / "bad.ini"
+        cfgfile.write_text(INVALID_FIELDS[field](small_config(tmp_path)))
+        assert main(["campaign", "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
+
     def test_unknown_kernel_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[kernel]\nid = septic_spline\n")
@@ -141,12 +171,17 @@ class TestSpectrumCommand:
             cfgfile.write_text(small_config(tmp_path, source).replace("source = analytic", f"source = {source}"))
             out = tmp_path / source
             assert main(["spectrum", "--config", str(cfgfile)]) == 0
-            names = ("spectrum_brownian.csv", "spectrum_brownian_vectors.csv")
+            names = ("spectrum_brownian.csv", "spectrum_brownian_vectors.npy")
             first = [(out / name).read_bytes() for name in names]
             assert main(["spectrum", "--config", str(cfgfile)]) == 0
             assert [(out / name).read_bytes() for name in names] == first
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["cache_hits"] == hits
+            # the node values round-trip bit for bit against a fresh solve
+            fresh = run_spectrum_only(wl.parse_config(cfgfile.read_text()), tmp_path / f"{source}_fresh")
+            saved = np.load(out / "spectrum_brownian_vectors.npy")
+            assert (saved.dtype, saved.shape) == (fresh.eigvec_node_values.dtype, fresh.eigvec_node_values.shape)
+            assert saved.tobytes() == fresh.eigvec_node_values.tobytes()
 
 
 def spectrum_lambda1(out_dir, kernel_id="brownian"):
@@ -267,16 +302,19 @@ class TestCampaignCommand:
             assert filecmp.cmp(tmp_path / "r1" / f, tmp_path / "r2" / f, shallow=False), f
 
     def test_worker_pool_output_identical(self, tmp_path):
-        # concurrent width cells funnel through one sorted emitter
+        # run.workers is accepted but ignored, and the manifest says so
         base = small_config(tmp_path, "serial")
         (tmp_path / "serial.ini").write_text(base)
         parallel = small_config(tmp_path, "parallel") + "workers = 4\n"
         (tmp_path / "parallel.ini").write_text(parallel)
         assert main(["widths", "--config", str(tmp_path / "serial.ini")]) == 0
         assert main(["widths", "--config", str(tmp_path / "parallel.ini")]) == 0
-        a = (tmp_path / "serial" / "widths.csv").read_text()
-        b = (tmp_path / "parallel" / "widths.csv").read_text()
+        a = (tmp_path / "serial" / "widths.csv").read_bytes()
+        b = (tmp_path / "parallel" / "widths.csv").read_bytes()
         assert a == b
+        warned = json.loads((tmp_path / "parallel" / "manifest.json").read_text())["warnings"]
+        assert [w for w in warned if "ignored" in w] == ["run.workers = 4 ignored: width cells run serially"]
+        assert not any("ignored" in w for w in json.loads((tmp_path / "serial" / "manifest.json").read_text())["warnings"])
 
     def test_seed_override_changes_hash(self, tmp_path):
         cfgfile = tmp_path / "c.ini"
