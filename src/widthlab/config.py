@@ -69,6 +69,11 @@ _VALID_SOURCES = ("auto", "analytic", "nystrom")
 _VALID_STRATEGIES = ("uniform", "greedy", "multistart")
 
 
+def p_label(p: float) -> str:
+    """The label of an L_p exponent in artifacts: `2`, `3.5`, `inf`."""
+    return "inf" if p == math.inf else f"{p:g}"
+
+
 def _parse_value(kind: str, raw: str, where: str):
     raw = raw.strip()
     try:
@@ -240,12 +245,19 @@ def _validate(cfg: ExperimentConfig):
     n_max = max(cfg.get("widths", "n_grid"), default=0)
     if {"greedy", "multistart"} & set(cfg.get("widths", "strategies")) and n_max > cfg.candidate_points**cfg.dim:
         raise ConfigError(f"field widths.candidate_points_per_axis gives fewer candidates than the {n_max} points of widths.n_grid")
-    for p in cfg.get("widths", "p_values"):
+    p_values = cfg.get("widths", "p_values")
+    for p in p_values:
         if not (p == math.inf or p >= 2.0):
             raise ConfigError(f"field widths.p_values entries must be >= 2 or inf, got {p}")
-    for s in cfg.get("widths", "strategies"):
+    labels = [p_label(p) for p in p_values]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"field widths.p_values repeats an entry: {','.join(labels)}")
+    strategies = cfg.get("widths", "strategies")
+    for s in strategies:
         if s not in _VALID_STRATEGIES:
             raise ConfigError(f"unknown strategy '{s}' in widths.strategies")
+    if len(set(strategies)) < len(strategies):
+        raise ConfigError(f"field widths.strategies repeats an entry: {','.join(strategies)}")
     if cfg.get("spectrum", "source") not in _VALID_SOURCES:
         raise ConfigError(f"field spectrum.source must be one of {_VALID_SOURCES}")
     for key in ("window", "entropy_window"):

@@ -99,32 +99,28 @@ def _dyadic_grid_upper(sigma: np.ndarray, n: int) -> float:
     # constructive cover: split axis i of the bounding box into 2^{a_i}
     # cells; the leftover axes contribute at most sigma_{k+1} in norm.
     # One ball of radius sigma_1 centered at the origin always covers.
+    # Every allocation with a_1 + a_2 <= n - 1 is scored at once; each
+    # squared radius is summed left to right, axis by axis.
     N = sigma.size
-    best = float(sigma[0])
     budget = n - 1
 
     def tail2(k: int) -> float:
         return float(sigma[k] ** 2) if k < N else 0.0
 
-    for a1 in range(budget + 1):
-        r2 = (sigma[0] / 2.0**a1) ** 2 + tail2(1)
-        best = min(best, math.sqrt(r2))
-        if N < 2:
-            continue
-        for a2 in range(budget - a1 + 1):
-            r2 = (sigma[0] / 2.0**a1) ** 2 + (sigma[1] / 2.0**a2) ** 2 + tail2(2)
-            best = min(best, math.sqrt(r2))
-            if N < 3:
-                continue
-            a3 = budget - a1 - a2
-            r2 = (
-                (sigma[0] / 2.0**a1) ** 2
-                + (sigma[1] / 2.0**a2) ** 2
-                + (sigma[2] / 2.0**a3) ** 2
-                + tail2(3)
-            )
-            best = min(best, math.sqrt(r2))
-    return best
+    def cell2(k: int) -> np.ndarray:
+        # squared half-width of axis k cut into 2^a cells, a = 0..budget
+        return np.array([(sigma[k] / 2.0**a) ** 2 for a in range(budget + 1)])
+
+    c1 = cell2(0)
+    r2 = [c1 + tail2(1)]
+    if N >= 2:
+        a = np.arange(budget + 1)
+        a1, a2 = np.nonzero(np.add.outer(a, a) <= budget)
+        head = c1[a1] + cell2(1)[a2]
+        r2.append(head + tail2(2))
+        if N >= 3:
+            r2.append(head + cell2(2)[budget - a1 - a2] + tail2(3))
+    return min(float(sigma[0]), math.sqrt(min(float(x.min()) for x in r2)))
 
 
 def diag_entropy_bounds(op: DiagonalOperator, n: int) -> EntropyEstimate:

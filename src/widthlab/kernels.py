@@ -30,7 +30,8 @@ class Kernel:
     """Evaluatable symmetric PSD kernel with domain metadata.
 
     `pairwise(A, B)` returns the matrix k(a_i, b_j) for point arrays of
-    shape (m, d) and (n, d). `smoothness_hint` is the Sobolev order used
+    shape (m, d) and (n, d), as a fresh array that the caller owns and
+    may overwrite in place. `smoothness_hint` is the Sobolev order used
     by the rate presets; None when no equivalence is claimed.
     `uniformly_bounded_eigenfunctions` records whether uniform
     boundedness of the eigenfunctions has been verified for this kernel
@@ -113,7 +114,20 @@ def trace_integral(kernel: Kernel, quad: QuadratureRule) -> float:
 
 
 def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.maximum(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1), 0.0)
+    """Squared Euclidean distances between the rows of a (m, d) and b (n, d).
+
+    The squared axis differences are summed into one (m, n) buffer in axis
+    order, the order numpy's sum over the (m, n, d) broadcast tensor uses,
+    so the values are bit-identical without that tensor. The caller owns
+    the returned array.
+    """
+    out = np.subtract.outer(a[:, 0], b[:, 0])
+    out *= out
+    for k in range(1, a.shape[1]):
+        diff = np.subtract.outer(a[:, k], b[:, k])
+        diff *= diff
+        out += diff
+    return out
 
 
 def make_kernel(kernel_id: str, dim: int = 1, domain: Box | None = None, length_scale: float = 0.3) -> Kernel:
@@ -172,23 +186,41 @@ def make_kernel(kernel_id: str, dim: int = 1, domain: Box | None = None, length_
 
     if kid == "matern12":
 
+        # in place on the distance buffer, keeping the operation order of
+        # exp(-sqrt(d2) / ell) so that every value stays bit-identical
         def pw(a, b, ell=length_scale):
-            return np.exp(-np.sqrt(_sqdist(a, b)) / ell)
+            r = _sqdist(a, b)
+            np.sqrt(r, out=r)
+            np.negative(r, out=r)
+            r /= ell
+            return np.exp(r, out=r)
 
         return Kernel(kid, dim, box, pw, smoothness_hint=0.5 + dim / 2.0, params=params, diagonal=ones)
 
     if kid == "matern32":
 
+        # in place, keeping the order of r = sqrt(3 d2) / ell; (1 + r) exp(-r)
         def pw(a, b, ell=length_scale):
-            r = np.sqrt(3.0 * _sqdist(a, b)) / ell
-            return (1.0 + r) * np.exp(-r)
+            r = _sqdist(a, b)
+            r *= 3.0
+            np.sqrt(r, out=r)
+            r /= ell
+            e = np.negative(r)
+            np.exp(e, out=e)
+            r += 1.0
+            r *= e
+            return r
 
         return Kernel(kid, dim, box, pw, smoothness_hint=1.5 + dim / 2.0, params=params, diagonal=ones)
 
     if kid == "gaussian":
 
+        # in place, keeping the order of exp(-d2 / (2 ell^2))
         def pw(a, b, ell=length_scale):
-            return np.exp(-_sqdist(a, b) / (2.0 * ell * ell))
+            r = _sqdist(a, b)
+            np.negative(r, out=r)
+            r /= 2.0 * ell * ell
+            return np.exp(r, out=r)
 
         return Kernel(kid, dim, box, pw, smoothness_hint=None, params=params, diagonal=ones)
 

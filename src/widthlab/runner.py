@@ -28,7 +28,7 @@ import numpy as np
 
 from .version import __version__
 from .asymptotics import RateSeries, SlopeReport, Verdict, fit_loglog, gap_report
-from .config import ExperimentConfig
+from .config import ExperimentConfig, p_label
 from .entropy import CarlReport, DiagonalOperator, carl_check, diag_entropy_bounds
 from .errors import ChainViolationError, ConfigError
 from .interpolation import (
@@ -65,10 +65,6 @@ _CHAIN_SLACK = 1e-6  # quadrature slack for cross-scale chain checks
 def fmt(x: float) -> str:
     """17 significant digits; round-trips float64 exactly."""
     return f"{x:.17g}"
-
-
-def _p_label(p: float) -> str:
-    return "inf" if p == math.inf else f"{p:g}"
 
 
 def write_artifact(path: Path, chunks: Iterable[str], manifest: RunManifest):
@@ -335,13 +331,13 @@ def stage_widths(
     empty = make_design(kernel, np.empty((0, kernel.dim)))
     for p in p_values:
         v0 = interpolation_width(empty, quad, p, eval_grid=eval_grid)
-        curves["I_Lp_upper"].add(0, v0, KIND_UPPER, f"empty-p{_p_label(p)}")
-        rows.append(("I_Lp_upper", 0, KIND_UPPER, v0, "empty", kid, _p_label(p), seed))
+        curves["I_Lp_upper"].add(0, v0, KIND_UPPER, f"empty-p{p_label(p)}")
+        rows.append(("I_Lp_upper", 0, KIND_UPPER, v0, "empty", kid, p_label(p), seed))
 
     if cfg.get("run", "workers") > 1:
         manifest.warn(f"run.workers = {cfg.get('run', 'workers')} ignored: width cells run serially")
     # widths.csv keeps its rows in (strategy, p label, n) order
-    cells = sorted(itertools.product(strategies, p_values, n_grid), key=lambda c: (c[0], _p_label(c[1]), c[2]))
+    cells = sorted(itertools.product(strategies, p_values, n_grid), key=lambda c: (c[0], p_label(c[1]), c[2]))
     with _Timer(manifest, "widths.interpolation"):
         for strategy, p, n in cells:
             if strategy == "multistart":
@@ -351,9 +347,9 @@ def stage_widths(
             else:
                 des = designs[(strategy, n, "any")]
                 val = interpolation_width(des, quad, p, eval_grid=eval_grid)
-            designs[(strategy, n, _p_label(p))] = des
-            curves["I_Lp_upper"].add(n, val, KIND_UPPER, f"{strategy}-p{_p_label(p)}")
-            rows.append(("I_Lp_upper", n, KIND_UPPER, val, strategy, kid, _p_label(p), seed))
+            designs[(strategy, n, p_label(p))] = des
+            curves["I_Lp_upper"].add(n, val, KIND_UPPER, f"{strategy}-p{p_label(p)}")
+            rows.append(("I_Lp_upper", n, KIND_UPPER, val, strategy, kid, p_label(p), seed))
             if des.jitter:
                 manifest.warn(f"design ({strategy}, n={n}): Cholesky jitter {des.jitter:.3e} applied")
 
@@ -481,7 +477,7 @@ def stage_fits(cfg: ExperimentConfig, spectrum: SpectrumEstimate, width_stage: W
         eig_report = fit_loglog(eig_series, window=window)
         for strategy in cfg.get("widths", "strategies"):
             for p in cfg.get("widths", "p_values"):
-                plab = _p_label(p)
+                plab = p_label(p)
                 label = f"I-L{plab}[{strategy}]"
                 try:
                     series = width_stage.curves["I_Lp_upper"].series(method=f"{strategy}-p{plab}", label=label)

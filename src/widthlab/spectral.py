@@ -79,8 +79,9 @@ class SpectrumEstimate:
         lam = self.eigenvalues[:m]
         cut = lam > 1e-14 * max(lam[0], 1.0)
         Kxn = kernel.pairwise(pts, self.quad.nodes)
+        Kxn *= self.quad.weights
         out = np.zeros((pts.shape[0], m))
-        out[:, cut] = (Kxn * self.quad.weights[None, :]) @ self.eigvec_node_values[:, :m][:, cut] / lam[cut]
+        out[:, cut] = Kxn @ self.eigvec_node_values[:, :m][:, cut] / lam[cut]
         return out
 
     def to_expansion(self, kernel: Kernel | None = None, n_terms: int | None = None) -> MercerExpansion:
@@ -100,10 +101,13 @@ def nystrom_spectrum(kernel: Kernel, quad: QuadratureRule, n_eigs: int) -> Spect
         raise InsufficientResolutionError(
             f"requested {n_eigs} eigenvalues from a {quad.size}-node rule"
         )
-    K = kernel.pairwise(quad.nodes, quad.nodes)
+    # W^{1/2} K W^{1/2}, scaled in place on the kernel matrix
     sw = np.sqrt(quad.weights)
-    A = sw[:, None] * K * sw[None, :]
-    A = 0.5 * (A + A.T)
+    A = kernel.pairwise(quad.nodes, quad.nodes)
+    A *= sw[:, None]
+    A *= sw
+    A = A + A.T
+    A *= 0.5
     lam_all, U = np.linalg.eigh(A)
     order = np.argsort(lam_all)[::-1][:n_eigs]
     lam = lam_all[order]

@@ -105,6 +105,9 @@ INVALID_FIELDS = {
     ),
     "widths.candidate_points_per_axis": lambda t: t.replace("candidate_points_per_axis = 1025", "candidate_points_per_axis = 5"),
     "spectrum.n_eigs": lambda t: t.replace("n_eigs = 80", "n_eigs = 1"),
+    # repeats are compared by p label, so 2 and 2.0 collide
+    "widths.p_values": lambda t: t.replace("p_values = 2,inf", "p_values = 2,inf,2.0"),
+    "widths.strategies": lambda t: t.replace("strategies = uniform,greedy", "strategies = uniform,greedy,uniform"),
 }
 
 

@@ -141,3 +141,44 @@ class TestCarlCheck:
     def test_too_short(self):
         with pytest.raises(ValueError):
             wl.carl_check(np.ones(3), np.ones(3), 2.0, 5)
+
+
+def _ref_dyadic_grid_upper(sigma, n):
+    """The dyadic cover radius as the plain loop over a1, a2 (a3 = the rest)."""
+    N = sigma.size
+    best = float(sigma[0])
+    budget = n - 1
+
+    def tail2(k):
+        return float(sigma[k] ** 2) if k < N else 0.0
+
+    for a1 in range(budget + 1):
+        best = min(best, math.sqrt((sigma[0] / 2.0**a1) ** 2 + tail2(1)))
+        if N < 2:
+            continue
+        for a2 in range(budget - a1 + 1):
+            r2 = (sigma[0] / 2.0**a1) ** 2 + (sigma[1] / 2.0**a2) ** 2 + tail2(2)
+            best = min(best, math.sqrt(r2))
+            if N < 3:
+                continue
+            a3 = budget - a1 - a2
+            r2 = (sigma[0] / 2.0**a1) ** 2 + (sigma[1] / 2.0**a2) ** 2 + (sigma[2] / 2.0**a3) ** 2 + tail2(3)
+            best = min(best, math.sqrt(r2))
+    return best
+
+
+class TestDyadicGridUpper:
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 260])
+    def test_matches_loop(self, rng, N):
+        from widthlab.entropy import _dyadic_grid_upper
+
+        sigmas = [
+            1.0 / np.arange(1.0, N + 1.0) ** 1.5,
+            np.sort(rng.random(N) ** 3 * 40.0)[::-1].copy(),
+            np.sort(rng.random(N) * 1e-3)[::-1].copy(),
+        ]
+        for sigma in sigmas:
+            for n in list(range(1, 34)) + [64, 128]:
+                got = _dyadic_grid_upper(sigma, n)
+                assert type(got) is float
+                assert got == _ref_dyadic_grid_upper(sigma, n), (N, n)

@@ -1,6 +1,10 @@
 """Kernel catalog, Gram matrices, traces, and power kernels."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,3 +173,84 @@ class TestMercerExpansion:
         lam = np.array([0.1, 0.5])
         with pytest.raises(ValueError):
             wl.MercerExpansion(lam, lambda X: np.ones((len(X), 2)), 2, "analytic")
+
+
+# the kernel layer works in place on one distance buffer; these are the
+# plain broadcast expressions it must reproduce bit for bit
+def _ref_sqdist(a, b):
+    return np.maximum(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1), 0.0)
+
+
+def _ref_matern32(a, b, ell):
+    r = np.sqrt(3.0 * _ref_sqdist(a, b)) / ell
+    return (1.0 + r) * np.exp(-r)
+
+
+_REF_PAIRWISE = {
+    "matern12": lambda a, b, ell: np.exp(-np.sqrt(_ref_sqdist(a, b)) / ell),
+    "matern32": _ref_matern32,
+    "gaussian": lambda a, b, ell: np.exp(-_ref_sqdist(a, b) / (2.0 * ell * ell)),
+}
+
+
+def _point_sets(rng, dim):
+    """Random points and the box corners; b also repeats 40 points of a."""
+    a = rng.random((301, dim))
+    corners = np.array(np.meshgrid(*[[0.0, 1.0]] * dim)).reshape(dim, -1).T
+    b = np.vstack([rng.random((157, dim)), a[:40], corners])
+    return np.vstack([a, corners]), b
+
+
+class TestBitExactKernelLayer:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_sqdist_matches_broadcast(self, rng, dim):
+        from widthlab.kernels import _sqdist
+
+        a, b = _point_sets(rng, dim)
+        for x, y in ((a, b), (b, a), (a[:1], b), (a, b[5:6]), (np.asfortranarray(a), b)):
+            assert np.array_equal(_sqdist(x, y), _ref_sqdist(x, y))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kid", sorted(_REF_PAIRWISE))
+    def test_pairwise_matches_reference(self, rng, kid, dim):
+        a, b = _point_sets(rng, dim)
+        for ell in (0.3, 0.05, 2.0):
+            k = wl.make_kernel(kid, dim=dim, length_scale=ell)
+            ref = _REF_PAIRWISE[kid](a, b, ell)
+            assert np.array_equal(k.pairwise(a, b), ref)
+            assert np.array_equal(k.pairwise(b, a), _REF_PAIRWISE[kid](b, a, ell))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_nystrom_and_extend_match_reference(self, rng, dim):
+        k = wl.make_kernel("matern32", dim=dim, length_scale=0.2)
+        quad = wl.midpoint_rule(k.domain, 240 if dim == 1 else 16)
+        est = wl.nystrom_spectrum(k, quad, 30)
+
+        K = _REF_PAIRWISE["matern32"](quad.nodes, quad.nodes, 0.2)
+        sw = np.sqrt(quad.weights)
+        A = sw[:, None] * K * sw[None, :]
+        A = 0.5 * (A + A.T)
+        lam_all, U = np.linalg.eigh(A)
+        order = np.argsort(lam_all)[::-1][:30]
+        V = U[:, order] / sw[:, None]
+        V = V * np.where(V[0, :] < 0, -1.0, 1.0)[None, :]
+        assert np.array_equal(est.eigenvalues, np.maximum(lam_all[order], 0.0))
+        assert np.array_equal(est.eigvec_node_values, V)
+
+        x, _ = _point_sets(rng, dim)
+        lam = est.eigenvalues
+        cut = lam > 1e-14 * max(lam[0], 1.0)
+        ref = np.zeros((x.shape[0], 30))
+        Kxn = _REF_PAIRWISE["matern32"](x, quad.nodes, 0.2)
+        ref[:, cut] = (Kxn * quad.weights[None, :]) @ est.eigvec_node_values[:, cut] / lam[cut]
+        assert np.array_equal(est.extend(k, x), ref)
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # scipy.spatial costs set-up time and memory on every run; the squared
+    # distances are computed without it
+    src = str(Path(wl.__file__).resolve().parents[1])
+    code = "import sys, widthlab.runner, widthlab.cli; print('scipy.spatial' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
