@@ -4,11 +4,15 @@ Every run is driven by an ExperimentConfig, writes CSV artifacts with
 17-significant-digit numbers and newline line endings (bit-stable for
 acceptance diffs), and records every file it writes in a manifest. The
 visible spectrum, an eigenvalue CSV and a `.npy` of eigenfunction node
-values, is written once per call. Only Nystrom spectra are cached, as one
-binary file under `cache/` keyed by the kernel, the quadrature rule and
-its box, `n_eigs` and the package version; analytic spectra are
-recomputed on every run. Width cells run serially, so outputs are
-byte-deterministic for a fixed config and seed.
+values, is written once per call. `cache/` holds two kinds of binary
+entry, each keyed by the kernel, the quadrature rule and its box, `n_eigs`
+and the package version. A `spectrum_<key>.npz` holds a Nystrom spectrum;
+analytic spectra are recomputed on every run. An `envelope_<key>.npz` holds
+the squared sup-norm Mercer envelope for n = 0..`dense_max`, for either
+source; its key adds the resolved spectrum source, the evaluation points
+per axis and `dense_max`. An entry that cannot be read is recomputed and
+overwritten, with a manifest warning. Width cells run serially, so outputs
+are byte-deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import math
 import os
 import time
 import warnings
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -179,27 +184,43 @@ def _spectrum_source(cfg: ExperimentConfig) -> str:
     return source
 
 
-def _spectrum_cache_path(out_dir: Path, kernel: Kernel, quad: QuadratureRule, n_eigs: int) -> Path:
-    raw = f"{kernel.identifier()}|{quad.signature()}|n_eigs={n_eigs}|version={__version__}"
-    return out_dir / "cache" / f"spectrum_{hashlib.sha256(raw.encode()).hexdigest()[:20]}.npz"
+def _cache_path(out_dir: Path, entry: str, kernel: Kernel, quad: QuadratureRule, n_eigs: int, *extra: str) -> Path:
+    """`cache/<entry>_<key>.npz`, keyed by the spectrum's inputs plus `extra`."""
+    raw = "|".join((kernel.identifier(), quad.signature(), f"n_eigs={n_eigs}", *extra, f"version={__version__}"))
+    return out_dir / "cache" / f"{entry}_{hashlib.sha256(raw.encode()).hexdigest()[:20]}.npz"
 
 
-def _load_spectrum(path: Path, kernel: Kernel, quad: QuadratureRule) -> SpectrumEstimate | None:
+def _read_cache(path: Path, manifest: RunManifest, *names: str) -> list[np.ndarray] | None:
+    """The named arrays of a cache entry; None when it is absent or unreadable.
+
+    An unreadable entry is a miss: the caller recomputes and overwrites it,
+    and the manifest names the file.
+    """
     if not path.exists():
         return None
-    with np.load(path) as cached:
-        return SpectrumEstimate(
-            cached["eigenvalues"], cached["node_values"], quad, kernel.identifier(), clamped=int(cached["clamped"])
-        )
+    try:
+        with np.load(path) as cached:
+            return [cached[name] for name in names]
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        manifest.warn(f"cache entry {path} unreadable ({type(exc).__name__}): recomputed")
+        return None
 
 
-def _cache_spectrum(path: Path, spectrum: SpectrumEstimate):
+def _write_cache(path: Path, **arrays: np.ndarray):
     """Write under a temporary name first, so a reader never sees a partial file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     with open(tmp, "wb") as fh:
-        np.savez(fh, eigenvalues=spectrum.eigenvalues, node_values=spectrum.eigvec_node_values, clamped=spectrum.clamped)
+        np.savez(fh, **arrays)
     os.replace(tmp, path)
+
+
+def _load_spectrum(path: Path, kernel: Kernel, quad: QuadratureRule, manifest: RunManifest) -> SpectrumEstimate | None:
+    cached = _read_cache(path, manifest, "eigenvalues", "node_values", "clamped")
+    if cached is None:
+        return None
+    eigenvalues, node_values, clamped = cached
+    return SpectrumEstimate(eigenvalues, node_values, quad, kernel.identifier(), clamped=int(clamped))
 
 
 def _save_spectrum(path_base: Path, spectrum: SpectrumEstimate, meta: str, manifest: RunManifest):
@@ -220,11 +241,13 @@ def stage_spectrum(
         if source == "analytic":
             spectrum = analytic_spectrum(cfg.kernel_id, n_eigs, quad)
         else:
-            cache_path = _spectrum_cache_path(out_dir, kernel, quad, n_eigs)
-            spectrum = _load_spectrum(cache_path, kernel, quad)
+            cache_path = _cache_path(out_dir, "spectrum", kernel, quad, n_eigs)
+            spectrum = _load_spectrum(cache_path, kernel, quad, manifest)
             if spectrum is None:
                 spectrum = nystrom_spectrum(kernel, quad, n_eigs)
-                _cache_spectrum(cache_path, spectrum)
+                _write_cache(
+                    cache_path, eigenvalues=spectrum.eigenvalues, node_values=spectrum.eigvec_node_values, clamped=spectrum.clamped
+                )
             else:
                 manifest.cache_hits += 1
         if spectrum.clamped:
@@ -245,25 +268,23 @@ class WidthStage:
     designs: dict[tuple[str, int, str], DesignSet]
 
 
-def _mercer_envelope_sup(spectrum: SpectrumEstimate, kernel: Kernel, grid: np.ndarray, ns: list[int]) -> dict[int, float]:
-    """Sup of the projection error envelope for every n, via cumulative head sums.
+def _mercer_envelope_sup2(spectrum: SpectrumEstimate, kernel: Kernel, grid: np.ndarray, n_max: int) -> np.ndarray:
+    """Squared sup over the grid of k(x, x) - sum_{i <= n} lambda_i e_i(x)^2, for n = 0..n_max.
 
-    Processes the grid in chunks so the Nystrom extension never holds a
-    full grid-by-node kernel matrix.
+    Extends only the n_max modes the head sums read, and processes the grid
+    in chunks so the extension never holds a full grid-by-node kernel matrix.
     """
-    best = {n: 0.0 for n in ns}
+    lam = spectrum.eigenvalues[:n_max]
+    best = np.zeros(n_max + 1)
     step = 2048
     for i in range(0, grid.shape[0], step):
         blk = grid[i : i + step]
-        V = spectrum.extend(kernel, blk)
-        lam = spectrum.eigenvalues[: V.shape[1]]
-        heads = np.cumsum(V**2 * lam[None, :], axis=1)
-        diag = kernel.diag(blk)
-        for n in ns:
-            head = np.zeros(blk.shape[0]) if n == 0 else heads[:, n - 1]
-            env2 = np.maximum(diag - head, 0.0)
-            best[n] = max(best[n], float(env2.max()))
-    return {n: math.sqrt(v) for n, v in best.items()}
+        # column n holds the head sum of the first n modes; column 0 is empty
+        heads = np.zeros((blk.shape[0], n_max + 1))
+        np.cumsum(spectrum.extend(kernel, blk, n_modes=n_max) ** 2 * lam[None, :], axis=1, out=heads[:, 1:])
+        env2 = np.maximum(kernel.diag(blk)[:, None] - heads, 0.0)
+        np.maximum(best, env2.max(axis=0), out=best)
+    return best
 
 
 def stage_widths(
@@ -310,10 +331,19 @@ def stage_widths(
             rows.append(("I_Linf_lower_tail", n, KIND_LOWER, tl, "trace-tail", kid, "inf", seed))
 
     with _Timer(manifest, "widths.mercer_upper"):
-        mercer = _mercer_envelope_sup(spectrum, kernel, eval_grid, dense)
+        key = (f"source={spectrum.source}", f"eval_points={cfg.eval_points}", f"dense_max={dense_max}")
+        envelope_path = _cache_path(out_dir, "envelope", kernel, quad, spectrum.n_eigs, *key)
+        cached = _read_cache(envelope_path, manifest, "sup2")
+        if cached is None:
+            sup2 = _mercer_envelope_sup2(spectrum, kernel, eval_grid, dense_max)
+            _write_cache(envelope_path, sup2=sup2)
+        else:
+            manifest.cache_hits += 1
+            sup2 = cached[0]
         for n in dense:
-            curves["a_Lp_upper"].add(n, mercer[n], KIND_UPPER, "mercer-projection")
-            rows.append(("a_Lp_upper", n, KIND_UPPER, mercer[n], "mercer-projection", kid, "inf", seed))
+            v = math.sqrt(sup2[n])
+            curves["a_Lp_upper"].add(n, v, KIND_UPPER, "mercer-projection")
+            rows.append(("a_Lp_upper", n, KIND_UPPER, v, "mercer-projection", kid, "inf", seed))
 
     designs: dict[tuple[str, int, str], DesignSet] = {}
     with _Timer(manifest, "widths.designs"):

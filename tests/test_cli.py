@@ -231,6 +231,66 @@ class TestSpectrumIdentity:
         assert runs[1]["warnings"] == runs[0]["warnings"]
 
 
+def a_lp_upper_rows(out_dir):
+    return [ln for ln in (out_dir / "widths.csv").read_text().splitlines() if ln.startswith("a_Lp_upper,")]
+
+
+class TestEnvelopeCache:
+    """The Mercer envelope entry is reused only by a config with the same inputs."""
+
+    def test_hit_and_key_fields(self, tmp_path):
+        base = small_config(tmp_path, "shared").replace("source = analytic", "source = nystrom")
+        runs = []
+        for _ in range(2):
+            (tmp_path / "c.ini").write_text(base)
+            assert main(["widths", "--config", str(tmp_path / "c.ini")]) == 0
+            manifest = json.loads((tmp_path / "shared" / "manifest.json").read_text())
+            runs.append(((tmp_path / "shared" / "widths.csv").read_bytes(), manifest))
+        # the second run hits both the spectrum and the envelope entry
+        assert [m["cache_hits"] for _, m in runs] == [0, 2]
+        assert runs[1][0] == runs[0][0]
+        assert runs[1][1]["warnings"] == runs[0][1]["warnings"]
+
+        # each change is an envelope miss whose rows equal a fresh directory's
+        variants = [
+            ("eval_points", base.replace("eval_points_per_axis = 1024", "eval_points_per_axis = 513"), 1),
+            ("dense_max", base.replace("dense_n_max = 16", "dense_n_max = 12"), 1),
+            ("analytic", base.replace("source = nystrom", "source = analytic"), 0),
+        ]
+        for name, text, spectrum_hits in variants:
+            (tmp_path / "c.ini").write_text(text)
+            assert main(["widths", "--config", str(tmp_path / "c.ini")]) == 0
+            manifest = json.loads((tmp_path / "shared" / "manifest.json").read_text())
+            assert manifest["cache_hits"] == spectrum_hits, name
+            (tmp_path / f"{name}.ini").write_text(text.replace(str(tmp_path / "shared"), str(tmp_path / name)))
+            assert main(["widths", "--config", str(tmp_path / f"{name}.ini")]) == 0
+            assert a_lp_upper_rows(tmp_path / "shared") == a_lp_upper_rows(tmp_path / name), name
+
+    @pytest.mark.parametrize("entry,command", [("spectrum", "spectrum"), ("envelope", "widths")])
+    def test_unreadable_entry_is_a_miss(self, tmp_path, capsys, entry, command):
+        outputs = ("spectrum_brownian.csv", "spectrum_brownian_vectors.npy", "widths.csv")
+        text = small_config(tmp_path).replace("source = analytic", "source = nystrom")
+        (tmp_path / "c.ini").write_text(text)
+        (tmp_path / "fresh.ini").write_text(text.replace(str(tmp_path / "out"), str(tmp_path / "fresh")))
+        assert main([command, "--config", str(tmp_path / "fresh.ini")]) == 0
+        assert main([command, "--config", str(tmp_path / "c.ini")]) == 0
+        [path] = (tmp_path / "out" / "cache").glob(f"{entry}_*.npz")
+        with open(path, "r+b") as fh:
+            fh.truncate(100)
+        assert main([command, "--config", str(tmp_path / "c.ini")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        for name in outputs:
+            if (tmp_path / "fresh" / name).exists():
+                assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+        warned = json.loads((tmp_path / "out" / "manifest.json").read_text())["warnings"]
+        assert [w for w in warned if "unreadable" in w] == [f"cache entry {path} unreadable (BadZipFile): recomputed"]
+        # the entry was rewritten and is read again on the next run
+        assert main([command, "--config", str(tmp_path / "c.ini")]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["cache_hits"] == (1 if command == "spectrum" else 2)
+        assert not any("unreadable" in w for w in manifest["warnings"])
+
+
 class TestWidthsCommand:
     def test_rows_and_boundary_conventions(self, tmp_path):
         cfgfile = tmp_path / "c.ini"

@@ -246,6 +246,44 @@ class TestBitExactKernelLayer:
         assert np.array_equal(est.extend(k, x), ref)
 
 
+def _ref_mercer_envelope_sup(spectrum, kernel, grid, ns):
+    """The envelope loop that extends every resolved mode, kept as the reference."""
+    best = {n: 0.0 for n in ns}
+    step = 2048
+    for i in range(0, grid.shape[0], step):
+        blk = grid[i : i + step]
+        V = spectrum.extend(kernel, blk)
+        lam = spectrum.eigenvalues[: V.shape[1]]
+        heads = np.cumsum(V**2 * lam[None, :], axis=1)
+        diag = kernel.diag(blk)
+        for n in ns:
+            head = np.zeros(blk.shape[0]) if n == 0 else heads[:, n - 1]
+            env2 = np.maximum(diag - head, 0.0)
+            best[n] = max(best[n], float(env2.max()))
+    return {n: math.sqrt(v) for n, v in best.items()}
+
+
+class TestBitExactMercerEnvelope:
+    """Extending only the modes the head sums read leaves every envelope value unchanged."""
+
+    @pytest.mark.parametrize(
+        "kid,dim,nodes,eval_points,n_eigs",
+        [("matern32", 1, 400, 5000, 120), ("matern32", 2, 24, 48, 150), ("brownian", 1, 2000, 4097, 260)],
+    )
+    def test_truncated_extension_matches_all_modes(self, kid, dim, nodes, eval_points, n_eigs):
+        from widthlab.runner import _mercer_envelope_sup2
+
+        k = wl.make_kernel(kid, dim=dim, length_scale=0.2)
+        quad = wl.midpoint_rule(k.domain, nodes)
+        est = wl.analytic_spectrum(kid, n_eigs, quad) if kid == "brownian" else wl.nystrom_spectrum(k, quad, n_eigs)
+        # both grids cross the 2048-point chunk boundary
+        grid = k.domain.grid(eval_points, endpoint=True)
+        for n_max in (16, 64):
+            ref = _ref_mercer_envelope_sup(est, k, grid, list(range(n_max + 1)))
+            sup2 = _mercer_envelope_sup2(est, k, grid, n_max)
+            assert [math.sqrt(v) for v in sup2] == [ref[n] for n in range(n_max + 1)]
+
+
 def test_import_leaves_scipy_spatial_unloaded():
     # scipy.spatial costs set-up time and memory on every run; the squared
     # distances are computed without it
