@@ -39,15 +39,10 @@ from .spectral import (
 )
 from .interpolation import (
     DesignSet,
-    PowerFunctionProfile,
-    apply_interpolant,
-    cardinal_weights,
     design,
     greedy_design,
     interpolation_width,
     optimize_interpolation_width,
-    power_function,
-    power_profile,
     power_values,
     uniform_design,
 )
@@ -58,7 +53,7 @@ from .widths import (
     interp_linf_lower_tail,
     l2_widths,
     linf_kolmogorov_lower,
-    mercer_projection_upper,
+    mercer_envelope_sup2,
     rate_transfer_verdict,
     subspace_residual_upper,
     width_gap_verdict,
@@ -74,13 +69,10 @@ from .entropy import (
 )
 from .asymptotics import (
     RateSeries,
-    RegularityReport,
     SlopeReport,
     Verdict,
-    asymp_equiv,
     fit_loglog,
     gap_report,
-    regular_check,
 )
 from .config import ExperimentConfig, PRESETS, load_preset, parse_config
 from .runner import CampaignResult, RunManifest, run_campaign

@@ -1,11 +1,10 @@
-"""Log-log rate fitting and asymptotic-equivalence bookkeeping.
+"""Log-log rate fitting, gap reports and verdict bookkeeping.
 
 Rate claims of the form a_n ~ n^s cannot be verified literally on a
 finite index window; the lab operationalizes them as an ordinary least
-squares slope in log-log coordinates plus a bounded-ratio check. The
-slope tolerance (default 0.1) and ratio cap (default 32) are explicit
-knobs, and families with logarithmic factors are expected to consume
-part of the slope tolerance.
+squares slope in log-log coordinates. The slope tolerance (default 0.1)
+is an explicit knob, and families with logarithmic factors are expected
+to consume part of it.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ import numpy as np
 from .errors import GridMismatchError
 
 DEFAULT_SLOPE_TOL = 0.1
-DEFAULT_RATIO_CAP = 32.0
-DEFAULT_REGULARITY_CAP = 16.0
 
 STATUS_CERTIFIED = "certified"
 STATUS_INCONCLUSIVE = "inconclusive"
@@ -145,80 +142,6 @@ def fit_loglog(series: RateSeries, window: tuple[int, int] | None = None, dyadic
     return SlopeReport(slope, intercept, stderr, win, label=series.label, n_points=int(sub.ns.size))
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    """Observed constants for the halving and monotonicity conditions."""
-
-    c_half: float
-    c_mono: float
-    cap: float
-    pairs: int
-
-    @property
-    def regular(self) -> bool:
-        return math.isfinite(self.c_half) and math.isfinite(self.c_mono) and max(self.c_half, self.c_mono) <= self.cap
-
-
-def regular_check(series: RateSeries, cap: float = DEFAULT_REGULARITY_CAP) -> RegularityReport:
-    """Minimal observed constants for the two regularity conditions.
-
-    c_half: a_n <= c a_{2n} (no more than constant decay per doubling);
-    c_mono: a_n <= c a_m for m <= n (almost nonincreasing; exactly 1 for
-    monotone sequences). Requires entries at n and 2n for at least three
-    values of n.
-    """
-    ns = series.ns
-    vals = series.values
-    ratios = []
-    index = {int(n): i for i, n in enumerate(ns)}
-    for i, n in enumerate(ns):
-        j = index.get(int(2 * n))
-        if j is not None:
-            ratios.append(vals[i] / vals[j])
-    if len(ratios) < 3:
-        raise GridMismatchError(
-            f"series '{series.label}' has only {len(ratios)} (n, 2n) pairs; need >= 3"
-        )
-    c_half = float(np.max(ratios))
-    running_min = np.minimum.accumulate(vals)
-    c_mono = float(np.max(vals / running_min))
-    return RegularityReport(c_half, c_mono, cap, len(ratios))
-
-
-def asymp_equiv(
-    a: RateSeries,
-    b: RateSeries,
-    window: tuple[int, int] | None = None,
-    slope_tol: float = DEFAULT_SLOPE_TOL,
-    ratio_cap: float = DEFAULT_RATIO_CAP,
-) -> Verdict:
-    """Two-sided comparability verdict on a common window.
-
-    Certified when the fitted slopes agree within `slope_tol` and the
-    pointwise ratio stays inside [1/C, C] for an observed C <= cap.
-    """
-    common = np.intersect1d(a.ns, b.ns)
-    if window is not None:
-        common = common[(common >= window[0]) & (common <= window[1])]
-    if common.size < 4:
-        raise GridMismatchError(
-            f"series '{a.label}' and '{b.label}' share only {common.size} indices in window"
-        )
-    av = np.array([a.at(int(n)) for n in common])
-    bv = np.array([b.at(int(n)) for n in common])
-    win = (int(common[0]), int(common[-1]))
-    fa = fit_loglog(RateSeries(common, av, a.label), win)
-    fb = fit_loglog(RateSeries(common, bv, b.label), win)
-    ratio = av / bv
-    observed_c = float(max(ratio.max(), (1.0 / ratio).max()))
-    slope_gap = abs(fa.slope - fb.slope)
-    ok = slope_gap <= slope_tol and observed_c <= ratio_cap
-    status = STATUS_CERTIFIED if ok else STATUS_INCONCLUSIVE
-    detail = f"slope gap {slope_gap:.4f} (tol {slope_tol}), ratio constant {observed_c:.4f} (cap {ratio_cap})"
-    claim = f"{a.label} and {b.label} are asymptotically comparable on n in [{win[0]}, {win[1]}]"
-    return Verdict(claim, (fa, fb), status, detail, observed_constant=observed_c)
-
-
 def gap_report(upper_series: RateSeries, lower_series: RateSeries) -> SlopeReport:
     """Slope of the pointwise ratio upper/lower on their shared grid.
 
@@ -236,15 +159,3 @@ def gap_report(upper_series: RateSeries, lower_series: RateSeries) -> SlopeRepor
     )
     return fit_loglog(ratio)
 
-
-def loglog_log_diagnostic(series: RateSeries, exponent: float) -> np.ndarray:
-    """Residual diagnostic for families with logarithmic factors.
-
-    Returns log(value * n^(-exponent)) against log log n; no verdict is
-    attached because a log-exponent cannot be certified on a short
-    window.
-    """
-    mask = series.ns >= 2
-    ns = series.ns[mask].astype(float)
-    comp = series.values[mask] * ns ** (-exponent)
-    return np.column_stack([np.log(np.log(ns)), np.log(comp)])

@@ -18,14 +18,19 @@ from .errors import BudgetError, ChainViolationError, ConfigError, WidthLabError
 from . import runner
 
 
+def _read_text(path: Path) -> str:
+    """A UTF-8 file the command reads; a ConfigError naming it when it cannot be read."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
 def _resolve_config(args) -> ExperimentConfig:
     if getattr(args, "preset", None):
         cfg = load_preset(args.preset)
     elif getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        cfg = parse_config(path.read_text())
+        cfg = parse_config(_read_text(Path(args.config)))
     else:
         raise ConfigError("provide --config PATH or --preset NAME")
     if getattr(args, "seed", None) is not None:
@@ -68,11 +73,17 @@ def main(argv: list[str] | None = None) -> int:
             report_path = Path(args.out) / "report.txt"
             if not report_path.exists():
                 raise ConfigError(f"no report.txt under {args.out}")
-            sys.stdout.write(report_path.read_text())
+            text = _read_text(report_path)
             manifest_path = Path(args.out) / "manifest.json"
             if manifest_path.exists():
-                manifest = json.loads(manifest_path.read_text())
-                sys.stdout.write(f"(config {manifest['config_hash']}, {len(manifest['files'])} files)\n")
+                try:
+                    manifest = json.loads(_read_text(manifest_path))
+                    text += f"(config {manifest['config_hash']}, {len(manifest['files'])} files)\n"
+                except json.JSONDecodeError as exc:
+                    raise ConfigError(f"{manifest_path} is not valid JSON ({exc})") from exc
+                except (KeyError, TypeError) as exc:
+                    raise ConfigError(f"{manifest_path}: field config_hash or files missing or malformed ({exc!r})") from exc
+            sys.stdout.write(text)
             return 0
 
         cfg = _resolve_config(args)

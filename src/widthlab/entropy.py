@@ -64,19 +64,6 @@ def carl_constant(p: float) -> float:
     return 128.0 * (32.0 + 16.0 / p) ** (1.0 / p)
 
 
-def adjoint(op: DiagonalOperator) -> DiagonalOperator:
-    """Adjoint of a diagonal operator between l2 spaces: the same diagonal.
-
-    How entropy numbers of a general operator relate to those of its
-    adjoint is a hard question with only partial answers (weighted
-    sup-seminorm comparisons on B-convex spaces); no general dual
-    computation is attempted here. For the diagonal operators this
-    module covers the question is trivial, since the adjoint is the
-    operator itself, and `diag_entropy_bounds` is exactly self-dual.
-    """
-    return DiagonalOperator(op.sigma.copy())
-
-
 # ---------------------------------------------------------------------------
 # diagonal operators
 

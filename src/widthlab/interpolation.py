@@ -1,17 +1,15 @@
-"""Kernel interpolation: cardinal weights, power function, greedy designs.
+"""Kernel interpolation: power function, greedy designs, width objectives.
 
-For a design D = (x_1, ..., x_n) the interpolant of f is
-A f(x) = sum_i a_i(x) f(x_i), where the cardinal weights a(x) solve
-K a = k_x with K the design Gram matrix and (k_x)_i = k(x, x_i). The
-power function
+For a design D = (x_1, ..., x_n) with Gram matrix K and (k_x)_i =
+k(x, x_i), the power function
 
     P(x)^2 = k(x, x) - k_x^T K^{-1} k_x
 
-is the worst-case pointwise error of this scheme over the unit ball of
-the native space, so the L_p norm of P is the value of the p-width
-objective at D. The width itself is an infimum over designs; here it is
-approximated from above by uniform grids, power-function greedy
-selection, and coordinate-descent refinement.
+is the worst-case pointwise error of kernel interpolation at D over the
+unit ball of the native space, so the L_p norm of P is the value of the
+p-width objective at D. The width itself is an infimum over designs;
+here it is approximated from above by uniform grids, power-function
+greedy selection, and coordinate-descent refinement.
 """
 
 from __future__ import annotations
@@ -20,14 +18,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
-from .errors import DegenerateDesignError, DomainError
+from .errors import DegenerateDesignError
 from .kernels import Kernel, gram_matrix
 from .quadrature import QuadratureRule
 
 JITTER_SCALE = 1e-12
-_POWER_AT_NODE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -79,23 +76,6 @@ def design(kernel: Kernel, points) -> DesignSet:
     return DesignSet(pts, kernel, L, jitter=jitter)
 
 
-def cardinal_weights(des: DesignSet, x) -> np.ndarray:
-    """Cardinal weight vector a(x) solving K a = k_x; unit vector at nodes."""
-    if des.size == 0:
-        return np.zeros(0)
-    x = np.atleast_2d(np.asarray(x, dtype=float)).reshape(1, des.kernel.dim)
-    kx = des.kernel.pairwise(des.points, x)[:, 0]
-    return cho_solve((des.chol, True), kx)
-
-
-def apply_interpolant(des: DesignSet, f_values, x) -> float:
-    """Evaluate sum_i a_i(x) f(x_i); reproduces f at the design points."""
-    f_values = np.asarray(f_values, dtype=float)
-    if f_values.shape != (des.size,):
-        raise ValueError(f"f_values has length {f_values.size}, design has {des.size} points")
-    return float(cardinal_weights(des, x) @ f_values)
-
-
 def power_values(des: DesignSet, points, diag: np.ndarray | None = None) -> np.ndarray:
     """Power function on a batch of points (vectorized quadratic form).
 
@@ -110,38 +90,6 @@ def power_values(des: DesignSet, points, diag: np.ndarray | None = None) -> np.n
     S = solve_triangular(des.chol, Kx, lower=True)
     p2 = diag - np.einsum("ij,ij->j", S, S)
     return np.sqrt(np.maximum(p2, 0.0))
-
-
-def power_function(des: DesignSet, x) -> float:
-    """Worst-case pointwise interpolation error at x over the unit ball."""
-    x = np.atleast_2d(np.asarray(x, dtype=float)).reshape(1, des.kernel.dim)
-    if not des.kernel.domain.contains(x):
-        raise DomainError("evaluation point outside the kernel domain")
-    return float(power_values(des, x)[0])
-
-
-@dataclass(frozen=True)
-class PowerFunctionProfile:
-    """Power function tabulated on a grid, with its supremum."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    sup_value: float
-    design: DesignSet
-
-    def node_defect(self) -> float:
-        """Max power value at the design points; near zero by exactness."""
-        if self.design.size == 0:
-            return 0.0
-        vals = power_values(self.design, self.design.points)
-        bound = _POWER_AT_NODE_TOL * np.sqrt(np.maximum(self.design.kernel.diag(self.design.points), 0.0)) + 1e-12
-        return float(np.max(vals - bound))
-
-
-def power_profile(des: DesignSet, grid) -> PowerFunctionProfile:
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    vals = power_values(des, grid)
-    return PowerFunctionProfile(grid, vals, float(vals.max()) if vals.size else 0.0, des)
 
 
 def greedy_design(kernel: Kernel, candidates, n: int) -> DesignSet:
@@ -187,7 +135,6 @@ def interpolation_width(
     quad: QuadratureRule,
     p: float,
     eval_grid: np.ndarray | None = None,
-    sup_points_per_axis: int = 0,
 ) -> float:
     """L_p norm of the power function for the given design.
 
@@ -201,8 +148,7 @@ def interpolation_width(
         raise ValueError("p must be in [2, inf]")
     if p == math.inf:
         if eval_grid is None:
-            per_axis = sup_points_per_axis or _default_sup_points(des.kernel.dim)
-            eval_grid = des.kernel.domain.grid(per_axis, endpoint=True)
+            eval_grid = des.kernel.domain.grid(_default_sup_points(des.kernel.dim), endpoint=True)
         return float(power_values(des, eval_grid).max())
     vals = power_values(des, quad.nodes)
     return float((quad.weights @ vals**p) ** (1.0 / p))

@@ -60,6 +60,7 @@ from .widths import (
     interp_linf_lower_tail,
     l2_widths,
     linf_kolmogorov_lower,
+    mercer_envelope_sup2,
     rate_transfer_verdict,
     width_gap_verdict,
 )
@@ -156,7 +157,10 @@ def quad_from_config(cfg: ExperimentConfig, kernel: Kernel) -> QuadratureRule:
 def _setup(cfg: ExperimentConfig, out_dir: str | Path | None) -> tuple[Path, RunManifest, Kernel, QuadratureRule]:
     """Output directory, a fresh manifest, the kernel and the quadrature of one call."""
     out = Path(out_dir) if out_dir is not None else Path(str(cfg.get("run", "out_dir")))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"field run.out_dir = {out}: cannot create the output directory ({exc})") from exc
     manifest = RunManifest(config_hash=cfg.config_hash(), preset=cfg.preset_name)
     kernel = kernel_from_config(cfg)
     return out, manifest, kernel, quad_from_config(cfg, kernel)
@@ -265,26 +269,6 @@ def stage_spectrum(
 class WidthStage:
     curves: dict[str, WidthCurve]
     rows: list[tuple]  # (scale_id, n, kind, value, method, kernel_id, p_label, seed)
-    designs: dict[tuple[str, int, str], DesignSet]
-
-
-def _mercer_envelope_sup2(spectrum: SpectrumEstimate, kernel: Kernel, grid: np.ndarray, n_max: int) -> np.ndarray:
-    """Squared sup over the grid of k(x, x) - sum_{i <= n} lambda_i e_i(x)^2, for n = 0..n_max.
-
-    Extends only the n_max modes the head sums read, and processes the grid
-    in chunks so the extension never holds a full grid-by-node kernel matrix.
-    """
-    lam = spectrum.eigenvalues[:n_max]
-    best = np.zeros(n_max + 1)
-    step = 2048
-    for i in range(0, grid.shape[0], step):
-        blk = grid[i : i + step]
-        # column n holds the head sum of the first n modes; column 0 is empty
-        heads = np.zeros((blk.shape[0], n_max + 1))
-        np.cumsum(spectrum.extend(kernel, blk, n_modes=n_max) ** 2 * lam[None, :], axis=1, out=heads[:, 1:])
-        env2 = np.maximum(kernel.diag(blk)[:, None] - heads, 0.0)
-        np.maximum(best, env2.max(axis=0), out=best)
-    return best
 
 
 def stage_widths(
@@ -335,7 +319,7 @@ def stage_widths(
         envelope_path = _cache_path(out_dir, "envelope", kernel, quad, spectrum.n_eigs, *key)
         cached = _read_cache(envelope_path, manifest, "sup2")
         if cached is None:
-            sup2 = _mercer_envelope_sup2(spectrum, kernel, eval_grid, dense_max)
+            sup2 = mercer_envelope_sup2(spectrum, kernel, eval_grid, dense_max)
             _write_cache(envelope_path, sup2=sup2)
         else:
             manifest.cache_hits += 1
@@ -345,17 +329,17 @@ def stage_widths(
             curves["a_Lp_upper"].add(n, v, KIND_UPPER, "mercer-projection")
             rows.append(("a_Lp_upper", n, KIND_UPPER, v, "mercer-projection", kid, "inf", seed))
 
-    designs: dict[tuple[str, int, str], DesignSet] = {}
+    designs: dict[tuple[str, int], DesignSet] = {}
     with _Timer(manifest, "widths.designs"):
         if "greedy" in strategies:
             full = greedy_design(kernel, candidates, max(n_grid))
             for n in n_grid:
-                designs[("greedy", n, "any")] = (
+                designs[("greedy", n)] = (
                     full if n == full.size else make_design(kernel, full.points[:n])
                 )
         if "uniform" in strategies:
             for n in n_grid:
-                designs[("uniform", n, "any")] = uniform_design(kernel, n)
+                designs[("uniform", n)] = uniform_design(kernel, n)
 
     # n = 0 boundary convention: empty design, power function sqrt(k(x, x))
     empty = make_design(kernel, np.empty((0, kernel.dim)))
@@ -375,19 +359,17 @@ def stage_widths(
                     kernel, quad, p, n, strategy="multistart", candidates=candidates, eval_grid=eval_grid, seed=seed
                 )
             else:
-                des = designs[(strategy, n, "any")]
+                des = designs[(strategy, n)]
                 val = interpolation_width(des, quad, p, eval_grid=eval_grid)
-            designs[(strategy, n, p_label(p))] = des
             curves["I_Lp_upper"].add(n, val, KIND_UPPER, f"{strategy}-p{p_label(p)}")
             rows.append(("I_Lp_upper", n, KIND_UPPER, val, strategy, kid, p_label(p), seed))
             if des.jitter:
                 manifest.warn(f"design ({strategy}, n={n}): Cholesky jitter {des.jitter:.3e} applied")
 
-    for (strategy, n, plab), des in sorted(designs.items()):
-        if plab == "any":
-            _write_design(out_dir / "designs" / f"design_{kid}_{strategy}_n{n}.csv", des, manifest)
+    for (strategy, n), des in sorted(designs.items()):
+        _write_design(out_dir / "designs" / f"design_{kid}_{strategy}_n{n}.csv", des, manifest)
 
-    return WidthStage(curves, rows, designs)
+    return WidthStage(curves, rows)
 
 
 def validate_chain(stage: WidthStage, tol: float = _CHAIN_SLACK):

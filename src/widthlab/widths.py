@@ -7,7 +7,10 @@ lower bound for the sup-norm Kolmogorov width, and the eigenvalue tail
 sqrt(tail(n)/mu(X)) is a certified lower bound for the sup-norm
 interpolation width. Upper bounds come from concrete rank-n linear
 schemes: the spectral projection (Mercer truncation) and an alternating
-minimization over discrete rank-n factorizations.
+minimization over discrete rank-n factorizations. The projection's
+sup-norm envelope sqrt(k(x, x) - sum_{i <= n} lambda_i e_i(x)^2) takes
+the tail through the kernel diagonal, so the modes past the resolved
+spectrum are included and the bound stays certified.
 
 Sup-norm Kolmogorov upper bounds of the optimal order are deliberately
 not claimed numerically; they follow from entropy-number equivalences,
@@ -143,48 +146,23 @@ def interp_linf_lower_tail(spectrum: SpectrumEstimate, mu_x: float, n: int, trac
     return float(math.sqrt(tail_sum(spectrum, n, trace=trace) / mu_x))
 
 
-def mercer_projection_upper(
-    spectrum: SpectrumEstimate,
-    n: int,
-    p: float,
-    grid: np.ndarray | None = None,
-    kernel: Kernel | None = None,
-    diag_values: np.ndarray | None = None,
-) -> float:
-    """L_p norm of the spectral-projection error envelope; upper-bounds a_n.
+def mercer_envelope_sup2(spectrum: SpectrumEstimate, kernel: Kernel, grid: np.ndarray, n_max: int) -> np.ndarray:
+    """Squared sup over the grid of k(x, x) - sum_{i <= n} lambda_i e_i(x)^2, for n = 0..n_max.
 
-    The rank-n scheme is the orthogonal projection onto the span of the
-    top n eigenfunctions; its pointwise worst-case error over the unit
-    ball is sqrt(sum_{i>n} lambda_i e_i(x)^2). With `diag_values` (the
-    kernel diagonal on the grid) the unresolved tail past the truncation
-    is included exactly through k(x,x) - sum_{i<=n} lambda_i e_i(x)^2;
-    otherwise the envelope runs over the resolved modes only.
-
-    Finite p integrates against the spectrum's quadrature (grid must be
-    its nodes); p = inf takes the grid maximum.
+    Extends only the n_max modes the head sums read, and processes the grid
+    in chunks so the extension never holds a full grid-by-node kernel matrix.
     """
-    if not (p == math.inf or p >= 2.0):
-        raise ValueError("p must be in [2, inf]")
-    if n >= spectrum.n_eigs:
-        raise IndexError(f"projection rank {n} needs more than {spectrum.n_eigs} resolved modes")
-    if grid is None:
-        grid = spectrum.quad.nodes
-        V = spectrum.eigvec_node_values
-    else:
-        grid = np.atleast_2d(np.asarray(grid, dtype=float))
-        V = spectrum.extend(kernel, grid)
-    lam = spectrum.eigenvalues
-    if diag_values is not None:
-        head = (V[:, :n] ** 2) @ lam[:n] if n else np.zeros(grid.shape[0])
-        env2 = np.maximum(np.asarray(diag_values, dtype=float) - head, 0.0)
-    else:
-        env2 = (V[:, n:] ** 2) @ lam[n:]
-    env = np.sqrt(env2)
-    if p == math.inf:
-        return float(env.max())
-    if grid.shape != spectrum.quad.nodes.shape or not np.array_equal(grid, spectrum.quad.nodes):
-        raise ValueError("finite-p projection norms integrate on the spectrum's quadrature nodes")
-    return float((spectrum.quad.weights @ env**p) ** (1.0 / p))
+    lam = spectrum.eigenvalues[:n_max]
+    best = np.zeros(n_max + 1)
+    step = 2048
+    for i in range(0, grid.shape[0], step):
+        blk = grid[i : i + step]
+        # column n holds the head sum of the first n modes; column 0 is empty
+        heads = np.zeros((blk.shape[0], n_max + 1))
+        np.cumsum(spectrum.extend(kernel, blk, n_modes=n_max) ** 2 * lam[None, :], axis=1, out=heads[:, 1:])
+        env2 = np.maximum(kernel.diag(blk)[:, None] - heads, 0.0)
+        np.maximum(best, env2.max(axis=0), out=best)
+    return best
 
 
 # ---------------------------------------------------------------------------

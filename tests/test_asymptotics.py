@@ -55,69 +55,6 @@ class TestFitLoglog:
             wl.fit_loglog(series([1, 2, 4], [1.0, 0.5, 0.25]))
 
 
-class TestRegularCheck:
-    def test_harmonic(self):
-        ns = np.array([1, 2, 4, 8, 16, 32, 64])
-        rep = wl.regular_check(series(ns, 1.0 / ns))
-        assert rep.c_half == pytest.approx(2.0, rel=1e-12)
-        assert rep.c_mono == pytest.approx(1.0, rel=1e-12)
-        assert rep.regular
-
-    def test_log_family(self):
-        ns = np.array([1, 2, 4, 8, 16, 32, 64, 128])
-        vals = 1.0 / (ns * (1.0 + np.log(ns)))
-        rep = wl.regular_check(series(ns, vals))
-        assert rep.c_half <= 4.0
-        assert rep.regular
-
-    def test_constant(self):
-        ns = np.array([1, 2, 4, 8])
-        rep = wl.regular_check(series(ns, np.ones(4)))
-        assert rep.c_half == 1.0
-        assert rep.c_mono == 1.0
-
-    def test_missing_dyadic_pairs(self):
-        with pytest.raises(GridMismatchError):
-            wl.regular_check(series([1, 3, 9], [1.0, 0.5, 0.25]))
-
-    def test_scaling_invariance(self):
-        ns = np.array([1, 2, 4, 8, 16])
-        a = wl.regular_check(series(ns, 1.0 / ns))
-        b = wl.regular_check(series(ns, 7.5 / ns))
-        assert a.c_half == pytest.approx(b.c_half, rel=1e-12)
-        assert a.c_mono == pytest.approx(b.c_mono, rel=1e-12)
-
-
-class TestAsympEquiv:
-    def test_identical_certified(self):
-        ns = np.arange(1, 33)
-        v = wl.asymp_equiv(series(ns, 1.0 / ns, "a"), series(ns, 1.0 / ns, "b"))
-        assert v.certified
-        assert v.observed_constant == pytest.approx(1.0, rel=1e-12)
-
-    def test_constant_ratio_certified(self):
-        ns = np.arange(1, 33)
-        v = wl.asymp_equiv(series(ns, 1.0 / ns, "a"), series(ns, 3.0 / ns, "b"))
-        assert v.certified
-        assert v.observed_constant == pytest.approx(3.0, rel=1e-12)
-
-    def test_different_exponents_rejected(self):
-        ns = np.arange(1, 33)
-        v = wl.asymp_equiv(series(ns, 1.0 / ns, "a"), series(ns, 1.0 / np.sqrt(ns), "b"))
-        assert not v.certified
-
-    def test_symmetry(self):
-        ns = np.arange(1, 33)
-        a, b = series(ns, 2.0 / ns, "a"), series(ns, 1.0 / ns, "b")
-        v1, v2 = wl.asymp_equiv(a, b), wl.asymp_equiv(b, a)
-        assert v1.certified == v2.certified
-        assert v1.observed_constant == pytest.approx(v2.observed_constant, rel=1e-12)
-
-    def test_disjoint_windows(self):
-        with pytest.raises(GridMismatchError):
-            wl.asymp_equiv(series([1, 2, 3, 4], [1, 1, 1, 1]), series([10, 11, 12, 13], [1, 1, 1, 1]))
-
-
 class TestGapReport:
     def test_half_order_gap(self):
         ns = np.arange(1, 33)
@@ -149,11 +86,3 @@ class TestRateSeries:
     def test_dyadic_subset(self):
         s = series(np.arange(1, 20), np.ones(19)).dyadic()
         np.testing.assert_array_equal(s.ns, [1, 2, 4, 8, 16])
-
-    def test_loglog_log_diagnostic_shape(self):
-        from widthlab.asymptotics import loglog_log_diagnostic
-
-        ns = np.array([2, 4, 8, 16, 32])
-        vals = (1.0 + np.log(ns)) / ns
-        out = loglog_log_diagnostic(series(ns, vals), -1.0)
-        assert out.shape == (5, 2)

@@ -1,0 +1,64 @@
+"""The benchmark's layer tracer still sees every layer the runner uses."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+CONFIG = """
+[kernel]
+id = matern32
+length_scale = 0.2
+
+[quadrature]
+points_per_axis = 200
+
+[spectrum]
+n_eigs = 40
+source = nystrom
+
+[widths]
+n_grid = 2,4,8,16
+dense_n_max = 16
+p_values = 2,inf
+strategies = uniform,greedy
+eval_points_per_axis = 512
+candidate_points_per_axis = 513
+"""
+
+# layer_trace.install() patches widthlab for the rest of its process, so the
+# pass runs in a child
+TRACED_PASS = """
+import json, sys
+import layer_trace
+from widthlab import runner
+from widthlab.config import parse_config
+
+tracer = layer_trace.install()
+runner.run_widths_only(parse_config(open(sys.argv[1]).read()), sys.argv[2])
+print(json.dumps(tracer.totals()[1]))
+"""
+
+
+def test_traced_widths_pass_counts_every_layer(tmp_path):
+    (tmp_path / "c.ini").write_text(CONFIG)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "benchmarks")])}
+    out = subprocess.run(
+        [sys.executable, "-c", TRACED_PASS, str(tmp_path / "c.ini"), str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    counts = json.loads(out.stdout)
+    for key in (
+        "spectral.extend_points",
+        "kernels.entries",
+        "spectral.nystrom_calls",
+        "widths.bounds_calls",
+        "interpolation.power_points",
+    ):
+        assert counts.get(key, 0) > 0, key

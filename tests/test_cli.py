@@ -157,6 +157,42 @@ class TestCliExitCodes:
         )
         assert main(["spectrum", "--config", str(cfgfile)]) == 3
 
+    @pytest.mark.parametrize(
+        "text,named", [("{not json", "not valid JSON"), ('{"config_hash": "abc"}', "files")], ids=["not_json", "no_files"]
+    )
+    def test_unreadable_manifest_exit_2(self, tmp_path, capsys, text, named):
+        (tmp_path / "report.txt").write_text("report\n")
+        (tmp_path / "manifest.json").write_text(text)
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and named in err
+        assert "Traceback" not in err
+
+    def test_config_is_directory_exit_2(self, tmp_path, capsys):
+        assert main(["spectrum", "--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path) in err
+        assert "Traceback" not in err
+
+    def test_config_not_utf8_exit_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "latin1.ini"
+        cfgfile.write_bytes(small_config(tmp_path).replace("[run]", "# r\xe9sum\xe9\n[run]").encode("latin-1"))
+        assert main(["spectrum", "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert "latin1.ini" in err
+        assert "Traceback" not in err
+
+    def test_out_dir_is_file_exit_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(small_config(tmp_path, "taken"))
+        for argv in (["spectrum", "--config", str(cfgfile)], ["widths", "--config", str(cfgfile), "--out", str(taken)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "run.out_dir" in err and str(taken) in err
+            assert "Traceback" not in err
+
 
 class TestSpectrumCommand:
     def test_writes_lambda1(self, tmp_path, capsys):

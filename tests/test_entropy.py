@@ -53,16 +53,6 @@ class TestDiagEntropyBounds:
         with pytest.raises(ValueError):
             wl.DiagonalOperator(np.array([0.1, 0.5]))
 
-    def test_self_dual(self):
-        from widthlab.entropy import adjoint
-
-        op = wl.DiagonalOperator(1.0 / np.arange(1.0, 65.0))
-        dual = adjoint(op)
-        for n in (1, 3, 8):
-            a = wl.diag_entropy_bounds(op, n)
-            b = wl.diag_entropy_bounds(dual, n)
-            assert (a.lower, a.upper) == (b.lower, b.upper)
-
 
 class TestBruteCoverEntropy:
     def test_single_point(self):

@@ -1,4 +1,4 @@
-"""Cardinal weights, power function, greedy designs, width objectives."""
+"""Power function, greedy designs, width objectives."""
 
 import math
 
@@ -12,73 +12,18 @@ from widthlab.errors import DegenerateDesignError
 INF = math.inf
 
 
-class TestCardinalWeights:
-    def test_single_point_half(self, bm_kernel):
-        d = wl.design(bm_kernel, [1.0])
-        np.testing.assert_allclose(wl.cardinal_weights(d, 0.5), [0.5], atol=1e-14)
-
-    def test_two_point_solution(self, bm_kernel):
-        # K = [[0.5, 0.5], [0.5, 1.0]], k_x = (0.25, 0.25) -> alpha = (0.5, 0)
-        d = wl.design(bm_kernel, [0.5, 1.0])
-        np.testing.assert_allclose(wl.cardinal_weights(d, 0.25), [0.5, 0.0], atol=1e-14)
-
-    def test_unit_vector_at_design_points(self, rng):
-        for kid in ("brownian", "bridge", "matern32"):
-            k = wl.make_kernel(kid)
-            pts = np.sort(rng.random(6) * 0.8 + 0.1)
-            d = wl.design(k, pts)
-            for j in range(6):
-                w = wl.cardinal_weights(d, pts[j])
-                np.testing.assert_allclose(w, np.eye(6)[j], atol=1e-7)
-
-    def test_empty_design(self, bm_kernel):
-        d = wl.design(bm_kernel, [])
-        assert wl.cardinal_weights(d, 0.5).shape == (0,)
-
-
-class TestApplyInterpolant:
-    def test_zero_values(self, bm_kernel, rng):
-        d = wl.design(bm_kernel, [0.2, 0.8])
-        for x in rng.random(5):
-            assert wl.apply_interpolant(d, [0.0, 0.0], x) == 0.0
-
-    def test_cardinal_property(self, bm_kernel, rng):
-        pts = [0.25, 0.5, 0.9]
-        d = wl.design(bm_kernel, pts)
-        f = rng.random(3)
-        for j, x in enumerate(pts):
-            assert wl.apply_interpolant(d, f, x) == pytest.approx(f[j], abs=1e-10)
-
-    def test_brownian_half(self, bm_kernel):
-        d = wl.design(bm_kernel, [1.0])
-        assert wl.apply_interpolant(d, [1.0], 0.5) == pytest.approx(0.5, abs=1e-14)
-
-    def test_length_mismatch(self, bm_kernel):
-        d = wl.design(bm_kernel, [0.5, 1.0])
-        with pytest.raises(ValueError):
-            wl.apply_interpolant(d, [1.0], 0.5)
-
-    def test_reproduction_random_fvalues(self, rng):
-        k = wl.make_kernel("matern12")
-        pts = np.linspace(0.1, 0.9, 8)
-        d = wl.design(k, pts)
-        f = rng.standard_normal(8)
-        errs = [abs(wl.apply_interpolant(d, f, x) - fx) for x, fx in zip(pts, f)]
-        assert max(errs) < 1e-10
-
-
 class TestPowerFunction:
     def test_zero_at_design_points(self, bm_kernel):
         d = wl.design(bm_kernel, [0.3, 0.7])
-        assert wl.power_function(d, 0.3) == pytest.approx(0.0, abs=1e-7)
+        assert wl.power_values(d, 0.3)[0] == pytest.approx(0.0, abs=1e-7)
 
     def test_brownian_midpoint(self, bm_kernel):
         d = wl.design(bm_kernel, [1.0])
-        assert wl.power_function(d, 0.5) == pytest.approx(0.5, abs=1e-14)
+        assert wl.power_values(d, 0.5)[0] == pytest.approx(0.5, abs=1e-14)
 
     def test_brownian_extrapolation(self, bm_kernel):
         d = wl.design(bm_kernel, [0.8])
-        assert wl.power_function(d, 1.0) == pytest.approx(math.sqrt(0.2), abs=1e-14)
+        assert wl.power_values(d, 1.0)[0] == pytest.approx(math.sqrt(0.2), abs=1e-14)
 
     def test_bounds(self, rng):
         for kid in ("brownian", "bridge", "matern32"):
@@ -107,10 +52,10 @@ class TestPowerFunction:
         )
 
     def test_profile_node_defect(self, bm_kernel):
+        # power values at the design points vanish up to 1e-6 sqrt(k(x, x)) + 1e-12
         d = wl.design(bm_kernel, [0.25, 0.5, 1.0])
-        prof = wl.power_profile(d, bm_kernel.domain.grid(256))
-        assert prof.node_defect() <= 0.0
-        assert prof.sup_value == prof.values.max()
+        bound = 1e-6 * np.sqrt(np.maximum(bm_kernel.diag(d.points), 0.0)) + 1e-12
+        assert np.max(wl.power_values(d, d.points) - bound) <= 0.0
 
 
 class TestGreedyDesign:

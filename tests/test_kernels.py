@@ -271,8 +271,6 @@ class TestBitExactMercerEnvelope:
         [("matern32", 1, 400, 5000, 120), ("matern32", 2, 24, 48, 150), ("brownian", 1, 2000, 4097, 260)],
     )
     def test_truncated_extension_matches_all_modes(self, kid, dim, nodes, eval_points, n_eigs):
-        from widthlab.runner import _mercer_envelope_sup2
-
         k = wl.make_kernel(kid, dim=dim, length_scale=0.2)
         quad = wl.midpoint_rule(k.domain, nodes)
         est = wl.analytic_spectrum(kid, n_eigs, quad) if kid == "brownian" else wl.nystrom_spectrum(k, quad, n_eigs)
@@ -280,7 +278,7 @@ class TestBitExactMercerEnvelope:
         grid = k.domain.grid(eval_points, endpoint=True)
         for n_max in (16, 64):
             ref = _ref_mercer_envelope_sup(est, k, grid, list(range(n_max + 1)))
-            sup2 = _mercer_envelope_sup2(est, k, grid, n_max)
+            sup2 = wl.mercer_envelope_sup2(est, k, grid, n_max)
             assert [math.sqrt(v) for v in sup2] == [ref[n] for n in range(n_max + 1)]
 
 

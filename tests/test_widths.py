@@ -65,36 +65,34 @@ class TestInterpTailLower:
 
 
 class TestMercerProjectionUpper:
-    def test_p2_equals_resolved_tail(self, bm_nystrom):
-        for n in (0, 1, 5, 20):
-            got = wl.mercer_projection_upper(bm_nystrom, n, 2.0)
-            want = math.sqrt(bm_nystrom.eigenvalues[n:].sum())
-            assert got == pytest.approx(want, abs=1e-9)
+    """The Mercer projection upper bound on a_n(H -> L_inf), i.e. the sup-norm
+    envelope ``mercer_envelope_sup2``, on an 8-mode closed-form Brownian spectrum.
 
-    def test_pinf_bounded_by_uniform_eigenfunction_bound(self, bm_analytic, bm_kernel):
+    Eight resolved modes leave most of the trace unresolved, so every
+    value below depends on the tail entering through k(x, x).
+    """
+
+    @pytest.fixture(scope="class")
+    def envelope(self, bm_kernel, quad_2000):
+        spectrum = wl.analytic_spectrum("brownian", 8, quad_2000)
+        grid = bm_kernel.domain.grid(4097, endpoint=True)
+        return spectrum, grid, np.sqrt(wl.mercer_envelope_sup2(spectrum, bm_kernel, grid, 7))
+
+    def test_diag_corrected_envelope(self, envelope):
+        # the tail enters through k(x, x), so the bound is certified from below
+        spectrum, _, env = envelope
+        for n in range(8):
+            assert env[n] >= wl.interp_linf_lower_tail(spectrum, 1.0, n), n
+
+    def test_n0_sup_close_to_diag_sup(self, envelope, bm_kernel):
+        _, grid, env = envelope
+        assert env[0] == math.sqrt(bm_kernel.diag(grid).max())
+
+    def test_pinf_bounded_by_uniform_eigenfunction_bound(self, envelope):
         # |e_i| <= sqrt(2) for the sine system, so envelope <= sqrt(2 tail)
-        grid = bm_kernel.domain.grid(512)
-        for n in (1, 4, 16):
-            got = wl.mercer_projection_upper(bm_analytic, n, INF, grid=grid)
-            tail = wl.tail_sum(bm_analytic, n)  # resolved + unresolved via exact trace
-            assert got <= math.sqrt(2.0 * tail) + 1e-9
-
-    def test_n0_sup_close_to_diag_sup(self, bm_kernel):
-        spectrum = wl.analytic_spectrum("brownian", 500)
-        grid = bm_kernel.domain.grid(512)
-        got = wl.mercer_projection_upper(spectrum, 0, INF, grid=grid)
-        assert got >= 0.99
-
-    def test_diag_corrected_envelope(self, bm_analytic, bm_kernel):
-        grid = bm_kernel.domain.grid(256)
-        diag = bm_kernel.diag(grid)
-        plain = wl.mercer_projection_upper(bm_analytic, 4, INF, grid=grid)
-        corrected = wl.mercer_projection_upper(bm_analytic, 4, INF, grid=grid, diag_values=diag)
-        assert corrected >= plain - 1e-12
-
-    def test_invalid_p(self, bm_analytic):
-        with pytest.raises(ValueError):
-            wl.mercer_projection_upper(bm_analytic, 1, 1.0)
+        spectrum, _, env = envelope
+        for n in range(8):
+            assert env[n] <= math.sqrt(2.0 * wl.tail_sum(spectrum, n)) + 1e-9, n
 
 
 @pytest.fixture(scope="module")
@@ -122,14 +120,15 @@ class TestSubspaceResidual:
 
     def test_n0_matches_mercer(self, bm_model):
         v = wl.subspace_residual_upper(bm_model, 0, restarts=2, seed=0)
-        spectrum = bm_model.source_spectrum
-        want = wl.mercer_projection_upper(spectrum, 0, INF, grid=bm_model.grid)
+        # the rank-0 spectral projection leaves each row of Phi whole
+        want = math.sqrt(float((bm_model.feature_matrix**2).sum(axis=1).max()))
         assert v == pytest.approx(want, rel=1e-12)
 
     def test_bm_n4_bracketed(self, bm_model):
         val = wl.subspace_residual_upper(bm_model, 4, restarts=8, seed=0)
         lower = wl.linf_kolmogorov_lower(bm_model.source_spectrum, 1.0, 4)
-        upper = wl.mercer_projection_upper(bm_model.source_spectrum, 4, INF, grid=bm_model.grid)
+        # the rank-4 spectral projection leaves the rows of Phi past column 4
+        upper = math.sqrt(float((bm_model.feature_matrix[:, 4:] ** 2).sum(axis=1).max()))
         assert lower * 0.98 <= val <= upper + 1e-12
         assert lower == pytest.approx(0.0707355302630646, abs=1e-12)
 
