@@ -86,8 +86,12 @@ def power_values(des: DesignSet, points, diag: np.ndarray | None = None) -> np.n
         diag = des.kernel.diag(pts)
     if des.size == 0:
         return np.sqrt(np.maximum(diag, 0.0))
-    Kx = des.kernel.pairwise(des.points, pts)
-    S = solve_triangular(des.chol, Kx, lower=True)
+    return _power_from_cross(des, des.kernel.pairwise(des.points, pts), diag)
+
+
+def _power_from_cross(des: DesignSet, cross: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Power function from the cross-kernel block k(x_i, y_j) of a nonempty design."""
+    S = solve_triangular(des.chol, cross, lower=True)
     p2 = diag - np.einsum("ij,ij->j", S, S)
     return np.sqrt(np.maximum(p2, 0.0))
 
@@ -198,26 +202,26 @@ def optimize_interpolation_width(
     if p == math.inf and eval_grid is None:
         eval_grid = kernel.domain.grid(_default_sup_points(kernel.dim), endpoint=True)
 
-    # diagonal values on the fixed evaluation points are design-independent
+    # the points the objective reads, and their design-independent diagonal
     if p == math.inf:
-        eval_diag = kernel.diag(eval_grid)
+        targets = eval_grid
 
-        def objective(des: DesignSet) -> float:
-            return float(power_values(des, eval_grid, diag=eval_diag).max())
+        def norm(vals: np.ndarray) -> float:
+            return float(vals.max())
 
     else:
-        quad_diag = kernel.diag(quad.nodes)
+        targets = quad.nodes
 
-        def objective(des: DesignSet) -> float:
-            vals = power_values(des, quad.nodes, diag=quad_diag)
+        def norm(vals: np.ndarray) -> float:
             return float((quad.weights @ vals**p) ** (1.0 / p))
 
+    diag = kernel.diag(targets)
     if strategy == "uniform":
         des = uniform_design(kernel, n)
-        return des, objective(des)
+        return des, norm(power_values(des, targets, diag=diag))
     if strategy == "greedy":
         des = greedy_design(kernel, candidates, n)
-        return des, objective(des)
+        return des, norm(power_values(des, targets, diag=diag))
     if strategy != "multistart":
         raise ValueError(f"unknown strategy '{strategy}'")
 
@@ -229,27 +233,38 @@ def optimize_interpolation_width(
         starts.append(lo + (hi - lo) * rng.random((n, kernel.dim)))
     best_des, best_val = None, math.inf
     for pts in starts:
-        des, val = _coordinate_descent(kernel, pts, objective)
+        des, val = _coordinate_descent(kernel, pts, targets, diag, norm)
         if val < best_val:
             best_des, best_val = des, val
     return best_des, best_val
 
 
-def _coordinate_descent(kernel: Kernel, points: np.ndarray, objective, offsets: int = 8) -> tuple[DesignSet, float]:
-    """Shrinking-bracket line search over each point coordinate in turn."""
+def _coordinate_descent(
+    kernel: Kernel, points: np.ndarray, targets: np.ndarray, diag: np.ndarray, norm, offsets: int = 8
+) -> tuple[DesignSet, float]:
+    """Shrinking-bracket line search over each point coordinate in turn.
+
+    A trial moves one coordinate of one point, so it keeps the current
+    design's cross-kernel block k(x_i, targets) and re-evaluates only the
+    moved point's row. Every catalog kernel's `pairwise` is elementwise, so
+    that row is bit-identical to the one a full evaluation would give; for
+    a matrix-product kernel such as `power_kernel` it agrees to rounding.
+    """
     lo = np.asarray(kernel.domain.lo)
     hi = np.asarray(kernel.domain.hi)
     span = float((hi - lo).max())
     pts = np.array(points, dtype=float, copy=True)
     n = pts.shape[0]
 
-    def safe_objective(cand_pts) -> float:
+    def score(cand_pts: np.ndarray, cross: np.ndarray) -> float:
         try:
-            return objective(design(kernel, cand_pts))
+            des = design(kernel, cand_pts)
         except DegenerateDesignError:
             return math.inf
+        return norm(_power_from_cross(des, cross, diag))
 
-    best = safe_objective(pts)
+    cross = kernel.pairwise(pts, targets)
+    best = score(pts, cross)
     radius = span / max(2.0 * n ** (1.0 / kernel.dim), 4.0)
     steps = np.concatenate([-np.linspace(1.0, 1.0 / offsets, offsets // 2), np.linspace(1.0 / offsets, 1.0, offsets // 2)])
     sweeps = 0
@@ -265,9 +280,11 @@ def _coordinate_descent(kernel: Kernel, points: np.ndarray, objective, offsets: 
                         continue
                     cand = pts.copy()
                     cand[i, ax] = t
-                    val = safe_objective(cand)
+                    cand_cross = cross.copy()
+                    cand_cross[i] = kernel.pairwise(cand[i : i + 1], targets)[0]
+                    val = score(cand, cand_cross)
                     if val < best * (1.0 - 1e-9):
-                        best, pts = val, cand
+                        best, pts, cross = val, cand, cand_cross
                         improved = True
         if not improved:
             radius *= 0.5

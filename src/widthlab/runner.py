@@ -4,15 +4,19 @@ Every run is driven by an ExperimentConfig, writes CSV artifacts with
 17-significant-digit numbers and newline line endings (bit-stable for
 acceptance diffs), and records every file it writes in a manifest. The
 visible spectrum, an eigenvalue CSV and a `.npy` of eigenfunction node
-values, is written once per call. `cache/` holds two kinds of binary
-entry, each keyed by the kernel, the quadrature rule and its box, `n_eigs`
-and the package version. A `spectrum_<key>.npz` holds a Nystrom spectrum;
-analytic spectra are recomputed on every run. An `envelope_<key>.npz` holds
-the squared sup-norm Mercer envelope for n = 0..`dense_max`, for either
-source; its key adds the resolved spectrum source, the evaluation points
-per axis and `dense_max`. An entry that cannot be read is recomputed and
-overwritten, with a manifest warning. Width cells run serially, so outputs
-are byte-deterministic for a fixed config and seed.
+values, is written once per call. `cache/` holds three kinds of binary
+entry, each keyed by the kernel, the quadrature rule and its box, the
+fields below and the package version. A `spectrum_<key>.npz` holds a
+Nystrom spectrum, keyed by `n_eigs`; analytic spectra are recomputed on
+every run. An `envelope_<key>.npz` holds the squared sup-norm Mercer
+envelope for n = 0..`dense_max`, for either source, keyed by `n_eigs`, the
+resolved spectrum source, the evaluation points per axis and `dense_max`.
+A `design_<key>.npz` holds the points and value of one multistart cell,
+keyed by p (17 digits), n, the seed, the number of random restarts and the
+candidate and evaluation points per axis. An entry that cannot be read is
+recomputed and overwritten, with a manifest warning; `manifest.cache`
+records every lookup. Width cells run serially, so outputs are
+byte-deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import warnings
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -66,6 +70,7 @@ from .widths import (
 )
 
 _CHAIN_SLACK = 1e-6  # quadrature slack for cross-scale chain checks
+_MULTISTART_RESTARTS = 2  # seeded random starts of a multistart cell, besides the uniform and greedy ones
 
 
 def fmt(x: float) -> str:
@@ -101,6 +106,7 @@ class RunManifest:
     preset: str = ""
     timings: dict[str, float] = field(default_factory=dict)
     cache_hits: int = 0
+    cache: list[dict[str, str]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     files: list[str] = field(default_factory=list)
 
@@ -117,6 +123,7 @@ class RunManifest:
                     "preset": self.preset,
                     "timings": self.timings,
                     "cache_hits": self.cache_hits,
+                    "cache": self.cache,
                     "warnings": self.warnings,
                     "files": self.files,
                 },
@@ -188,26 +195,39 @@ def _spectrum_source(cfg: ExperimentConfig) -> str:
     return source
 
 
-def _cache_path(out_dir: Path, entry: str, kernel: Kernel, quad: QuadratureRule, n_eigs: int, *extra: str) -> Path:
-    """`cache/<entry>_<key>.npz`, keyed by the spectrum's inputs plus `extra`."""
-    raw = "|".join((kernel.identifier(), quad.signature(), f"n_eigs={n_eigs}", *extra, f"version={__version__}"))
-    return out_dir / "cache" / f"{entry}_{hashlib.sha256(raw.encode()).hexdigest()[:20]}.npz"
+class _CacheEntry(NamedTuple):
+    """One `cache/<kind>_<hash>.npz` file and the raw key string it hashes."""
+
+    kind: str
+    path: Path
+    key: str
 
 
-def _read_cache(path: Path, manifest: RunManifest, *names: str) -> list[np.ndarray] | None:
+def _cache_path(out_dir: Path, entry: str, kernel: Kernel, quad: QuadratureRule, *fields: str) -> _CacheEntry:
+    """`cache/<entry>_<key>.npz`, keyed by the kernel, the quadrature rule and its box, `fields` and the version."""
+    raw = "|".join((kernel.identifier(), quad.signature(), *fields, f"version={__version__}"))
+    return _CacheEntry(entry, out_dir / "cache" / f"{entry}_{hashlib.sha256(raw.encode()).hexdigest()[:20]}.npz", raw)
+
+
+def _read_cache(entry: _CacheEntry, manifest: RunManifest, *names: str) -> list[np.ndarray] | None:
     """The named arrays of a cache entry; None when it is absent or unreadable.
 
     An unreadable entry is a miss: the caller recomputes and overwrites it,
-    and the manifest names the file.
+    and the manifest names the file. Every lookup is recorded in
+    `manifest.cache`, and a hit adds to `manifest.cache_hits`.
     """
-    if not path.exists():
-        return None
-    try:
-        with np.load(path) as cached:
-            return [cached[name] for name in names]
-    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-        manifest.warn(f"cache entry {path} unreadable ({type(exc).__name__}): recomputed")
-        return None
+    arrays, result = None, "miss"
+    if entry.path.exists():
+        try:
+            with np.load(entry.path) as cached:
+                arrays = [cached[name] for name in names]
+            result = "hit"
+            manifest.cache_hits += 1
+        except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+            manifest.warn(f"cache entry {entry.path} unreadable ({type(exc).__name__}): recomputed")
+            result = "unreadable"
+    manifest.cache.append({"entry": entry.kind, "file": entry.path.name, "key": entry.key, "result": result})
+    return arrays
 
 
 def _write_cache(path: Path, **arrays: np.ndarray):
@@ -219,8 +239,8 @@ def _write_cache(path: Path, **arrays: np.ndarray):
     os.replace(tmp, path)
 
 
-def _load_spectrum(path: Path, kernel: Kernel, quad: QuadratureRule, manifest: RunManifest) -> SpectrumEstimate | None:
-    cached = _read_cache(path, manifest, "eigenvalues", "node_values", "clamped")
+def _load_spectrum(entry: _CacheEntry, kernel: Kernel, quad: QuadratureRule, manifest: RunManifest) -> SpectrumEstimate | None:
+    cached = _read_cache(entry, manifest, "eigenvalues", "node_values", "clamped")
     if cached is None:
         return None
     eigenvalues, node_values, clamped = cached
@@ -245,15 +265,13 @@ def stage_spectrum(
         if source == "analytic":
             spectrum = analytic_spectrum(cfg.kernel_id, n_eigs, quad)
         else:
-            cache_path = _cache_path(out_dir, "spectrum", kernel, quad, n_eigs)
-            spectrum = _load_spectrum(cache_path, kernel, quad, manifest)
+            entry = _cache_path(out_dir, "spectrum", kernel, quad, f"n_eigs={n_eigs}")
+            spectrum = _load_spectrum(entry, kernel, quad, manifest)
             if spectrum is None:
                 spectrum = nystrom_spectrum(kernel, quad, n_eigs)
                 _write_cache(
-                    cache_path, eigenvalues=spectrum.eigenvalues, node_values=spectrum.eigvec_node_values, clamped=spectrum.clamped
+                    entry.path, eigenvalues=spectrum.eigenvalues, node_values=spectrum.eigvec_node_values, clamped=spectrum.clamped
                 )
-            else:
-                manifest.cache_hits += 1
         if spectrum.clamped:
             manifest.warn(f"nystrom: {spectrum.clamped} negative eigenvalues clamped to zero")
         meta = f"widthlab-spectrum kernel={kernel.identifier()} quad={quad.signature()} source={source}"
@@ -315,14 +333,13 @@ def stage_widths(
             rows.append(("I_Linf_lower_tail", n, KIND_LOWER, tl, "trace-tail", kid, "inf", seed))
 
     with _Timer(manifest, "widths.mercer_upper"):
-        key = (f"source={spectrum.source}", f"eval_points={cfg.eval_points}", f"dense_max={dense_max}")
-        envelope_path = _cache_path(out_dir, "envelope", kernel, quad, spectrum.n_eigs, *key)
-        cached = _read_cache(envelope_path, manifest, "sup2")
+        key = (f"n_eigs={spectrum.n_eigs}", f"source={spectrum.source}", f"eval_points={cfg.eval_points}", f"dense_max={dense_max}")
+        entry = _cache_path(out_dir, "envelope", kernel, quad, *key)
+        cached = _read_cache(entry, manifest, "sup2")
         if cached is None:
             sup2 = mercer_envelope_sup2(spectrum, kernel, eval_grid, dense_max)
-            _write_cache(envelope_path, sup2=sup2)
+            _write_cache(entry.path, sup2=sup2)
         else:
-            manifest.cache_hits += 1
             sup2 = cached[0]
         for n in dense:
             v = math.sqrt(sup2[n])
@@ -355,9 +372,7 @@ def stage_widths(
     with _Timer(manifest, "widths.interpolation"):
         for strategy, p, n in cells:
             if strategy == "multistart":
-                des, val = optimize_interpolation_width(
-                    kernel, quad, p, n, strategy="multistart", candidates=candidates, eval_grid=eval_grid, seed=seed
-                )
+                des, val = _multistart_cell(cfg, kernel, quad, p, n, candidates, eval_grid, out_dir, manifest)
             else:
                 des = designs[(strategy, n)]
                 val = interpolation_width(des, quad, p, eval_grid=eval_grid)
@@ -370,6 +385,48 @@ def stage_widths(
         _write_design(out_dir / "designs" / f"design_{kid}_{strategy}_n{n}.csv", des, manifest)
 
     return WidthStage(curves, rows)
+
+
+def _multistart_cell(
+    cfg: ExperimentConfig,
+    kernel: Kernel,
+    quad: QuadratureRule,
+    p: float,
+    n: int,
+    candidates: np.ndarray,
+    eval_grid: np.ndarray,
+    out_dir: Path,
+    manifest: RunManifest,
+) -> tuple[DesignSet, float]:
+    """The multistart design search of one (p, n) cell, through `cache/design_<key>.npz`.
+
+    The search depends only on what the key holds. p is written with 17
+    digits, since its label would merge 2 and 2.0000001. A hit rebuilds the
+    design from its points, as the search itself returns it, so its jitter
+    matches the cold pass.
+    """
+    seed = int(cfg.get("run", "seed"))
+    entry = _cache_path(
+        out_dir,
+        "design",
+        kernel,
+        quad,
+        f"p={fmt(p)}",
+        f"n={n}",
+        f"seed={seed}",
+        f"restarts={_MULTISTART_RESTARTS}",
+        f"candidate_points={cfg.candidate_points}",
+        f"eval_points={cfg.eval_points}",
+    )
+    cached = _read_cache(entry, manifest, "points", "value")
+    if cached is not None:
+        points, value = cached
+        return make_design(kernel, points), float(value)
+    des, val = optimize_interpolation_width(
+        kernel, quad, p, n, strategy="multistart", candidates=candidates, eval_grid=eval_grid, seed=seed, restarts=_MULTISTART_RESTARTS
+    )
+    _write_cache(entry.path, points=des.points, value=val)
+    return des, val
 
 
 def validate_chain(stage: WidthStage, tol: float = _CHAIN_SLACK):

@@ -43,8 +43,9 @@ print(json.dumps(tracer.totals()[1]))
 """
 
 
-def test_traced_widths_pass_counts_every_layer(tmp_path):
-    (tmp_path / "c.ini").write_text(CONFIG)
+def traced_counts(tmp_path, config: str) -> dict[str, int]:
+    """Work counts of one traced `run_widths_only` pass of `config`."""
+    (tmp_path / "c.ini").write_text(config)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "benchmarks")])}
     out = subprocess.run(
         [sys.executable, "-c", TRACED_PASS, str(tmp_path / "c.ini"), str(tmp_path / "out")],
@@ -53,7 +54,11 @@ def test_traced_widths_pass_counts_every_layer(tmp_path):
         text=True,
         check=True,
     )
-    counts = json.loads(out.stdout)
+    return json.loads(out.stdout)
+
+
+def test_traced_widths_pass_counts_every_layer(tmp_path):
+    counts = traced_counts(tmp_path, CONFIG)
     for key in (
         "spectral.extend_points",
         "kernels.entries",
@@ -62,3 +67,12 @@ def test_traced_widths_pass_counts_every_layer(tmp_path):
         "interpolation.power_points",
     ):
         assert counts.get(key, 0) > 0, key
+
+
+def test_traced_multistart_pass_counts_designs(tmp_path):
+    # the descent scores its trials without power_values, but each trial
+    # still builds its design through interpolation.design
+    config = CONFIG.replace("n_grid = 2,4,8,16", "n_grid = 2").replace("strategies = uniform,greedy", "strategies = multistart")
+    counts = traced_counts(tmp_path, config)
+    assert counts.get("interpolation.design_calls", 0) > 0
+    assert counts.get("kernels.entries", 0) > 0

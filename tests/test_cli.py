@@ -1,6 +1,7 @@
 """Config parsing, CLI exit codes, caching, and output determinism."""
 
 import filecmp
+import hashlib
 import json
 from pathlib import Path
 
@@ -302,10 +303,14 @@ class TestEnvelopeCache:
             assert main(["widths", "--config", str(tmp_path / f"{name}.ini")]) == 0
             assert a_lp_upper_rows(tmp_path / "shared") == a_lp_upper_rows(tmp_path / name), name
 
-    @pytest.mark.parametrize("entry,command", [("spectrum", "spectrum"), ("envelope", "widths")])
+    @pytest.mark.parametrize("entry,command", [("spectrum", "spectrum"), ("envelope", "widths"), ("design", "widths")])
     def test_unreadable_entry_is_a_miss(self, tmp_path, capsys, entry, command):
         outputs = ("spectrum_brownian.csv", "spectrum_brownian_vectors.npy", "widths.csv")
         text = small_config(tmp_path).replace("source = analytic", "source = nystrom")
+        if entry == "design":
+            # one multistart cell, so one design entry
+            text = text.replace("n_grid = 2,4,8,16", "n_grid = 2").replace("p_values = 2,inf", "p_values = 2")
+            text = text.replace("strategies = uniform,greedy", "strategies = multistart")
         (tmp_path / "c.ini").write_text(text)
         (tmp_path / "fresh.ini").write_text(text.replace(str(tmp_path / "out"), str(tmp_path / "fresh")))
         assert main([command, "--config", str(tmp_path / "fresh.ini")]) == 0
@@ -323,8 +328,87 @@ class TestEnvelopeCache:
         # the entry was rewritten and is read again on the next run
         assert main([command, "--config", str(tmp_path / "c.ini")]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["cache_hits"] == (1 if command == "spectrum" else 2)
+        # a widths run reads the spectrum, the envelope and, with multistart, its design
+        assert manifest["cache_hits"] == {"spectrum": 1, "envelope": 2, "design": 3}[entry]
         assert not any("unreadable" in w for w in manifest["warnings"])
+
+
+def multistart_config(tmp_path, name):
+    """Two multistart cells, (p = 2, n = 1) and (p = inf, n = 1), on a Nystrom spectrum."""
+    text = small_config(tmp_path, name).replace("source = analytic", "source = nystrom")
+    for old, new in (
+        ("id = brownian", "id = matern32\nlength_scale = 0.3"),
+        ("points_per_axis = 400", "points_per_axis = 100"),
+        ("n_eigs = 80", "n_eigs = 30"),
+        ("n_grid = 2,4,8,16", "n_grid = 1"),
+        ("strategies = uniform,greedy", "strategies = multistart"),
+        ("eval_points_per_axis = 1024", "eval_points_per_axis = 129"),
+        ("candidate_points_per_axis = 1025", "candidate_points_per_axis = 129"),
+    ):
+        text = text.replace(old, new)
+    return text
+
+
+def multistart_rows(out_dir):
+    return [ln for ln in (out_dir / "widths.csv").read_text().splitlines() if ",multistart," in ln]
+
+
+def run_widths(tmp_path, text):
+    (tmp_path / "c.ini").write_text(text)
+    assert main(["widths", "--config", str(tmp_path / "c.ini")]) == 0
+
+
+class TestDesignCache:
+    """A multistart cell's design entry is reused only by a config with the same inputs."""
+
+    def test_hit_and_key_fields(self, tmp_path):
+        base = multistart_config(tmp_path, "shared")
+        shared = tmp_path / "shared"
+        runs = []
+        for _ in range(2):
+            run_widths(tmp_path, base)
+            runs.append(((shared / "widths.csv").read_bytes(), json.loads((shared / "manifest.json").read_text())))
+        # the manifest names every lookup; the second run hits all four entries
+        for (_, manifest), result in zip(runs, ("miss", "hit")):
+            assert [(r["entry"], r["result"]) for r in manifest["cache"]] == [
+                ("spectrum", result), ("envelope", result), ("design", result), ("design", result)
+            ]
+            assert all((shared / "cache" / r["file"]).exists() for r in manifest["cache"])
+        assert [m["cache_hits"] for _, m in runs] == [0, 4]
+        assert runs[1][0] == runs[0][0]
+        assert runs[1][1]["warnings"] == runs[0][1]["warnings"]
+
+        # each change is a design miss whose rows equal a fresh directory's
+        variants = [
+            ("seed", base.replace("seed = 11", "seed = 12"), 0),
+            # one label, two exponents; the p = inf cell still hits
+            ("p", base.replace("p_values = 2,inf", "p_values = 2.0000001,inf"), 1),
+            ("n", base.replace("n_grid = 1", "n_grid = 2"), 0),
+            ("candidates", base.replace("candidate_points_per_axis = 129", "candidate_points_per_axis = 65"), 0),
+            ("eval_points", base.replace("eval_points_per_axis = 129", "eval_points_per_axis = 65"), 0),
+            ("quadrature", base.replace("points_per_axis = 100", "points_per_axis = 90"), 0),
+            ("length_scale", base.replace("length_scale = 0.3", "length_scale = 0.25"), 0),
+            ("domain", base.replace("id = matern32", "id = matern32\ndomain = 0,2"), 0),
+        ]
+        for name, text, design_hits in variants:
+            run_widths(tmp_path, text)
+            lookups = json.loads((shared / "manifest.json").read_text())["cache"]
+            assert sum(r["result"] == "hit" for r in lookups if r["entry"] == "design") == design_hits, name
+            run_widths(tmp_path, text.replace(str(shared), str(tmp_path / name)))
+            assert multistart_rows(shared) == multistart_rows(tmp_path / name), name
+
+    def test_spectrum_and_envelope_names_unchanged(self, tmp_path):
+        # existing cache/ directories stay valid: these are the raw keys
+        # the spectrum and envelope entries have hashed since they were added
+        run_widths(tmp_path, multistart_config(tmp_path, "out"))
+        rule = "midpoint^1x100|m=100|mass=0.99999999999999989|lo=0|hi=1"
+        raw = {
+            "spectrum": f"matern32(ell=0.29999999999999999)|{rule}|n_eigs=30|version={wl.__version__}",
+            "envelope": f"matern32(ell=0.29999999999999999)|{rule}|n_eigs=30|source=nystrom|eval_points=129|dense_max=16|version={wl.__version__}",
+        }
+        for entry, key in raw.items():
+            name = f"{entry}_{hashlib.sha256(key.encode()).hexdigest()[:20]}.npz"
+            assert (tmp_path / "out" / "cache" / name).exists(), entry
 
 
 class TestWidthsCommand:

@@ -160,6 +160,86 @@ class TestOptimize:
             wl.optimize_interpolation_width(bm_kernel, quad_2000, INF, 0)
 
 
+def reference_multistart(kernel, quad, p, n, candidates, eval_grid, seed, restarts):
+    """Multistart search as it read before the descent reused cross-kernel rows.
+
+    Every trial builds its design and evaluates the full power function.
+    """
+    points = eval_grid if p == INF else quad.nodes
+    diag = kernel.diag(points)
+
+    def objective(des):
+        vals = wl.power_values(des, points, diag=diag)
+        return float(vals.max()) if p == INF else float((quad.weights @ vals**p) ** (1.0 / p))
+
+    def safe_objective(cand_pts):
+        try:
+            return objective(wl.design(kernel, cand_pts))
+        except DegenerateDesignError:
+            return math.inf
+
+    def descent(start, offsets=8):
+        lo, hi = np.asarray(kernel.domain.lo), np.asarray(kernel.domain.hi)
+        span = float((hi - lo).max())
+        pts = np.array(start, dtype=float, copy=True)
+        m = pts.shape[0]  # a 2d uniform start can hold fewer than n points
+        best = safe_objective(pts)
+        radius = span / max(2.0 * m ** (1.0 / kernel.dim), 4.0)
+        steps = np.concatenate([-np.linspace(1.0, 1.0 / offsets, offsets // 2), np.linspace(1.0 / offsets, 1.0, offsets // 2)])
+        sweeps = 0
+        while radius > 1e-6 * span and sweeps < 200:
+            sweeps += 1
+            improved = False
+            for i in range(m):
+                for ax in range(kernel.dim):
+                    base = pts[i, ax]
+                    for t in np.clip(base + radius * steps, lo[ax], hi[ax]):
+                        if t == base:
+                            continue
+                        cand = pts.copy()
+                        cand[i, ax] = t
+                        val = safe_objective(cand)
+                        if val < best * (1.0 - 1e-9):
+                            best, pts = val, cand
+                            improved = True
+            if not improved:
+                radius *= 0.5
+        return wl.design(kernel, pts), best
+
+    lo, hi = np.asarray(kernel.domain.lo), np.asarray(kernel.domain.hi)
+    starts = [wl.uniform_design(kernel, n).points, wl.greedy_design(kernel, candidates, n).points]
+    rng = np.random.default_rng(seed)
+    starts += [lo + (hi - lo) * rng.random((n, kernel.dim)) for _ in range(restarts)]
+    best_des, best_val = None, math.inf
+    for start in starts:
+        des, val = descent(start)
+        if val < best_val:
+            best_des, best_val = des, val
+    return best_des, best_val
+
+
+class TestMultistartReference:
+    """The descent's reused cross-kernel rows change no bit of the result."""
+
+    @pytest.mark.parametrize(
+        "kid,dim", [(kid, 1) for kid in wl.CATALOG_IDS] + [("matern32", 2), ("gaussian", 2)]
+    )
+    def test_equals_full_evaluation(self, kid, dim):
+        kernel = wl.make_kernel(kid, dim=dim)
+        per_axis = {1: (48, 65, 33), 2: (7, 9, 5)}[dim]
+        quad = wl.midpoint_rule(kernel.domain, per_axis[0])
+        eval_grid = kernel.domain.grid(per_axis[1], endpoint=True)
+        candidates = kernel.domain.grid(per_axis[2], endpoint=True)
+        for p in (2.0, INF):
+            for n in (3, 5):
+                des, val = wl.optimize_interpolation_width(
+                    kernel, quad, p, n, strategy="multistart", candidates=candidates, eval_grid=eval_grid, seed=5, restarts=0
+                )
+                ref_des, ref_val = reference_multistart(kernel, quad, p, n, candidates, eval_grid, seed=5, restarts=0)
+                assert np.array_equal(des.points, ref_des.points), (p, n)
+                assert val == ref_val, (p, n)
+
+
 class TestDesignSet:
     def test_duplicate_points(self, bm_kernel):
         with pytest.raises(DegenerateDesignError):
