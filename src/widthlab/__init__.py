@@ -48,14 +48,16 @@ from .interpolation import (
 )
 from .widths import (
     EllipsoidModel,
-    WidthCurve,
+    WidthRow,
     build_ellipsoid,
     interp_linf_lower_tail,
     l2_widths,
     linf_kolmogorov_lower,
     mercer_envelope_sup2,
+    rate_series,
     rate_transfer_verdict,
     subspace_residual_upper,
+    validate_chain,
     width_gap_verdict,
 )
 from .entropy import (

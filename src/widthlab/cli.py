@@ -92,8 +92,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"spectrum: {spectrum.n_eigs} modes, source {spectrum.source}, lambda_1 = {spectrum.eigenvalues[0]:.6g}")
             return 0
         if args.command == "widths":
-            stage = runner.run_widths_only(cfg)
-            print(f"widths: {len(stage.rows)} curve rows written")
+            rows = runner.run_widths_only(cfg)
+            print(f"widths: {len(rows)} curve rows written")
             return 0
         if args.command == "greedy":
             des = runner.run_greedy_only(cfg)

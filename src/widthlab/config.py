@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .kernels import CATALOG_IDS
+from .spectral import ANALYTIC_MAX_TERMS, has_analytic_spectrum
 
 # schema: section -> key -> (parser, default); None default means required
 _SCHEMA: dict[str, dict[str, tuple]] = {
@@ -163,6 +164,24 @@ class ExperimentConfig:
         return int(v)
 
     @property
+    def spectrum_source(self) -> str:
+        """`spectrum.source` resolved to analytic or nystrom.
+
+        The registered closed forms hold on the unit interval only, so `auto`
+        falls back to Nystrom on any other box and `analytic` is rejected there.
+        """
+        source = str(self.get("spectrum", "source"))
+        closed_form = has_analytic_spectrum(self.kernel_id) and self.domain_axes() == [(0.0, 1.0)]
+        if source == "auto":
+            return "analytic" if closed_form else "nystrom"
+        if source == "analytic" and not closed_form:
+            raise ConfigError(
+                f"field spectrum.source = analytic: no closed-form eigensystem for kernel "
+                f"'{self.kernel_id}' on domain {self.domain_axes()}; the registry covers brownian and bridge on [0, 1]"
+            )
+        return source
+
+    @property
     def candidate_points(self) -> int:
         v = self.get("widths", "candidate_points_per_axis")
         if v is None:
@@ -260,6 +279,11 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(f"field widths.strategies repeats an entry: {','.join(strategies)}")
     if cfg.get("spectrum", "source") not in _VALID_SOURCES:
         raise ConfigError(f"field spectrum.source must be one of {_VALID_SOURCES}")
+    source, n_eigs, nodes = cfg.spectrum_source, cfg.get("spectrum", "n_eigs"), cfg.quad_points**cfg.dim
+    if source == "analytic" and n_eigs > ANALYTIC_MAX_TERMS:
+        raise ConfigError(f"field spectrum.n_eigs = {n_eigs}: the analytic registry tabulates at most {ANALYTIC_MAX_TERMS} modes")
+    if source == "nystrom" and n_eigs > nodes:
+        raise ConfigError(f"field spectrum.n_eigs = {n_eigs}: a Nystrom spectrum has one mode per node, and quadrature.points_per_axis gives {nodes}")
     for key in ("window", "entropy_window"):
         lo, hi = cfg.get("fit", key)
         if lo < 1 or hi <= lo:

@@ -3,6 +3,9 @@
 Every run is driven by an ExperimentConfig, writes CSV artifacts with
 17-significant-digit numbers and newline line endings (bit-stable for
 acceptance diffs), and records every file it writes in a manifest. The
+width and entropy stages record each value once, as a `WidthRow`; the
+chain check and the fits read those rows, and widths.csv adds the kernel
+id and the seed to each when it is written. The
 visible spectrum, an eigenvalue CSV and a `.npy` of eigenfunction node
 values, is written once per call. `cache/` holds three kinds of binary
 entry, each keyed by the kernel, the quadrature rule and its box, the
@@ -39,7 +42,7 @@ from .version import __version__
 from .asymptotics import RateSeries, SlopeReport, Verdict, fit_loglog, gap_report
 from .config import ExperimentConfig, p_label
 from .entropy import CarlReport, DiagonalOperator, carl_check, diag_entropy_bounds
-from .errors import ChainViolationError, ConfigError
+from .errors import ConfigError
 from .interpolation import (
     DesignSet,
     greedy_design,
@@ -53,23 +56,23 @@ from .quadrature import Box, QuadratureRule, midpoint_rule
 from .spectral import (
     SpectrumEstimate,
     analytic_spectrum,
-    has_analytic_spectrum,
     nystrom_spectrum,
 )
 from .widths import (
     KIND_EXACT,
     KIND_LOWER,
     KIND_UPPER,
-    WidthCurve,
+    WidthRow,
     interp_linf_lower_tail,
     l2_widths,
     linf_kolmogorov_lower,
     mercer_envelope_sup2,
+    rate_series,
     rate_transfer_verdict,
+    validate_chain,
     width_gap_verdict,
 )
 
-_CHAIN_SLACK = 1e-6  # quadrature slack for cross-scale chain checks
 _MULTISTART_RESTARTS = 2  # seeded random starts of a multistart cell, besides the uniform and greedy ones
 
 
@@ -177,24 +180,6 @@ def _setup(cfg: ExperimentConfig, out_dir: str | Path | None) -> tuple[Path, Run
 # spectrum stage with disk cache
 
 
-def _spectrum_source(cfg: ExperimentConfig) -> str:
-    """`spectrum.source` resolved to analytic or nystrom.
-
-    The registered closed forms hold on the unit interval only, so `auto`
-    falls back to Nystrom on any other box and `analytic` is rejected there.
-    """
-    source = str(cfg.get("spectrum", "source"))
-    closed_form = has_analytic_spectrum(cfg.kernel_id) and cfg.domain_axes() == [(0.0, 1.0)]
-    if source == "auto":
-        return "analytic" if closed_form else "nystrom"
-    if source == "analytic" and not closed_form:
-        raise ConfigError(
-            f"field spectrum.source = analytic: no closed-form eigensystem for kernel "
-            f"'{cfg.kernel_id}' on domain {cfg.domain_axes()}; the registry covers brownian and bridge on [0, 1]"
-        )
-    return source
-
-
 class _CacheEntry(NamedTuple):
     """One `cache/<kind>_<hash>.npz` file and the raw key string it hashes."""
 
@@ -260,7 +245,7 @@ def stage_spectrum(
     cfg: ExperimentConfig, kernel: Kernel, quad: QuadratureRule, out_dir: Path, manifest: RunManifest
 ) -> SpectrumEstimate:
     n_eigs = int(cfg.get("spectrum", "n_eigs"))
-    source = _spectrum_source(cfg)
+    source = cfg.spectrum_source
     with _Timer(manifest, "spectrum"):
         if source == "analytic":
             spectrum = analytic_spectrum(cfg.kernel_id, n_eigs, quad)
@@ -283,12 +268,6 @@ def stage_spectrum(
 # width stage
 
 
-@dataclass
-class WidthStage:
-    curves: dict[str, WidthCurve]
-    rows: list[tuple]  # (scale_id, n, kind, value, method, kernel_id, p_label, seed)
-
-
 def stage_widths(
     cfg: ExperimentConfig,
     kernel: Kernel,
@@ -296,41 +275,32 @@ def stage_widths(
     spectrum: SpectrumEstimate,
     out_dir: Path,
     manifest: RunManifest,
-) -> WidthStage:
+) -> list[WidthRow]:
     n_grid = [int(n) for n in cfg.get("widths", "n_grid")]
     dense_max = min(int(cfg.get("widths", "dense_n_max")), spectrum.n_eigs - 1)
     p_values = list(cfg.get("widths", "p_values"))
     strategies = list(cfg.get("widths", "strategies"))
-    seed = int(cfg.get("run", "seed"))
     mu = quad.mass
-    kid = cfg.kernel_id
     eval_grid = kernel.domain.grid(cfg.eval_points, endpoint=True)
     candidates = kernel.domain.grid(cfg.candidate_points, endpoint=True)
     trace = spectrum.trace if spectrum.trace is not None else trace_integral(kernel, quad)
 
-    curves = {sid: WidthCurve(sid) for sid in ("d_L2", "a_L2", "d_Lp_lower", "a_Lp_upper", "I_Lp_upper", "I_Linf_lower_tail")}
-    rows: list[tuple] = []
+    rows: list[WidthRow] = []
     method_eig = f"eigen-{spectrum.source}"
-    kind_eig = KIND_EXACT
 
     with _Timer(manifest, "widths.spectral_curves"):
         dense = list(range(0, dense_max + 1))
         for n in dense:
             v = l2_widths(spectrum, n)
-            curves["d_L2"].add(n, v, kind_eig, method_eig)
-            rows.append(("d_L2", n, kind_eig, v, method_eig, kid, "2", seed))
-            curves["a_L2"].add(n, v, kind_eig, method_eig)
-            rows.append(("a_L2", n, kind_eig, v, method_eig, kid, "2", seed))
-            dlo = linf_kolmogorov_lower(spectrum, mu, n)
-            curves["d_Lp_lower"].add(n, dlo, KIND_LOWER, method_eig)
-            rows.append(("d_Lp_lower", n, KIND_LOWER, dlo, method_eig, kid, "inf", seed))
+            rows.append(WidthRow("d_L2", n, KIND_EXACT, v, method_eig, "2"))
+            rows.append(WidthRow("a_L2", n, KIND_EXACT, v, method_eig, "2"))
+            rows.append(WidthRow("d_Lp_lower", n, KIND_LOWER, linf_kolmogorov_lower(spectrum, mu, n), method_eig, "inf"))
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 tl = interp_linf_lower_tail(spectrum, mu, n, trace=trace)
             for w in caught:
                 manifest.warn(f"tail clamp at n={n}: {w.message}")
-            curves["I_Linf_lower_tail"].add(n, tl, KIND_LOWER, "trace-tail")
-            rows.append(("I_Linf_lower_tail", n, KIND_LOWER, tl, "trace-tail", kid, "inf", seed))
+            rows.append(WidthRow("I_Linf_lower_tail", n, KIND_LOWER, tl, "trace-tail", "inf"))
 
     with _Timer(manifest, "widths.mercer_upper"):
         key = (f"n_eigs={spectrum.n_eigs}", f"source={spectrum.source}", f"eval_points={cfg.eval_points}", f"dense_max={dense_max}")
@@ -342,9 +312,7 @@ def stage_widths(
         else:
             sup2 = cached[0]
         for n in dense:
-            v = math.sqrt(sup2[n])
-            curves["a_Lp_upper"].add(n, v, KIND_UPPER, "mercer-projection")
-            rows.append(("a_Lp_upper", n, KIND_UPPER, v, "mercer-projection", kid, "inf", seed))
+            rows.append(WidthRow("a_Lp_upper", n, KIND_UPPER, math.sqrt(sup2[n]), "mercer-projection", "inf"))
 
     designs: dict[tuple[str, int], DesignSet] = {}
     with _Timer(manifest, "widths.designs"):
@@ -362,8 +330,7 @@ def stage_widths(
     empty = make_design(kernel, np.empty((0, kernel.dim)))
     for p in p_values:
         v0 = interpolation_width(empty, quad, p, eval_grid=eval_grid)
-        curves["I_Lp_upper"].add(0, v0, KIND_UPPER, f"empty-p{p_label(p)}")
-        rows.append(("I_Lp_upper", 0, KIND_UPPER, v0, "empty", kid, p_label(p), seed))
+        rows.append(WidthRow("I_Lp_upper", 0, KIND_UPPER, v0, "empty", p_label(p)))
 
     if cfg.get("run", "workers") > 1:
         manifest.warn(f"run.workers = {cfg.get('run', 'workers')} ignored: width cells run serially")
@@ -376,15 +343,14 @@ def stage_widths(
             else:
                 des = designs[(strategy, n)]
                 val = interpolation_width(des, quad, p, eval_grid=eval_grid)
-            curves["I_Lp_upper"].add(n, val, KIND_UPPER, f"{strategy}-p{p_label(p)}")
-            rows.append(("I_Lp_upper", n, KIND_UPPER, val, strategy, kid, p_label(p), seed))
+            rows.append(WidthRow("I_Lp_upper", n, KIND_UPPER, val, strategy, p_label(p)))
             if des.jitter:
                 manifest.warn(f"design ({strategy}, n={n}): Cholesky jitter {des.jitter:.3e} applied")
 
     for (strategy, n), des in sorted(designs.items()):
-        _write_design(out_dir / "designs" / f"design_{kid}_{strategy}_n{n}.csv", des, manifest)
+        _write_design(out_dir / "designs" / f"design_{cfg.kernel_id}_{strategy}_n{n}.csv", des, manifest)
 
-    return WidthStage(curves, rows)
+    return rows
 
 
 def _multistart_cell(
@@ -429,69 +395,30 @@ def _multistart_cell(
     return des, val
 
 
-def validate_chain(stage: WidthStage, tol: float = _CHAIN_SLACK):
-    """Intra-curve checks plus the cross-scale ordering of the width chain.
-
-    Valid cross comparisons: the L_inf Kolmogorov lower bound sits below
-    both linear upper bounds and interpolation upper bounds; the trace
-    tail lower bound sits below every interpolation upper bound at the
-    same p = inf. Interpolation lower bounds must not be compared against
-    linear-width upper bounds (the gap between those scales is the point).
-    """
-    for curve in stage.curves.values():
-        curve.validate()
-    d_lower = {e.n: e.value for e in stage.curves["d_Lp_lower"].entries}
-    tail_lower = {e.n: e.value for e in stage.curves["I_Linf_lower_tail"].entries}
-    mercer = {e.n: e.value for e in stage.curves["a_Lp_upper"].entries}
-    for e in stage.curves["I_Lp_upper"].entries:
-        if not e.method.endswith("pinf"):
-            continue
-        for name, lower_map in (("d_Lp_lower", d_lower), ("I_Linf_lower_tail", tail_lower)):
-            lo = lower_map.get(e.n)
-            if lo is not None and lo > e.value + tol:
-                raise ChainViolationError(
-                    f"{name}[n={e.n}] = {lo:.9g} exceeds I_Lp_upper[{e.method}, n={e.n}] = {e.value:.9g}"
-                )
-    for n, up in mercer.items():
-        lo = d_lower.get(n)
-        if lo is not None and lo > up + tol:
-            raise ChainViolationError(
-                f"d_Lp_lower[n={n}] = {lo:.9g} exceeds a_Lp_upper[mercer, n={n}] = {up:.9g}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # entropy stage
 
 
 @dataclass
 class EntropyStage:
-    curve: WidthCurve
-    rows: list[tuple]
+    rows: list[WidthRow]
     e_l2_report: SlopeReport
     e_linf_report: SlopeReport
     carl_reports: dict[float, CarlReport]
 
 
 def stage_entropy(cfg: ExperimentConfig, spectrum: SpectrumEstimate, manifest: RunManifest) -> EntropyStage:
-    seed = int(cfg.get("run", "seed"))
-    kid = cfg.kernel_id
     sigma = np.sqrt(spectrum.eigenvalues)
     op = DiagonalOperator(sigma)
     n_grid = [int(n) for n in cfg.get("entropy", "n_grid")]
-    curve = WidthCurve("e_diag_est")
-    rows: list[tuple] = []
+    rows: list[WidthRow] = []
     with _Timer(manifest, "entropy"):
-        lows = {}
         for n in n_grid:
             est = diag_entropy_bounds(op, n)
-            lows[n] = est.lower
-            curve.add(n, est.lower, KIND_LOWER, est.method)
-            curve.add(n, est.upper, KIND_UPPER, est.method)
-            rows.append(("e_diag_est", n, KIND_LOWER, est.lower, est.method, kid, "2", seed))
-            rows.append(("e_diag_est", n, KIND_UPPER, est.upper, est.method, kid, "2", seed))
+            rows.append(WidthRow("e_diag_est", n, KIND_LOWER, est.lower, est.method, "2"))
+            rows.append(WidthRow("e_diag_est", n, KIND_UPPER, est.upper, est.method, "2"))
         window = cfg.get("fit", "entropy_window")
-        series = curve.series(kind=KIND_LOWER, label="e-L2-evidence[diag-surrogate]")
+        series = rate_series(rows, "e_diag_est", "e-L2-evidence[diag-surrogate]", kind=KIND_LOWER)
         e_l2 = fit_loglog(series, window=window)
         # no direct sup-norm entropy estimator exists; the diagonal
         # surrogate doubles as the sup-norm evidence and is labeled as such
@@ -511,7 +438,7 @@ def stage_entropy(cfg: ExperimentConfig, spectrum: SpectrumEstimate, manifest: R
         for p, rep in carl.items():
             if not rep.ok:
                 manifest.warn(f"carl check flagged indices {rep.flagged} at p={p}: pipeline bug")
-    return EntropyStage(curve, rows, e_l2, e_linf, carl)
+    return EntropyStage(rows, e_l2, e_linf, carl)
 
 
 # ---------------------------------------------------------------------------
@@ -530,15 +457,25 @@ class FitStage:
         return {"eigenvalues": self.eig_report, **dict(sorted(self.reports.items())), **dict(sorted(self.gap_reports.items()))}
 
 
-def stage_fits(cfg: ExperimentConfig, spectrum: SpectrumEstimate, width_stage: WidthStage, manifest: RunManifest) -> FitStage:
+def _on_greedy_grid(series: RateSeries, ns: np.ndarray, top: int) -> RateSeries:
+    """A series of the dense range n <= `top` at the greedy indices `ns`, which `widths.n_grid` sets."""
+    if ns[-1] > top:
+        raise ConfigError(
+            f"field widths.n_grid reaches n = {ns[-1]}, but the greedy gap fits read {series.label} at every greedy n "
+            f"and it is computed for n <= {top} only (widths.dense_n_max, capped by spectrum.n_eigs - 1)"
+        )
+    return RateSeries(ns, np.array([series.at(int(n)) for n in ns]), series.label)
+
+
+def stage_fits(cfg: ExperimentConfig, spectrum: SpectrumEstimate, rows: list[WidthRow], manifest: RunManifest) -> FitStage:
     window = cfg.get("fit", "window")
-    n_grid = [int(n) for n in cfg.get("widths", "n_grid")]
+    dense_max = min(int(cfg.get("widths", "dense_n_max")), spectrum.n_eigs - 1)
     reports: dict[str, SlopeReport] = {}
     gaps: dict[str, SlopeReport] = {}
     with _Timer(manifest, "fits"):
-        d_series = width_stage.curves["d_L2"].series(label="d-L2[sqrt-eigentail]")
+        d_series = rate_series(rows, "d_L2", "d-L2[sqrt-eigentail]")
         reports["d_L2"] = fit_loglog(d_series, window=window)
-        a_series = width_stage.curves["a_L2"].series(label="a-L2[sqrt-eigentail]")
+        a_series = rate_series(rows, "a_L2", "a-L2[sqrt-eigentail]")
         reports["a_L2"] = fit_loglog(a_series, window=window)
         lam = spectrum.eigenvalues
         pos = lam > 0
@@ -549,29 +486,23 @@ def stage_fits(cfg: ExperimentConfig, spectrum: SpectrumEstimate, width_stage: W
                 plab = p_label(p)
                 label = f"I-L{plab}[{strategy}]"
                 try:
-                    series = width_stage.curves["I_Lp_upper"].series(method=f"{strategy}-p{plab}", label=label)
+                    series = rate_series(rows, "I_Lp_upper", label, method=strategy, p=plab)
                     reports[label] = fit_loglog(series, window=window)
                 except ValueError:
                     continue
         # sup-norm gap: greedy interpolation widths over the L2 width scale
         if "I-Linf[greedy]" in reports:
-            i_series = width_stage.curves["I_Lp_upper"].series(method="greedy-pinf", label="I-Linf[greedy]")
-            d_on_grid = RateSeries(
-                i_series.ns, np.array([d_series.at(int(n)) for n in i_series.ns]), d_series.label
-            )
-            gaps["gap_Linf"] = gap_report(i_series, d_on_grid)
+            i_series = rate_series(rows, "I_Lp_upper", "I-Linf[greedy]", method="greedy", p="inf")
+            gaps["gap_Linf"] = gap_report(i_series, _on_greedy_grid(d_series, i_series.ns, dense_max))
         # Hilbert-case gap: linear width curve over Kolmogorov width curve at p = 2
         da = RateSeries(a_series.ns, a_series.values, "a-L2")
         dd = RateSeries(d_series.ns, d_series.values, "d-L2")
         gaps["gap_L2_linear_vs_kolmogorov"] = gap_report(da.window(*window), dd.window(*window))
         # diagnostic: the greedy interpolation width in L2 against its tail floor
         if "I-L2[greedy]" in reports:
-            i2 = width_stage.curves["I_Lp_upper"].series(method="greedy-p2", label="I-L2[greedy]")
-            tail_series = width_stage.curves["I_Linf_lower_tail"].series(label="I-tail-lower")
-            tail_on_grid = RateSeries(
-                i2.ns, np.array([tail_series.at(int(n)) for n in i2.ns]), tail_series.label
-            )
-            gaps["gap_L2_interp_vs_tail[diagnostic]"] = gap_report(i2, tail_on_grid)
+            i2 = rate_series(rows, "I_Lp_upper", "I-L2[greedy]", method="greedy", p="2")
+            tail_series = rate_series(rows, "I_Linf_lower_tail", "I-tail-lower")
+            gaps["gap_L2_interp_vs_tail[diagnostic]"] = gap_report(i2, _on_greedy_grid(tail_series, i2.ns, dense_max))
     return FitStage(reports, gaps, eig_report)
 
 
@@ -592,7 +523,7 @@ class CampaignResult:
     verdicts: list[Verdict]
     fit_stage: FitStage
     entropy_stage: EntropyStage
-    width_stage: WidthStage
+    width_rows: list[WidthRow]
 
     @property
     def all_targets_met(self) -> bool:
@@ -624,20 +555,18 @@ def _eval_targets(cfg: ExperimentConfig, fits: FitStage) -> list[TargetResult]:
     return out
 
 
-def _write_width_rows(out_dir: Path, rows: list[tuple], manifest: RunManifest):
-    """Write curve rows, replacing any existing rows of the same scales.
+def _write_width_rows(out_dir: Path, cfg: ExperimentConfig, rows: list[WidthRow], manifest: RunManifest):
+    """Write width rows with the config's kernel id and seed, replacing any existing rows of the same scales.
 
     Single-stage commands share one widths.csv per output directory, so
     an entropy run appends its scale next to previously computed width
     scales instead of clobbering them.
     """
     header = "scale_id,n,kind,value,method,kernel_id,p,seed"
-    txt_rows = [
-        f"{sid},{n},{kind},{fmt(val)},{method},{kid},{plab},{seed}"
-        for (sid, n, kind, val, method, kid, plab, seed) in rows
-    ]
+    kid, seed = cfg.kernel_id, int(cfg.get("run", "seed"))
+    txt_rows = [f"{r.scale_id},{r.n},{r.kind},{fmt(r.value)},{r.method},{kid},{r.p},{seed}" for r in rows]
     path = out_dir / "widths.csv"
-    new_scales = {r[0] for r in rows}
+    new_scales = {r.scale_id for r in rows}
     kept: list[str] = []
     if path.exists():
         for line in path.read_text().splitlines()[1:]:
@@ -714,18 +643,18 @@ def run_campaign(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> Ca
     """Run the full pipeline for one config and write all artifacts."""
     out, manifest, kernel, quad = _setup(cfg, out_dir)
     spectrum = stage_spectrum(cfg, kernel, quad, out, manifest)
-    width_stage = stage_widths(cfg, kernel, quad, spectrum, out, manifest)
-    validate_chain(width_stage)
+    width_rows = stage_widths(cfg, kernel, quad, spectrum, out, manifest)
+    validate_chain(width_rows)
     entropy_stage = stage_entropy(cfg, spectrum, manifest)
-    fits = stage_fits(cfg, spectrum, width_stage, manifest)
+    fits = stage_fits(cfg, spectrum, width_rows, manifest)
     verdicts = _verdicts(cfg, entropy_stage)
     targets = _eval_targets(cfg, fits)
-    _write_width_rows(out, width_stage.rows + entropy_stage.rows, manifest)
+    _write_width_rows(out, cfg, width_rows + entropy_stage.rows, manifest)
     _write_slopes(out, fits, targets, manifest)
     _write_report(out, cfg, targets, verdicts, entropy_stage, manifest)
     write_artifact(out / "config_resolved.txt", [cfg.dump()], manifest)
     manifest.save(out / "manifest.json")
-    return CampaignResult(out, manifest, targets, verdicts, fits, entropy_stage, width_stage)
+    return CampaignResult(out, manifest, targets, verdicts, fits, entropy_stage, width_rows)
 
 
 # lighter entry points used by the CLI subcommands ---------------------------
@@ -738,14 +667,14 @@ def run_spectrum_only(cfg: ExperimentConfig, out_dir: str | Path | None = None) 
     return spectrum
 
 
-def run_widths_only(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> WidthStage:
+def run_widths_only(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> list[WidthRow]:
     out, manifest, kernel, quad = _setup(cfg, out_dir)
     spectrum = stage_spectrum(cfg, kernel, quad, out, manifest)
-    stage = stage_widths(cfg, kernel, quad, spectrum, out, manifest)
-    validate_chain(stage)
-    _write_width_rows(out, stage.rows, manifest)
+    rows = stage_widths(cfg, kernel, quad, spectrum, out, manifest)
+    validate_chain(rows)
+    _write_width_rows(out, cfg, rows, manifest)
     manifest.save(out / "manifest.json")
-    return stage
+    return rows
 
 
 def run_greedy_only(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> DesignSet:
@@ -764,6 +693,6 @@ def run_entropy_only(cfg: ExperimentConfig, out_dir: str | Path | None = None) -
     out, manifest, kernel, quad = _setup(cfg, out_dir)
     spectrum = stage_spectrum(cfg, kernel, quad, out, manifest)
     stage = stage_entropy(cfg, spectrum, manifest)
-    _write_width_rows(out, stage.rows, manifest)
+    _write_width_rows(out, cfg, stage.rows, manifest)
     manifest.save(out / "manifest.json")
     return stage

@@ -147,7 +147,7 @@ def _bridge_basis(X: np.ndarray, n: int) -> np.ndarray:
     return np.sqrt(2.0) * np.sin(i[None, :] * np.pi * t[:, None])
 
 
-_ANALYTIC_MAX_TERMS = 4096
+ANALYTIC_MAX_TERMS = 4096
 
 _ANALYTIC_REGISTRY: dict[str, tuple[Callable, Callable, float]] = {
     "brownian": (_brownian_eigenvalues, _brownian_basis, 0.5),
@@ -165,8 +165,8 @@ def analytic_spectrum(kernel_id: str, n_eigs: int, quad: QuadratureRule | None =
     kid = kernel_id.strip().lower()
     if kid not in _ANALYTIC_REGISTRY:
         raise NoAnalyticSpectrumError(f"no closed-form eigensystem for kernel id '{kernel_id}'")
-    if n_eigs > _ANALYTIC_MAX_TERMS:
-        raise InsufficientResolutionError(f"analytic registry tabulates at most {_ANALYTIC_MAX_TERMS} modes")
+    if n_eigs > ANALYTIC_MAX_TERMS:
+        raise InsufficientResolutionError(f"analytic registry tabulates at most {ANALYTIC_MAX_TERMS} modes")
     lam_fn, basis_fn, trace = _ANALYTIC_REGISTRY[kid]
     quad = quad or midpoint_rule(unit_interval(), 2000)
     lam = lam_fn(n_eigs)

@@ -1,4 +1,8 @@
-"""Width curves: certified bounds, linear upper bounds, and rate verdicts.
+"""Width scales: certified bounds, linear upper bounds, the chain check and rate verdicts.
+
+Each computed value is recorded once, as a `WidthRow` (scale, n, kind,
+value, method, p). `validate_chain` checks the order of the width chain on
+a list of rows, and `rate_series` selects the series that a fit reads.
 
 In the L2 geometry the n-th Kolmogorov and linear approximation widths
 of the native-space embedding coincide and equal sqrt(lambda_{n+1}), so
@@ -21,7 +25,8 @@ and rule-based conclusions separate in all outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -52,71 +57,88 @@ KIND_LOWER = "lower"
 KIND_UPPER = "upper"
 KIND_EXACT = "exact"
 
-_CHAIN_TOL = 1e-9
+_CHAIN_TOL = 1e-9  # within one scale
+_CHAIN_SLACK = 1e-6  # quadrature slack between scales
 
 
 @dataclass(frozen=True)
-class CurveEntry:
-    n: int
-    value: float
-    kind: str  # lower | upper | exact
-    method: str
-
-
-@dataclass
-class WidthCurve:
-    """Per-index records of bounds and values for one width scale."""
+class WidthRow:
+    """One value of a width scale at index n: a bound or exact value in L_p, with p as its label (`2`, `inf`)."""
 
     scale_id: str
-    entries: list[CurveEntry] = field(default_factory=list)
+    n: int
+    kind: str  # lower | upper | exact
+    value: float
+    method: str
+    p: str
 
     def __post_init__(self):
         if self.scale_id not in SCALE_IDS:
             raise ValueError(f"unknown scale_id '{self.scale_id}'")
+        if self.kind not in (KIND_LOWER, KIND_UPPER, KIND_EXACT):
+            raise ValueError(f"unknown entry kind '{self.kind}'")
 
-    def add(self, n: int, value: float, kind: str, method: str):
-        if kind not in (KIND_LOWER, KIND_UPPER, KIND_EXACT):
-            raise ValueError(f"unknown entry kind '{kind}'")
-        self.entries.append(CurveEntry(int(n), float(value), kind, method))
 
-    def validate(self, tol: float = _CHAIN_TOL):
-        """Enforce lower <= upper per index and monotonicity per method."""
-        by_n: dict[int, list[CurveEntry]] = {}
-        for e in self.entries:
-            by_n.setdefault(e.n, []).append(e)
-        for n, group in by_n.items():
-            lowers = [e for e in group if e.kind == KIND_LOWER]
-            uppers = [e for e in group if e.kind in (KIND_UPPER, KIND_EXACT)]
-            for lo in lowers:
-                for up in uppers:
-                    if lo.value > up.value + tol:
-                        raise ChainViolationError(
-                            f"scale {self.scale_id}, n={n}: lower {lo.value:.6g} ({lo.method}) "
-                            f"exceeds upper {up.value:.6g} ({up.method})"
-                        )
-        by_method: dict[tuple[str, str], list[CurveEntry]] = {}
-        for e in self.entries:
-            if e.kind in (KIND_UPPER, KIND_EXACT):
-                by_method.setdefault((e.method, e.kind), []).append(e)
-        for (method, _kind), group in by_method.items():
-            group = sorted(group, key=lambda e: e.n)
-            for a, b in zip(group, group[1:]):
-                if b.value > a.value + tol:
+def rate_series(
+    rows: Iterable[WidthRow], scale_id: str, label: str, kind: str | None = None, method: str | None = None, p: str | None = None
+) -> RateSeries:
+    """The positive values at n >= 1 of one scale, by n; `kind`, `method` and `p` narrow the rows when given."""
+    sel = [r for r in rows if r.scale_id == scale_id and r.n >= 1 and r.value > 0]
+    sel = [r for r in sel if kind in (None, r.kind) and method in (None, r.method) and p in (None, r.p)]
+    sel.sort(key=lambda r: r.n)
+    return RateSeries(np.array([r.n for r in sel], dtype=int), np.array([r.value for r in sel]), label)
+
+
+def _method_name(row: WidthRow) -> str:
+    """The method as messages print it; an interpolation row carries its p, as in `greedy-pinf`."""
+    return f"{row.method}-p{row.p}" if row.scale_id == "I_Lp_upper" else row.method
+
+
+def validate_chain(rows: Iterable[WidthRow]):
+    """Raise ChainViolationError where the rows break the order of the width chain.
+
+    Within one scale, to 1e-9: each lower bound sits at or below every
+    upper or exact value at the same n, and each (method, p, kind) upper or
+    exact curve is nonincreasing in n. Across scales, to the quadrature
+    slack 1e-6: the L_inf Kolmogorov lower bound sits below the Mercer
+    linear upper bound and below every p = inf interpolation upper bound,
+    and the trace-tail lower bound below every p = inf interpolation upper
+    bound. Interpolation lower bounds are never compared with linear-width
+    upper bounds: the gap between those scales is the point.
+    """
+    at_n: dict[tuple[str, int], list[WidthRow]] = {}
+    curves: dict[tuple[str, str, str, str], list[WidthRow]] = {}
+    for r in rows:
+        at_n.setdefault((r.scale_id, r.n), []).append(r)
+        if r.kind != KIND_LOWER:
+            curves.setdefault((r.scale_id, r.method, r.p, r.kind), []).append(r)
+    for (sid, n), group in at_n.items():
+        for lo in (r for r in group if r.kind == KIND_LOWER):
+            for up in (r for r in group if r.kind != KIND_LOWER):
+                if lo.value > up.value + _CHAIN_TOL:
                     raise ChainViolationError(
-                        f"scale {self.scale_id}, method {method}: value rises from "
-                        f"{a.value:.6g} at n={a.n} to {b.value:.6g} at n={b.n}"
+                        f"scale {sid}, n={n}: lower {lo.value:.6g} ({_method_name(lo)}) "
+                        f"exceeds upper {up.value:.6g} ({_method_name(up)})"
                     )
-
-    def series(self, kind: str | None = None, method: str | None = None, label: str | None = None) -> RateSeries:
-        sel = [
-            e
-            for e in self.entries
-            if (kind is None or e.kind == kind) and (method is None or e.method == method) and e.n >= 1 and e.value > 0
-        ]
-        sel.sort(key=lambda e: e.n)
-        ns = np.array([e.n for e in sel], dtype=int)
-        vals = np.array([e.value for e in sel])
-        return RateSeries(ns, vals, label or f"{self.scale_id}[{method or kind or 'all'}]")
+    for (sid, *_), curve in curves.items():
+        curve.sort(key=lambda r: r.n)
+        for a, b in zip(curve, curve[1:]):
+            if b.value > a.value + _CHAIN_TOL:
+                raise ChainViolationError(
+                    f"scale {sid}, method {_method_name(a)}: value rises from "
+                    f"{a.value:.6g} at n={a.n} to {b.value:.6g} at n={b.n}"
+                )
+    for (sid, n), group in at_n.items():
+        for up in group:
+            if sid == "I_Lp_upper" and up.p == "inf":
+                names, shown = ("d_Lp_lower", "I_Linf_lower_tail"), _method_name(up)
+            elif sid == "a_Lp_upper":
+                names, shown = ("d_Lp_lower",), "mercer"
+            else:
+                continue
+            for lo in (r for name in names for r in at_n.get((name, n), ())):
+                if lo.value > up.value + _CHAIN_SLACK:
+                    raise ChainViolationError(f"{lo.scale_id}[n={n}] = {lo.value:.9g} exceeds {sid}[{shown}, n={n}] = {up.value:.9g}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 import widthlab as wl
 from widthlab.cli import main
 from widthlab.errors import ChainViolationError, ConfigError
-from widthlab.runner import run_spectrum_only
+from widthlab.runner import run_campaign, run_spectrum_only
 
 
 SMALL_CONFIG = """
@@ -193,6 +193,41 @@ class TestCliExitCodes:
             err = capsys.readouterr().err
             assert "run.out_dir" in err and str(taken) in err
             assert "Traceback" not in err
+
+    # each passed validation and then ended in exit 1 with no field named
+    @pytest.mark.parametrize(
+        "text",
+        ["[kernel]\nid = matern32\n[quadrature]\npoints_per_axis = 100\n", "[kernel]\nid = brownian\n[spectrum]\nn_eigs = 5000\n"],
+        ids=["nystrom_nodes", "analytic_registry"],
+    )
+    def test_n_eigs_past_the_spectrum_exit_2(self, tmp_path, capsys, text):
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(text + f"[run]\nout_dir = {tmp_path / 'out'}\n")
+        assert main(["campaign", "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert "spectrum.n_eigs" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("p_values", ["2,inf", "2"])
+    def test_n_grid_past_dense_range_exit_2(self, tmp_path, capsys, p_values):
+        # the greedy gap fits read d_L2 (p = inf) or the tail bound (p = 2) at n = 32 > dense_n_max
+        text = small_config(tmp_path)
+        for old, new in (
+            ("points_per_axis = 400", "points_per_axis = 200"),
+            ("n_grid = 2,4,8,16", "n_grid = 4,8,16,32"),
+            ("p_values = 2,inf", f"p_values = {p_values}"),
+            ("eval_points_per_axis = 1024", "eval_points_per_axis = 257"),
+            ("candidate_points_per_axis = 1025", "candidate_points_per_axis = 257"),
+            ("window = 2,16", "window = 4,32"),
+        ):
+            text = text.replace(old, new)
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(text)
+        assert main(["campaign", "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert "widths.n_grid" in err and "widths.dense_n_max" in err
+        assert "Traceback" not in err
+        assert main(["widths", "--config", str(cfgfile)]) == 0
 
 
 class TestSpectrumCommand:
@@ -498,6 +533,23 @@ class TestCampaignCommand:
         warned = json.loads((tmp_path / "parallel" / "manifest.json").read_text())["warnings"]
         assert [w for w in warned if "ignored" in w] == ["run.workers = 4 ignored: width cells run serially"]
         assert not any("ignored" in w for w in json.loads((tmp_path / "serial" / "manifest.json").read_text())["warnings"])
+
+    def test_widths_csv_row_order(self, tmp_path):
+        # p and the strategies out of order, so the cells' (strategy, p label, n) sort shows
+        text = small_config(tmp_path).replace("p_values = 2,inf", "p_values = inf,2")
+        run_campaign(wl.parse_config(text))
+        rows = [ln.split(",") for ln in (tmp_path / "out" / "widths.csv").read_text().splitlines()[1:]]
+        dense, method = range(0, 17), "eigen-analytic"
+        expected = []
+        for n in dense:
+            expected += [("d_L2", n, "exact", method, "2"), ("a_L2", n, "exact", method, "2")]
+            expected += [("d_Lp_lower", n, "lower", method, "inf"), ("I_Linf_lower_tail", n, "lower", "trace-tail", "inf")]
+        expected += [("a_Lp_upper", n, "upper", "mercer-projection", "inf") for n in dense]
+        expected += [("I_Lp_upper", 0, "upper", "empty", p) for p in ("inf", "2")]
+        expected += [("I_Lp_upper", n, "upper", s, p) for s in ("greedy", "uniform") for p in ("2", "inf") for n in (2, 4, 8, 16)]
+        entropy_method = "volume+dyadic-grid[factor-6-unverified]"
+        expected += [("e_diag_est", n, k, entropy_method, "2") for n in (1, 2, 4, 8, 16, 32, 64) for k in ("lower", "upper")]
+        assert [(r[0], int(r[1]), r[2], r[4], r[6]) for r in rows] == expected
 
     def test_seed_override_changes_hash(self, tmp_path):
         cfgfile = tmp_path / "c.ini"

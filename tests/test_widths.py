@@ -146,33 +146,72 @@ class TestSubspaceResidual:
             wl.subspace_residual_upper(bm_model, 201)
 
 
-class TestWidthCurve:
+class TestWidthRow:
     def test_chain_violation_detected(self):
-        c = wl.WidthCurve("d_Lp_lower")
-        c.add(4, 0.5, "lower", "a")
-        c.add(4, 0.4, "upper", "b")
+        rows = [wl.WidthRow("d_Lp_lower", 4, "lower", 0.5, "a", "inf"), wl.WidthRow("d_Lp_lower", 4, "upper", 0.4, "b", "inf")]
         with pytest.raises(ChainViolationError):
-            c.validate()
+            wl.validate_chain(rows)
 
     def test_monotonicity_enforced(self):
-        c = wl.WidthCurve("I_Lp_upper")
-        c.add(4, 0.25, "upper", "greedy")
-        c.add(8, 0.30, "upper", "greedy")
+        rows = [wl.WidthRow("I_Lp_upper", 4, "upper", 0.25, "greedy", "2"), wl.WidthRow("I_Lp_upper", 8, "upper", 0.30, "greedy", "2")]
         with pytest.raises(ChainViolationError):
-            c.validate()
+            wl.validate_chain(rows)
 
     def test_valid_curve_passes(self):
-        c = wl.WidthCurve("I_Lp_upper")
-        c.add(4, 0.25, "upper", "greedy")
-        c.add(8, 0.20, "upper", "greedy")
-        c.add(4, 0.10, "lower", "tail")
-        c.validate()
-        s = c.series(kind="upper", method="greedy")
+        rows = [
+            wl.WidthRow("I_Lp_upper", 4, "upper", 0.25, "greedy", "2"),
+            wl.WidthRow("I_Lp_upper", 8, "upper", 0.20, "greedy", "2"),
+            wl.WidthRow("I_Lp_upper", 4, "lower", 0.10, "tail", "2"),
+        ]
+        wl.validate_chain(rows)
+        s = wl.rate_series(rows, "I_Lp_upper", "I-L2[greedy]", kind="upper", method="greedy")
         np.testing.assert_array_equal(s.ns, [4, 8])
 
     def test_unknown_scale_rejected(self):
         with pytest.raises(ValueError):
-            wl.WidthCurve("q_width")
+            wl.WidthRow("q_width", 4, "upper", 0.25, "greedy", "2")
+
+
+def _row(scale_id, value, kind, method="m", p="inf", n=4):
+    return wl.WidthRow(scale_id, n, kind, value, method, p)
+
+
+class TestValidateChain:
+    """Each cross-scale rule of the width chain, and the two tolerances."""
+
+    def test_kolmogorov_lower_above_sup_interpolation_upper(self):
+        rows = [_row("d_Lp_lower", 0.3, "lower"), _row("I_Lp_upper", 0.25, "upper", "greedy")]
+        with pytest.raises(ChainViolationError, match=r"^d_Lp_lower\[n=4\] = 0.3 exceeds I_Lp_upper\[greedy-pinf, n=4\] = 0.25$"):
+            wl.validate_chain(rows)
+
+    def test_tail_lower_above_sup_interpolation_upper(self):
+        rows = [_row("I_Linf_lower_tail", 0.3, "lower", "trace-tail"), _row("I_Lp_upper", 0.25, "upper", "greedy")]
+        with pytest.raises(ChainViolationError, match=r"^I_Linf_lower_tail\[n=4\] = 0.3 exceeds I_Lp_upper\[greedy-pinf, n=4\]"):
+            wl.validate_chain(rows)
+
+    def test_kolmogorov_lower_above_mercer_upper(self):
+        rows = [_row("d_Lp_lower", 0.3, "lower"), _row("a_Lp_upper", 0.25, "upper", "mercer-projection")]
+        with pytest.raises(ChainViolationError, match=r"^d_Lp_lower\[n=4\] = 0.3 exceeds a_Lp_upper\[mercer, n=4\] = 0.25$"):
+            wl.validate_chain(rows)
+
+    def test_l2_interpolation_upper_not_compared(self):
+        rows = [_row("d_Lp_lower", 0.3, "lower"), _row("I_Linf_lower_tail", 0.3, "lower"), _row("I_Lp_upper", 0.25, "upper", "greedy", "2")]
+        wl.validate_chain(rows)
+
+    def test_cross_scale_slack(self):
+        for upper in (_row("I_Lp_upper", 0.25, "upper", "greedy"), _row("a_Lp_upper", 0.25, "upper")):
+            wl.validate_chain([_row("d_Lp_lower", 0.25 + 5e-7, "lower"), _row("I_Linf_lower_tail", 0.25 + 5e-7, "lower"), upper])
+
+    def test_same_scale_tolerance(self):
+        with pytest.raises(ChainViolationError, match=r"lower 0.25 \(m\) exceeds upper 0.25 \(m\)"):
+            wl.validate_chain([_row("e_diag_est", 0.25 + 2e-9, "lower", p="2"), _row("e_diag_est", 0.25, "upper", p="2")])
+        rising = [_row("I_Lp_upper", 0.25, "upper", "greedy", n=4), _row("I_Lp_upper", 0.25 + 2e-9, "upper", "greedy", n=8)]
+        with pytest.raises(ChainViolationError, match="method greedy-pinf: value rises"):
+            wl.validate_chain(rising)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            _row("d_L2", 0.25, "median")
 
 
 def _report(slope, stderr, label="r"):
