@@ -6,8 +6,7 @@ Computes and compares, for a catalog of kernels on boxes:
 - kernel interpolation widths via the power function, with uniform,
   greedy, and refined designs,
 - certified lower bounds for Kolmogorov and interpolation widths in sup
-  norm, and linear upper bounds from spectral projections and rank-n
-  factorizations,
+  norm, and a linear upper bound from the spectral projection,
 - entropy-number brackets for diagonal operators and point clouds,
 - log-log rate fits, gap reports between width scales, and
   rate-transfer verdicts that keep rule-based conclusions separate from
@@ -15,7 +14,7 @@ Computes and compares, for a catalog of kernels on boxes:
 """
 
 from .version import __version__
-from .quadrature import Box, QuadratureRule, midpoint_rule, unit_interval, unit_square
+from .quadrature import Box, QuadratureRule, midpoint_rule, unit_interval
 from .kernels import (
     CATALOG_IDS,
     Kernel,
@@ -56,7 +55,6 @@ from .widths import (
     mercer_envelope_sup2,
     rate_series,
     rate_transfer_verdict,
-    subspace_residual_upper,
     validate_chain,
     width_gap_verdict,
 )

@@ -49,10 +49,6 @@ class RateSeries:
         mask = (self.ns >= n_min) & (self.ns <= n_max)
         return RateSeries(self.ns[mask], self.values[mask], self.label)
 
-    def dyadic(self) -> "RateSeries":
-        mask = np.array([n & (n - 1) == 0 for n in self.ns])
-        return RateSeries(self.ns[mask], self.values[mask], self.label)
-
     def at(self, n: int) -> float:
         idx = np.searchsorted(self.ns, n)
         if idx >= self.ns.size or self.ns[idx] != n:
@@ -113,18 +109,12 @@ class Verdict:
         }
 
 
-def fit_loglog(series: RateSeries, window: tuple[int, int] | None = None, dyadic: bool = False) -> SlopeReport:
-    """Least squares slope of log value on log n; deterministic.
+def fit_loglog(series: RateSeries, window: tuple[int, int] | None = None) -> SlopeReport:
+    """Least squares slope of log value on log n over the window (default: every index); deterministic.
 
-    With `dyadic` the fit is restricted to indices that are powers of
-    two, which decorrelates overlapping constructions. At least four
-    points must remain in the window.
+    At least four points must remain in the window.
     """
-    sub = series
-    if dyadic:
-        sub = sub.dyadic()
-    if window is not None:
-        sub = sub.window(*window)
+    sub = series if window is None else series.window(*window)
     if sub.ns.size < 4:
         raise ValueError(
             f"need >= 4 points to fit, got {sub.ns.size} in window {window} (label '{series.label}')"

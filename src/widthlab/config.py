@@ -188,6 +188,11 @@ class ExperimentConfig:
             return 4097 if self.dim == 1 else 64
         return int(v)
 
+    @property
+    def dense_max(self) -> int:
+        """The last index of the dense width range: `widths.dense_n_max`, capped by `spectrum.n_eigs` - 1."""
+        return min(int(self.get("widths", "dense_n_max")), int(self.get("spectrum", "n_eigs")) - 1)
+
     def target(self, key: str):
         return self.get("targets", key)
 
@@ -289,7 +294,7 @@ def _validate(cfg: ExperimentConfig):
         if lo < 1 or hi <= lo:
             raise ConfigError(f"field fit.{key} must be an increasing positive pair")
     lo, hi = cfg.get("fit", "window")
-    top = min(cfg.get("widths", "dense_n_max"), cfg.get("spectrum", "n_eigs") - 1)
+    top = cfg.dense_max
     if min(hi, top) - lo < 3:
         raise ConfigError(
             f"field fit.window keeps fewer than 4 of the indices 1..{top} set by widths.dense_n_max and spectrum.n_eigs"

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -46,10 +47,6 @@ class DesignSet:
     @property
     def size(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def kernel_id(self) -> str:
-        return self.kernel.identifier()
 
 
 def design(kernel: Kernel, points) -> DesignSet:
@@ -148,14 +145,21 @@ def interpolation_width(
     The result is the width objective at D, an upper bound on the
     infimum over designs of the same size.
     """
+    norm = _lp_norm(quad, p)
+    if p != math.inf:
+        return norm(power_values(des, quad.nodes))
+    if eval_grid is None:
+        eval_grid = des.kernel.domain.grid(_default_sup_points(des.kernel.dim), endpoint=True)
+    return norm(power_values(des, eval_grid))
+
+
+def _lp_norm(quad: QuadratureRule, p: float) -> Callable[[np.ndarray], float]:
+    """The width objective on power values, for p in [2, inf]: their max for p = inf, else their quadrature L_p norm."""
     if not (p == math.inf or p >= 2.0):
         raise ValueError("p must be in [2, inf]")
     if p == math.inf:
-        if eval_grid is None:
-            eval_grid = des.kernel.domain.grid(_default_sup_points(des.kernel.dim), endpoint=True)
-        return float(power_values(des, eval_grid).max())
-    vals = power_values(des, quad.nodes)
-    return float((quad.weights @ vals**p) ** (1.0 / p))
+        return lambda vals: float(vals.max())
+    return lambda vals: float((quad.weights @ vals**p) ** (1.0 / p))
 
 
 def _default_sup_points(dim: int) -> int:
@@ -195,6 +199,7 @@ def optimize_interpolation_width(
     on the candidate grid), "multistart" (coordinate-descent refinement
     from the uniform and greedy designs plus seeded random starts).
     """
+    norm = _lp_norm(quad, p)
     if n < 1:
         raise ValueError("n must be >= 1")
     if candidates is None:
@@ -203,18 +208,7 @@ def optimize_interpolation_width(
         eval_grid = kernel.domain.grid(_default_sup_points(kernel.dim), endpoint=True)
 
     # the points the objective reads, and their design-independent diagonal
-    if p == math.inf:
-        targets = eval_grid
-
-        def norm(vals: np.ndarray) -> float:
-            return float(vals.max())
-
-    else:
-        targets = quad.nodes
-
-        def norm(vals: np.ndarray) -> float:
-            return float((quad.weights @ vals**p) ** (1.0 / p))
-
+    targets = eval_grid if p == math.inf else quad.nodes
     diag = kernel.diag(targets)
     if strategy == "uniform":
         des = uniform_design(kernel, n)

@@ -31,36 +31,23 @@ class Kernel:
 
     `pairwise(A, B)` returns the matrix k(a_i, b_j) for point arrays of
     shape (m, d) and (n, d), as a fresh array that the caller owns and
-    may overwrite in place. `smoothness_hint` is the Sobolev order used
-    by the rate presets; None when no equivalence is claimed.
-    `uniformly_bounded_eigenfunctions` records whether uniform
-    boundedness of the eigenfunctions has been verified for this kernel
-    (True), or is merely unknown (None). It is metadata, never assumed.
+    may overwrite in place. `diagonal(X)` returns k(x_i, x_i) for the rows
+    of X; every constructor supplies it in closed form.
     """
 
     name: str
     dim: int
     domain: Box
     pairwise: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    smoothness_hint: float | None = None
+    diagonal: Callable[[np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
-    uniformly_bounded_eigenfunctions: bool | None = None
-    diagonal: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.pairwise(np.atleast_2d(a), np.atleast_2d(b))
 
     def diag(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.diagonal is not None:
-            return np.asarray(self.diagonal(x), dtype=float)
-        out = np.empty(x.shape[0])
-        # small chunks: the generic path has only the pairwise map to work with
-        step = 32
-        for i in range(0, x.shape[0], step):
-            blk = x[i : i + step]
-            out[i : i + step] = np.diagonal(self.pairwise(blk, blk))
-        return out
+        return np.asarray(self.diagonal(x), dtype=float)
 
     def identifier(self) -> str:
         ps = ",".join(f"{k}={v:.17g}" if isinstance(v, float) else f"{k}={v}" for k, v in sorted(self.params.items()))
@@ -147,10 +134,7 @@ def make_kernel(kernel_id: str, dim: int = 1, domain: Box | None = None, length_
             def pw(a, b):
                 return np.minimum(a[:, 0][:, None], b[:, 0][None, :])
 
-            return Kernel(
-                kid, 1, box, pw, smoothness_hint=1.0, uniformly_bounded_eigenfunctions=True,
-                diagonal=lambda x: x[:, 0].copy(),
-            )
+            return Kernel(kid, 1, box, pw, diagonal=lambda x: x[:, 0].copy())
 
         if kid == "bridge":
 
@@ -159,10 +143,7 @@ def make_kernel(kernel_id: str, dim: int = 1, domain: Box | None = None, length_
                 t = b[:, 0][None, :]
                 return np.minimum(s, t) - s * t
 
-            return Kernel(
-                kid, 1, box, pw, smoothness_hint=1.0, uniformly_bounded_eigenfunctions=True,
-                diagonal=lambda x: x[:, 0] - x[:, 0] ** 2,
-            )
+            return Kernel(kid, 1, box, pw, diagonal=lambda x: x[:, 0] - x[:, 0] ** 2)
 
         # covariance of the integrated Brownian motion:
         # k(s, t) = m^2 M / 2 - m^3 / 6 with m = min, M = max
@@ -173,7 +154,7 @@ def make_kernel(kernel_id: str, dim: int = 1, domain: Box | None = None, length_
             hi = np.maximum(s, t)
             return lo * lo * hi / 2.0 - lo**3 / 6.0
 
-        return Kernel(kid, 1, box, pw, smoothness_hint=2.0, diagonal=lambda x: x[:, 0] ** 3 / 3.0)
+        return Kernel(kid, 1, box, pw, diagonal=lambda x: x[:, 0] ** 3 / 3.0)
 
     box = domain or Box((0.0,) * dim, (1.0,) * dim)
     if box.dim != dim:
@@ -195,7 +176,7 @@ def make_kernel(kernel_id: str, dim: int = 1, domain: Box | None = None, length_
             r /= ell
             return np.exp(r, out=r)
 
-        return Kernel(kid, dim, box, pw, smoothness_hint=0.5 + dim / 2.0, params=params, diagonal=ones)
+        return Kernel(kid, dim, box, pw, diagonal=ones, params=params)
 
     if kid == "matern32":
 
@@ -211,7 +192,7 @@ def make_kernel(kernel_id: str, dim: int = 1, domain: Box | None = None, length_
             r *= e
             return r
 
-        return Kernel(kid, dim, box, pw, smoothness_hint=1.5 + dim / 2.0, params=params, diagonal=ones)
+        return Kernel(kid, dim, box, pw, diagonal=ones, params=params)
 
     if kid == "gaussian":
 
@@ -222,7 +203,7 @@ def make_kernel(kernel_id: str, dim: int = 1, domain: Box | None = None, length_
             r /= 2.0 * ell * ell
             return np.exp(r, out=r)
 
-        return Kernel(kid, dim, box, pw, smoothness_hint=None, params=params, diagonal=ones)
+        return Kernel(kid, dim, box, pw, diagonal=ones, params=params)
 
     raise ConfigError(f"unknown kernel id '{kid}' (field kernel.id)")
 
@@ -316,4 +297,4 @@ def power_kernel(spec: PowerKernelSpec, name: str | None = None, domain: Box | N
         return (v**2) @ lam_g
 
     label = name or f"power(gamma={spec.gamma:g},N={spec.n_terms})"
-    return Kernel(label, box.dim, box, pw, params={"gamma": spec.gamma, "n_terms": spec.n_terms}, diagonal=diag)
+    return Kernel(label, box.dim, box, pw, diagonal=diag, params={"gamma": spec.gamma, "n_terms": spec.n_terms})

@@ -64,10 +64,6 @@ def unit_interval() -> Box:
     return Box((0.0,), (1.0,))
 
 
-def unit_square() -> Box:
-    return Box((0.0, 0.0), (1.0, 1.0))
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and positive weights for integration over a box."""

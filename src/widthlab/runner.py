@@ -224,12 +224,12 @@ def _write_cache(path: Path, **arrays: np.ndarray):
     os.replace(tmp, path)
 
 
-def _load_spectrum(entry: _CacheEntry, kernel: Kernel, quad: QuadratureRule, manifest: RunManifest) -> SpectrumEstimate | None:
+def _load_spectrum(entry: _CacheEntry, quad: QuadratureRule, manifest: RunManifest) -> SpectrumEstimate | None:
     cached = _read_cache(entry, manifest, "eigenvalues", "node_values", "clamped")
     if cached is None:
         return None
     eigenvalues, node_values, clamped = cached
-    return SpectrumEstimate(eigenvalues, node_values, quad, kernel.identifier(), clamped=int(clamped))
+    return SpectrumEstimate(eigenvalues, node_values, quad, clamped=int(clamped))
 
 
 def _save_spectrum(path_base: Path, spectrum: SpectrumEstimate, meta: str, manifest: RunManifest):
@@ -251,7 +251,7 @@ def stage_spectrum(
             spectrum = analytic_spectrum(cfg.kernel_id, n_eigs, quad)
         else:
             entry = _cache_path(out_dir, "spectrum", kernel, quad, f"n_eigs={n_eigs}")
-            spectrum = _load_spectrum(entry, kernel, quad, manifest)
+            spectrum = _load_spectrum(entry, quad, manifest)
             if spectrum is None:
                 spectrum = nystrom_spectrum(kernel, quad, n_eigs)
                 _write_cache(
@@ -277,7 +277,7 @@ def stage_widths(
     manifest: RunManifest,
 ) -> list[WidthRow]:
     n_grid = [int(n) for n in cfg.get("widths", "n_grid")]
-    dense_max = min(int(cfg.get("widths", "dense_n_max")), spectrum.n_eigs - 1)
+    dense_max = cfg.dense_max
     p_values = list(cfg.get("widths", "p_values"))
     strategies = list(cfg.get("widths", "strategies"))
     mu = quad.mass
@@ -430,8 +430,8 @@ def stage_entropy(cfg: ExperimentConfig, spectrum: SpectrumEstimate, manifest: R
             label="e-Linf-evidence[diag-surrogate;no-direct-estimator]",
             n_points=e_l2.n_points,
         )
-        # Carl check against the L2 width sequence sqrt(lambda_{k+1})
-        n_max = min(64, spectrum.n_eigs - 1)
+        # Carl check against the L2 width sequence s_k = sqrt(lambda_{k+1}), over the k where it is positive
+        n_max = min(64, int(np.count_nonzero(spectrum.eigenvalues > 0)) - 1)
         e_upper = np.array([diag_entropy_bounds(op, k).upper for k in range(1, n_max + 1)])
         s_vals = np.sqrt(spectrum.eigenvalues[1 : n_max + 1])
         carl = {p: carl_check(e_upper, s_vals, p, n_max) for p in (1.0, 2.0)}
@@ -459,17 +459,18 @@ class FitStage:
 
 def _on_greedy_grid(series: RateSeries, ns: np.ndarray, top: int) -> RateSeries:
     """A series of the dense range n <= `top` at the greedy indices `ns`, which `widths.n_grid` sets."""
-    if ns[-1] > top:
+    missing = [int(n) for n in ns if n not in series.ns]
+    if missing:
         raise ConfigError(
-            f"field widths.n_grid reaches n = {ns[-1]}, but the greedy gap fits read {series.label} at every greedy n "
-            f"and it is computed for n <= {top} only (widths.dense_n_max, capped by spectrum.n_eigs - 1)"
+            f"field widths.n_grid reaches n = {missing[0]}, but the greedy gap fits read {series.label} at every greedy n "
+            f"and it has no positive value there; it is computed for n <= {top} only (widths.dense_n_max, capped by "
+            f"spectrum.n_eigs - 1), and zero values, such as those of a clamped spectrum, are dropped"
         )
     return RateSeries(ns, np.array([series.at(int(n)) for n in ns]), series.label)
 
 
 def stage_fits(cfg: ExperimentConfig, spectrum: SpectrumEstimate, rows: list[WidthRow], manifest: RunManifest) -> FitStage:
     window = cfg.get("fit", "window")
-    dense_max = min(int(cfg.get("widths", "dense_n_max")), spectrum.n_eigs - 1)
     reports: dict[str, SlopeReport] = {}
     gaps: dict[str, SlopeReport] = {}
     with _Timer(manifest, "fits"):
@@ -493,7 +494,7 @@ def stage_fits(cfg: ExperimentConfig, spectrum: SpectrumEstimate, rows: list[Wid
         # sup-norm gap: greedy interpolation widths over the L2 width scale
         if "I-Linf[greedy]" in reports:
             i_series = rate_series(rows, "I_Lp_upper", "I-Linf[greedy]", method="greedy", p="inf")
-            gaps["gap_Linf"] = gap_report(i_series, _on_greedy_grid(d_series, i_series.ns, dense_max))
+            gaps["gap_Linf"] = gap_report(i_series, _on_greedy_grid(d_series, i_series.ns, cfg.dense_max))
         # Hilbert-case gap: linear width curve over Kolmogorov width curve at p = 2
         da = RateSeries(a_series.ns, a_series.values, "a-L2")
         dd = RateSeries(d_series.ns, d_series.values, "d-L2")
@@ -502,7 +503,7 @@ def stage_fits(cfg: ExperimentConfig, spectrum: SpectrumEstimate, rows: list[Wid
         if "I-L2[greedy]" in reports:
             i2 = rate_series(rows, "I_Lp_upper", "I-L2[greedy]", method="greedy", p="2")
             tail_series = rate_series(rows, "I_Linf_lower_tail", "I-tail-lower")
-            gaps["gap_L2_interp_vs_tail[diagnostic]"] = gap_report(i2, _on_greedy_grid(tail_series, i2.ns, dense_max))
+            gaps["gap_L2_interp_vs_tail[diagnostic]"] = gap_report(i2, _on_greedy_grid(tail_series, i2.ns, cfg.dense_max))
     return FitStage(reports, gaps, eig_report)
 
 
@@ -524,10 +525,6 @@ class CampaignResult:
     fit_stage: FitStage
     entropy_stage: EntropyStage
     width_rows: list[WidthRow]
-
-    @property
-    def all_targets_met(self) -> bool:
-        return all(t.status == "met" for t in self.targets)
 
 
 # slope target name -> label of the fit it checks, in evaluation order

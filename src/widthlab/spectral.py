@@ -42,7 +42,6 @@ class SpectrumEstimate:
     eigenvalues: np.ndarray
     eigvec_node_values: np.ndarray
     quad: QuadratureRule
-    kernel_id: str
     source: str = "nystrom"
     clamped: int = 0
     trace: float | None = None
@@ -118,7 +117,7 @@ def nystrom_spectrum(kernel: Kernel, quad: QuadratureRule, n_eigs: int) -> Spect
     # sign convention: first node value positive
     signs = np.where(V[0, :] < 0, -1.0, 1.0)
     V = V * signs[None, :]
-    return SpectrumEstimate(lam, V, quad, kernel.identifier(), source="nystrom", clamped=clamped)
+    return SpectrumEstimate(lam, V, quad, source="nystrom", clamped=clamped)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +154,14 @@ _ANALYTIC_REGISTRY: dict[str, tuple[Callable, Callable, float]] = {
 }
 
 
+def _registered(kernel_id: str) -> tuple[Callable, Callable, float]:
+    """The (eigenvalues, basis, trace) entry of a kernel id in the closed-form registry."""
+    entry = _ANALYTIC_REGISTRY.get(kernel_id.strip().lower())
+    if entry is None:
+        raise NoAnalyticSpectrumError(f"no closed-form eigensystem for kernel id '{kernel_id}'")
+    return entry
+
+
 def analytic_spectrum(kernel_id: str, n_eigs: int, quad: QuadratureRule | None = None) -> SpectrumEstimate:
     """Exact eigensystem for kernels with a registered closed form.
 
@@ -162,12 +169,9 @@ def analytic_spectrum(kernel_id: str, n_eigs: int, quad: QuadratureRule | None =
     evaluator; node values are tabulated on `quad` (default: 2000-node
     midpoint rule on the unit interval).
     """
-    kid = kernel_id.strip().lower()
-    if kid not in _ANALYTIC_REGISTRY:
-        raise NoAnalyticSpectrumError(f"no closed-form eigensystem for kernel id '{kernel_id}'")
+    lam_fn, basis_fn, trace = _registered(kernel_id)
     if n_eigs > ANALYTIC_MAX_TERMS:
         raise InsufficientResolutionError(f"analytic registry tabulates at most {ANALYTIC_MAX_TERMS} modes")
-    lam_fn, basis_fn, trace = _ANALYTIC_REGISTRY[kid]
     quad = quad or midpoint_rule(unit_interval(), 2000)
     lam = lam_fn(n_eigs)
 
@@ -175,21 +179,15 @@ def analytic_spectrum(kernel_id: str, n_eigs: int, quad: QuadratureRule | None =
         return basis_fn(X, n_eigs)
 
     V = basis(quad.nodes)
-    return SpectrumEstimate(lam, V, quad, kid, source="analytic", trace=trace, basis=basis)
+    return SpectrumEstimate(lam, V, quad, source="analytic", trace=trace, basis=basis)
 
 
 def analytic_eigenvalues(kernel_id: str, n: int) -> np.ndarray:
-    kid = kernel_id.strip().lower()
-    if kid not in _ANALYTIC_REGISTRY:
-        raise NoAnalyticSpectrumError(f"no closed-form eigensystem for kernel id '{kernel_id}'")
-    return _ANALYTIC_REGISTRY[kid][0](n)
+    return _registered(kernel_id)[0](n)
 
 
 def analytic_trace(kernel_id: str) -> float:
-    kid = kernel_id.strip().lower()
-    if kid not in _ANALYTIC_REGISTRY:
-        raise NoAnalyticSpectrumError(f"no closed-form eigensystem for kernel id '{kernel_id}'")
-    return _ANALYTIC_REGISTRY[kid][2]
+    return _registered(kernel_id)[2]
 
 
 def has_analytic_spectrum(kernel_id: str) -> bool:

@@ -9,12 +9,11 @@ of the native-space embedding coincide and equal sqrt(lambda_{n+1}), so
 the spectrum drives everything: sqrt(lambda_{n+1}/mu(X)) is a certified
 lower bound for the sup-norm Kolmogorov width, and the eigenvalue tail
 sqrt(tail(n)/mu(X)) is a certified lower bound for the sup-norm
-interpolation width. Upper bounds come from concrete rank-n linear
-schemes: the spectral projection (Mercer truncation) and an alternating
-minimization over discrete rank-n factorizations. The projection's
-sup-norm envelope sqrt(k(x, x) - sum_{i <= n} lambda_i e_i(x)^2) takes
-the tail through the kernel diagonal, so the modes past the resolved
-spectrum are included and the bound stays certified.
+interpolation width. The linear upper bound comes from one concrete
+rank-n scheme, the spectral projection (Mercer truncation). Its sup-norm
+envelope sqrt(k(x, x) - sum_{i <= n} lambda_i e_i(x)^2) takes the tail
+through the kernel diagonal, so the modes past the resolved spectrum are
+included and the bound stays certified.
 
 Sup-norm Kolmogorov upper bounds of the optimal order are deliberately
 not claimed numerically; they follow from entropy-number equivalences,
@@ -188,7 +187,7 @@ def mercer_envelope_sup2(spectrum: SpectrumEstimate, kernel: Kernel, grid: np.nd
 
 
 # ---------------------------------------------------------------------------
-# discrete ellipsoid model and alternating minimization
+# discrete ellipsoid model
 
 
 @dataclass(frozen=True)
@@ -202,10 +201,6 @@ class EllipsoidModel:
     feature_matrix: np.ndarray
     grid: np.ndarray
     source_spectrum: SpectrumEstimate
-
-    def row_norm_defect(self, diag_values: np.ndarray, tol: float = 1e-9) -> float:
-        rn2 = (self.feature_matrix**2).sum(axis=1)
-        return float(np.max(rn2 - np.asarray(diag_values, dtype=float) - tol))
 
 
 def build_ellipsoid(
@@ -223,73 +218,6 @@ def build_ellipsoid(
         V = spectrum.extend(kernel, grid, m)
     Phi = V * np.sqrt(spectrum.eigenvalues[:m])[None, :]
     return EllipsoidModel(Phi, grid, spectrum)
-
-
-def subspace_residual_upper(
-    model: EllipsoidModel,
-    n: int,
-    restarts: int = 8,
-    seed: int = 0,
-    max_iter: int = 200,
-    tol: float = 1e-8,
-) -> float:
-    """Best found max-row-norm residual of rank-n factorizations of Phi.
-
-    Any rank-n factorization Phi ~ W Z certifies that every grid point's
-    worst-case error is at most its row residual, so the returned value
-    max_j |row_j(Phi - W Z)|_2 is a certified upper bound for the
-    discretized sup-norm linear width; the optimization itself is a
-    heuristic (certified value, heuristic optimum). Alternating
-    minimization with Lawson-style row reweighting, deterministic seeds.
-
-    Restart 0 keeps the leading n coordinates (the spectral projection),
-    restart 1 the top singular directions; the rest start from seeded
-    random row weights.
-    """
-    Phi = model.feature_matrix
-    m, N = Phi.shape
-    rank_cap = min(m, N)
-    if n < 0 or n > rank_cap:
-        raise ValueError(f"subspace dimension {n} outside [0, {rank_cap}]")
-    if n == 0:
-        return float(np.sqrt((Phi**2).sum(axis=1)).max())
-    if n == rank_cap:
-        return 0.0
-
-    def residuals(basis: np.ndarray) -> np.ndarray:
-        # basis: (n, N) with orthonormal rows; residual of each row of Phi
-        proj = Phi @ basis.T
-        r2 = (Phi**2).sum(axis=1) - (proj**2).sum(axis=1)
-        return np.sqrt(np.maximum(r2, 0.0))
-
-    def top_basis(weights: np.ndarray) -> np.ndarray:
-        Gw = Phi.T @ (weights[:, None] * Phi)
-        Gw = 0.5 * (Gw + Gw.T)
-        w, U = np.linalg.eigh(Gw)
-        return U[:, np.argsort(w)[::-1][:n]].T
-
-    rng = np.random.default_rng(seed)
-    best = math.inf
-    for r in range(max(restarts, 2)):
-        if r == 0:
-            basis = np.eye(N)[:n]
-        elif r == 1:
-            basis = top_basis(np.ones(m))
-        else:
-            basis = top_basis(rng.random(m) + 1e-3)
-        weights = np.ones(m)
-        prev = math.inf
-        for _ in range(max_iter):
-            res = residuals(basis)
-            cur = float(res.max())
-            best = min(best, cur)
-            if prev - cur < tol * max(prev, 1e-300):
-                break
-            prev = cur
-            weights = weights * np.maximum(res, 1e-300)
-            weights = weights * (m / weights.sum())
-            basis = top_basis(weights)
-    return best
 
 
 # ---------------------------------------------------------------------------

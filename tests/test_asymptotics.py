@@ -37,13 +37,6 @@ class TestFitLoglog:
         rep = wl.fit_loglog(series(ns, vals), window=(4, 64))
         assert rep.slope == pytest.approx(-0.9706932637808143, abs=1e-12)
 
-    def test_brownian_width_slope_dyadic(self):
-        ns = np.arange(1, 65)
-        vals = 2.0 / ((2.0 * ns + 1.0) * math.pi)
-        rep = wl.fit_loglog(series(ns, vals), window=(4, 64), dyadic=True)
-        assert rep.n_points == 5
-        assert rep.slope == pytest.approx(-0.961750947974001, abs=1e-12)
-
     def test_window_filtering(self):
         ns = np.arange(1, 101)
         rep = wl.fit_loglog(series(ns, 1.0 / ns), window=(10, 20))
@@ -82,7 +75,3 @@ class TestRateSeries:
     def test_rejects_nonpositive_values(self):
         with pytest.raises(ValueError):
             series([1, 2, 3, 4], [1.0, 0.0, 1.0, 1.0])
-
-    def test_dyadic_subset(self):
-        s = series(np.arange(1, 20), np.ones(19)).dyadic()
-        np.testing.assert_array_equal(s.ns, [1, 2, 4, 8, 16])

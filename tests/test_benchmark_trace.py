@@ -1,6 +1,7 @@
 """The benchmark's layer tracer still sees every layer the runner uses."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -76,3 +77,21 @@ def test_traced_multistart_pass_counts_designs(tmp_path):
     counts = traced_counts(tmp_path, config)
     assert counts.get("interpolation.design_calls", 0) > 0
     assert counts.get("kernels.entries", 0) > 0
+
+
+def test_descent_bounds_pass(tmp_path):
+    # the golden gate's multistart bounds come from this path of workload_pass.py
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "workload_pass.py"), "--workload", "design_search", "--seed", "1234", "--tiny", "--descent-bounds"],
+        env=env,
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+    )
+    assert out.returncode == 0, out.stderr
+    rows = json.loads(out.stdout)
+    # the tiny design_search config has one multistart cell: n = 4, p = 2
+    assert [row[:2] for row in rows] == [["4", "2"]]
+    for _, _, value in rows:
+        assert math.isfinite(float(value)) and float(value) > 0

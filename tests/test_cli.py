@@ -229,6 +229,22 @@ class TestCliExitCodes:
         assert "Traceback" not in err
         assert main(["widths", "--config", str(cfgfile)]) == 0
 
+    def test_clamped_spectrum_exit_codes(self, tmp_path, capsys):
+        # 53 of the 100 Nystrom eigenvalues are positive: the Carl check reads
+        # only those, and the greedy gap fit finds no positive d_L2 at n = 64
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(
+            "[kernel]\nid = gaussian\nlength_scale = 1.0\n[quadrature]\npoints_per_axis = 100\n"
+            "[spectrum]\nn_eigs = 100\nsource = nystrom\n"
+            "[widths]\neval_points_per_axis = 257\ncandidate_points_per_axis = 257\n"
+            f"[run]\nout_dir = {tmp_path / 'out'}\n"
+        )
+        assert main(["entropy", "--config", str(cfgfile)]) == 0
+        assert main(["campaign", "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert "widths.n_grid" in err and "widths.dense_n_max" in err
+        assert "Traceback" not in err
+
 
 class TestSpectrumCommand:
     def test_writes_lambda1(self, tmp_path, capsys):

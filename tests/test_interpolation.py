@@ -159,6 +159,12 @@ class TestOptimize:
         with pytest.raises(ValueError):
             wl.optimize_interpolation_width(bm_kernel, quad_2000, INF, 0)
 
+    @pytest.mark.parametrize("p", [1.0, 0.0])
+    def test_p_below_two_rejected(self, bm_kernel, quad_2000, p):
+        # the same check as interpolation_width, for every strategy
+        with pytest.raises(ValueError, match="p must be in"):
+            wl.optimize_interpolation_width(bm_kernel, quad_2000, p, 4, strategy="uniform")
+
 
 def reference_multistart(kernel, quad, p, n, candidates, eval_grid, seed, restarts):
     """Multistart search as it read before the descent reused cross-kernel rows.

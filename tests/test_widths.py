@@ -103,47 +103,8 @@ def bm_model(bm_kernel):
 
 
 class TestEllipsoidModel:
-    def test_row_norms_bounded_by_diagonal(self, bm_model, bm_kernel):
-        diag = bm_kernel.diag(bm_model.grid)
-        assert bm_model.row_norm_defect(diag) <= 0.0
-
     def test_shape(self, bm_model):
         assert bm_model.feature_matrix.shape == (512, 200)
-
-
-class TestSubspaceResidual:
-    def test_full_rank_zero(self, bm_kernel):
-        spectrum = wl.analytic_spectrum("brownian", 8)
-        grid = bm_kernel.domain.grid(32)
-        model = wl.build_ellipsoid(spectrum, grid=grid)
-        assert wl.subspace_residual_upper(model, 8, restarts=2, seed=0) == 0.0
-
-    def test_n0_matches_mercer(self, bm_model):
-        v = wl.subspace_residual_upper(bm_model, 0, restarts=2, seed=0)
-        # the rank-0 spectral projection leaves each row of Phi whole
-        want = math.sqrt(float((bm_model.feature_matrix**2).sum(axis=1).max()))
-        assert v == pytest.approx(want, rel=1e-12)
-
-    def test_bm_n4_bracketed(self, bm_model):
-        val = wl.subspace_residual_upper(bm_model, 4, restarts=8, seed=0)
-        lower = wl.linf_kolmogorov_lower(bm_model.source_spectrum, 1.0, 4)
-        # the rank-4 spectral projection leaves the rows of Phi past column 4
-        upper = math.sqrt(float((bm_model.feature_matrix[:, 4:] ** 2).sum(axis=1).max()))
-        assert lower * 0.98 <= val <= upper + 1e-12
-        assert lower == pytest.approx(0.0707355302630646, abs=1e-12)
-
-    def test_singular_value_sandwich(self, bm_model):
-        Phi = bm_model.feature_matrix
-        m = Phi.shape[0]
-        sv = np.linalg.svd(Phi, compute_uv=False)
-        for n in (2, 4, 8):
-            val = wl.subspace_residual_upper(bm_model, n, restarts=4, seed=1)
-            assert sv[n] / math.sqrt(m) <= val + 1e-12
-            assert val <= sv[n] + 1e-12
-
-    def test_rank_out_of_range(self, bm_model):
-        with pytest.raises(ValueError):
-            wl.subspace_residual_upper(bm_model, 201)
 
 
 class TestWidthRow:
