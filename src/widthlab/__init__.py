@@ -18,22 +18,21 @@ from .quadrature import Box, QuadratureRule, midpoint_rule, unit_interval
 from .kernels import (
     CATALOG_IDS,
     Kernel,
-    MercerExpansion,
-    PowerKernelSpec,
     eval_kernel,
     gram_matrix,
     make_kernel,
-    power_kernel,
-    power_kernel_eval,
     trace_integral,
 )
 from .spectral import (
+    PowerKernelSpec,
     SpectrumEstimate,
     analytic_eigenvalues,
     analytic_spectrum,
     analytic_trace,
     has_analytic_spectrum,
     nystrom_spectrum,
+    power_kernel,
+    power_kernel_eval,
     tail_sum,
 )
 from .interpolation import (

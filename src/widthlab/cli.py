@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import PRESETS, ExperimentConfig, load_preset, parse_config
+from .config import PRESETS, ExperimentConfig, _validate, load_preset, parse_config
 from .errors import BudgetError, ChainViolationError, ConfigError, WidthLabError
 from . import runner
 
@@ -37,6 +37,7 @@ def _resolve_config(args) -> ExperimentConfig:
         cfg.values["run"]["seed"] = int(args.seed)
     if getattr(args, "out", None):
         cfg.values["run"]["out_dir"] = str(args.out)
+    _validate(cfg)  # the flags override validated fields, so check them like the file's
     return cfg
 
 

@@ -128,7 +128,6 @@ class ExperimentConfig:
     """Validated configuration for one run; see _SCHEMA for fields."""
 
     values: dict[str, dict[str, object]] = field(default_factory=dict)
-    source_text: str = ""
     preset_name: str = ""
 
     def get(self, section: str, key: str):
@@ -239,7 +238,7 @@ def parse_config(text: str, preset_name: str = "") -> ExperimentConfig:
             kind = _SCHEMA[section][key][0]
             values[section][key] = _parse_value(kind, raw, f"{section}.{key}")
 
-    cfg = ExperimentConfig(values=values, source_text=text, preset_name=preset_name)
+    cfg = ExperimentConfig(values=values, preset_name=preset_name)
     _validate(cfg)
     return cfg
 
@@ -304,6 +303,8 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError("field fit.entropy_window keeps fewer than 4 entries of entropy.n_grid")
     if cfg.get("run", "workers") < 1:
         raise ConfigError("field run.workers must be >= 1")
+    if cfg.get("run", "seed") < 0:
+        raise ConfigError(f"field run.seed must be >= 0, got {cfg.get('run', 'seed')}")
 
 
 # ---------------------------------------------------------------------------

@@ -207,18 +207,15 @@ def optimize_interpolation_width(
     if p == math.inf and eval_grid is None:
         eval_grid = kernel.domain.grid(_default_sup_points(kernel.dim), endpoint=True)
 
-    # the points the objective reads, and their design-independent diagonal
-    targets = eval_grid if p == math.inf else quad.nodes
-    diag = kernel.diag(targets)
-    if strategy == "uniform":
-        des = uniform_design(kernel, n)
-        return des, norm(power_values(des, targets, diag=diag))
-    if strategy == "greedy":
-        des = greedy_design(kernel, candidates, n)
-        return des, norm(power_values(des, targets, diag=diag))
+    if strategy in ("uniform", "greedy"):
+        des = uniform_design(kernel, n) if strategy == "uniform" else greedy_design(kernel, candidates, n)
+        return des, interpolation_width(des, quad, p, eval_grid=eval_grid)
     if strategy != "multistart":
         raise ValueError(f"unknown strategy '{strategy}'")
 
+    # the points the objective reads, and their design-independent diagonal
+    targets = eval_grid if p == math.inf else quad.nodes
+    diag = kernel.diag(targets)
     starts = [uniform_design(kernel, n).points, greedy_design(kernel, candidates, n).points]
     rng = np.random.default_rng(seed)
     lo = np.asarray(kernel.domain.lo)

@@ -1,15 +1,11 @@
-"""Kernel catalog, Mercer expansions, and power kernels.
+"""Kernel catalog.
 
 A kernel here is a symmetric positive-semidefinite function on an
-axis-aligned box, evaluated in vectorized form. The catalog covers the
-classical Gaussian-process kernels whose associated function spaces are
-norm-equivalent to Sobolev spaces of known order, plus the Gaussian
-kernel as an infinitely smooth reference point.
-
-Power kernels raise every eigenvalue of a Mercer expansion to a fixed
-exponent gamma while keeping the eigenfunctions, which realizes the
-scale of spaces interpolating between L2 and the native space of the
-base kernel (and extrapolating beyond it for gamma > 1).
+axis-aligned box, evaluated in vectorized form through `pairwise`. The
+catalog covers the classical Gaussian-process kernels whose associated
+function spaces are norm-equivalent to Sobolev spaces of known order, plus
+the Gaussian kernel as an infinitely smooth reference point. Power
+kernels are built from an eigensystem, so they live in `spectral`.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDesignError, DomainError, TruncationError
+from .errors import ConfigError, DegenerateDesignError, DomainError
 from .quadrature import Box, QuadratureRule, unit_interval
 
 _DUPLICATE_TOL = 1e-14
@@ -41,9 +37,6 @@ class Kernel:
     pairwise: Callable[[np.ndarray, np.ndarray], np.ndarray]
     diagonal: Callable[[np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
-
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.pairwise(np.atleast_2d(a), np.atleast_2d(b))
 
     def diag(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -209,92 +202,3 @@ def make_kernel(kernel_id: str, dim: int = 1, domain: Box | None = None, length_
 
 
 CATALOG_IDS = ("brownian", "bridge", "brownian_int", "matern12", "matern32", "gaussian")
-
-
-# ---------------------------------------------------------------------------
-# Mercer expansions and power kernels
-
-
-@dataclass(frozen=True)
-class MercerExpansion:
-    """Truncated eigensystem lambda_i, e_i of an integral operator.
-
-    `basis(X)` evaluates all eigenfunctions at the points X, returning a
-    matrix of shape (len(X), n_terms). Eigenfunctions are L2-orthonormal
-    with respect to the quadrature that produced them.
-    """
-
-    eigenvalues: np.ndarray
-    basis: Callable[[np.ndarray], np.ndarray]
-    n_terms: int
-    source: str  # "analytic" | "nystrom"
-    quad: QuadratureRule | None = None
-
-    def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float)
-        object.__setattr__(self, "eigenvalues", lam)
-        if lam.ndim != 1 or lam.shape[0] < self.n_terms:
-            raise TruncationError("fewer eigenvalues than n_terms")
-        if np.any(lam < -1e-15):
-            raise ValueError("negative eigenvalue in Mercer expansion")
-        if np.any(np.diff(lam) > 1e-12 * max(lam[0], 1.0)):
-            raise ValueError("eigenvalues must be nonincreasing")
-
-    def orthonormality_defect(self) -> float:
-        """Max deviation of the weighted basis Gram matrix from identity."""
-        if self.quad is None:
-            raise ValueError("expansion carries no quadrature")
-        V = self.basis(self.quad.nodes)[:, : self.n_terms]
-        G = V.T @ (self.quad.weights[:, None] * V)
-        return float(np.abs(G - np.eye(self.n_terms)).max())
-
-
-@dataclass(frozen=True)
-class PowerKernelSpec:
-    """Eigenvalue power gamma > 0 applied to a truncated Mercer expansion."""
-
-    base: MercerExpansion
-    gamma: float
-    n_terms: int
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.n_terms < 1 or self.n_terms > self.base.n_terms:
-            raise TruncationError(
-                f"requested {self.n_terms} terms, expansion provides {self.base.n_terms}"
-            )
-
-    def powered_eigenvalues(self) -> np.ndarray:
-        return self.base.eigenvalues[: self.n_terms] ** self.gamma
-
-    def trace(self) -> float:
-        return float(self.powered_eigenvalues().sum())
-
-
-def power_kernel_eval(spec: PowerKernelSpec, x, x2) -> float:
-    """Evaluate sum_i lambda_i^gamma e_i(x) e_i(x2) over the truncation."""
-    a = np.atleast_2d(np.asarray(x, dtype=float))
-    b = np.atleast_2d(np.asarray(x2, dtype=float))
-    lam_g = spec.powered_eigenvalues()
-    va = spec.base.basis(a)[0, : spec.n_terms]
-    vb = spec.base.basis(b)[0, : spec.n_terms]
-    return float(np.sum(lam_g * va * vb))
-
-
-def power_kernel(spec: PowerKernelSpec, name: str | None = None, domain: Box | None = None) -> Kernel:
-    """Wrap a power-kernel spec as a Kernel usable by the rest of the lab."""
-    lam_g = spec.powered_eigenvalues()
-    box = domain or (spec.base.quad.box if spec.base.quad is not None else unit_interval())
-
-    def pw(a, b):
-        va = spec.base.basis(a)[:, : spec.n_terms]
-        vb = spec.base.basis(b)[:, : spec.n_terms]
-        return (va * lam_g[None, :]) @ vb.T
-
-    def diag(x):
-        v = spec.base.basis(x)[:, : spec.n_terms]
-        return (v**2) @ lam_g
-
-    label = name or f"power(gamma={spec.gamma:g},N={spec.n_terms})"
-    return Kernel(label, box.dim, box, pw, diagonal=diag, params={"gamma": spec.gamma, "n_terms": spec.n_terms})

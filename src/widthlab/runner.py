@@ -108,7 +108,6 @@ class RunManifest:
     version: str = __version__
     preset: str = ""
     timings: dict[str, float] = field(default_factory=dict)
-    cache_hits: int = 0
     cache: list[dict[str, str]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     files: list[str] = field(default_factory=list)
@@ -125,7 +124,7 @@ class RunManifest:
                     "version": self.version,
                     "preset": self.preset,
                     "timings": self.timings,
-                    "cache_hits": self.cache_hits,
+                    "cache_hits": sum(record["result"] == "hit" for record in self.cache),
                     "cache": self.cache,
                     "warnings": self.warnings,
                     "files": self.files,
@@ -199,7 +198,7 @@ def _read_cache(entry: _CacheEntry, manifest: RunManifest, *names: str) -> list[
 
     An unreadable entry is a miss: the caller recomputes and overwrites it,
     and the manifest names the file. Every lookup is recorded in
-    `manifest.cache`, and a hit adds to `manifest.cache_hits`.
+    `manifest.cache`, whose hits the saved manifest counts as `cache_hits`.
     """
     arrays, result = None, "miss"
     if entry.path.exists():
@@ -207,7 +206,6 @@ def _read_cache(entry: _CacheEntry, manifest: RunManifest, *names: str) -> list[
             with np.load(entry.path) as cached:
                 arrays = [cached[name] for name in names]
             result = "hit"
-            manifest.cache_hits += 1
         except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
             manifest.warn(f"cache entry {entry.path} unreadable ({type(exc).__name__}): recomputed")
             result = "unreadable"
@@ -413,10 +411,13 @@ def stage_entropy(cfg: ExperimentConfig, spectrum: SpectrumEstimate, manifest: R
     n_grid = [int(n) for n in cfg.get("entropy", "n_grid")]
     rows: list[WidthRow] = []
     with _Timer(manifest, "entropy"):
+        # Carl check against the L2 width sequence s_k = sqrt(lambda_{k+1}), over the k where it is positive
+        n_max = min(64, int(np.count_nonzero(spectrum.eigenvalues > 0)) - 1)
+        # one bracket per index: the rows read entropy.n_grid, the Carl check 1..n_max
+        est = {k: diag_entropy_bounds(op, k) for k in sorted({*n_grid, *range(1, n_max + 1)})}
         for n in n_grid:
-            est = diag_entropy_bounds(op, n)
-            rows.append(WidthRow("e_diag_est", n, KIND_LOWER, est.lower, est.method, "2"))
-            rows.append(WidthRow("e_diag_est", n, KIND_UPPER, est.upper, est.method, "2"))
+            rows.append(WidthRow("e_diag_est", n, KIND_LOWER, est[n].lower, est[n].method, "2"))
+            rows.append(WidthRow("e_diag_est", n, KIND_UPPER, est[n].upper, est[n].method, "2"))
         window = cfg.get("fit", "entropy_window")
         series = rate_series(rows, "e_diag_est", "e-L2-evidence[diag-surrogate]", kind=KIND_LOWER)
         e_l2 = fit_loglog(series, window=window)
@@ -430,9 +431,7 @@ def stage_entropy(cfg: ExperimentConfig, spectrum: SpectrumEstimate, manifest: R
             label="e-Linf-evidence[diag-surrogate;no-direct-estimator]",
             n_points=e_l2.n_points,
         )
-        # Carl check against the L2 width sequence s_k = sqrt(lambda_{k+1}), over the k where it is positive
-        n_max = min(64, int(np.count_nonzero(spectrum.eigenvalues > 0)) - 1)
-        e_upper = np.array([diag_entropy_bounds(op, k).upper for k in range(1, n_max + 1)])
+        e_upper = np.array([est[k].upper for k in range(1, n_max + 1)])
         s_vals = np.sqrt(spectrum.eigenvalues[1 : n_max + 1])
         carl = {p: carl_check(e_upper, s_vals, p, n_max) for p in (1.0, 2.0)}
         for p, rep in carl.items():
@@ -543,8 +542,14 @@ def _eval_targets(cfg: ExperimentConfig, fits: FitStage) -> list[TargetResult]:
     out: list[TargetResult] = []
     for name, label in _TARGET_LABELS:
         pair = cfg.target(name)
-        if pair is None or label not in slopes:
+        # an exploratory target is not failed on a miss, so one without its fit is skipped
+        if pair is None or (label not in slopes and miss == "exploratory-miss"):
             continue
+        if label not in slopes:
+            raise ConfigError(
+                f"field targets.{name} checks the fit {label}, which this config does not produce: it needs the greedy "
+                f"strategy, p = inf in widths.p_values and at least 4 positive values at widths.n_grid inside fit.window"
+            )
         expected, tol = pair
         observed = slopes[label].slope
         status = "met" if abs(observed - expected) <= tol else miss

@@ -5,7 +5,13 @@ discretized on a quadrature rule: with W = diag(weights) the symmetric
 matrix W^{1/2} K W^{1/2} has the Nystrom eigenvalue estimates, and the
 de-symmetrized eigenvectors give weight-orthonormal eigenfunction values
 at the nodes. Closed-form reference spectra are registered for the
-Brownian motion and Brownian bridge kernels.
+Brownian motion and Brownian bridge kernels. A `SpectrumEstimate` is the
+one eigensystem type: the width bounds read it, and so do power kernels.
+
+Power kernels raise every eigenvalue of a spectrum to a fixed exponent
+gamma while keeping the eigenfunctions, which realizes the scale of spaces
+interpolating between L2 and the native space of the base kernel (and
+extrapolating beyond it for gamma > 1).
 """
 
 from __future__ import annotations
@@ -16,9 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InsufficientResolutionError, InsufficientTailError, NoAnalyticSpectrumError
-from .kernels import Kernel, MercerExpansion
-from .quadrature import QuadratureRule, midpoint_rule, unit_interval
+from .errors import InsufficientResolutionError, InsufficientTailError, NoAnalyticSpectrumError, TruncationError
+from .kernels import Kernel
+from .quadrature import Box, QuadratureRule, midpoint_rule, unit_interval
 
 ORTHONORMALITY_TOL = 1e-8
 
@@ -60,6 +66,7 @@ class SpectrumEstimate:
         return self.eigenvalues.shape[0]
 
     def orthonormality_defect(self) -> float:
+        """Max deviation of the weighted node-value Gram matrix V^T diag(w) V from identity."""
         V = self.eigvec_node_values
         G = V.T @ (self.quad.weights[:, None] * V)
         return float(np.abs(G - np.eye(V.shape[1])).max())
@@ -82,12 +89,6 @@ class SpectrumEstimate:
         out = np.zeros((pts.shape[0], m))
         out[:, cut] = Kxn @ self.eigvec_node_values[:, :m][:, cut] / lam[cut]
         return out
-
-    def to_expansion(self, kernel: Kernel | None = None, n_terms: int | None = None) -> MercerExpansion:
-        m = n_terms or self.n_eigs
-        if self.basis is None and kernel is None:
-            raise ValueError("Nystrom expansion needs the kernel for the extension formula")
-        return MercerExpansion(self.eigenvalues[:m], lambda X: self.extend(kernel, X, m), m, self.source, quad=self.quad)
 
 
 def nystrom_spectrum(kernel: Kernel, quad: QuadratureRule, n_eigs: int) -> SpectrumEstimate:
@@ -225,3 +226,60 @@ def tail_sum(spectrum: SpectrumEstimate, n: int, trace: float | None = None) -> 
         )
         value = 0.0
     return value
+
+
+# ---------------------------------------------------------------------------
+# power kernels
+
+
+@dataclass(frozen=True)
+class PowerKernelSpec:
+    """Eigenvalue power gamma > 0 applied to the first n_terms modes of a spectrum.
+
+    The modes come from `base.extend`: the closed form of an analytic base,
+    or the Nystrom extension formula, which needs the base's `kernel`.
+    """
+
+    base: SpectrumEstimate
+    gamma: float
+    n_terms: int
+    kernel: Kernel | None = None
+
+    def __post_init__(self):
+        if self.gamma <= 0:
+            raise ValueError("gamma must be positive")
+        if self.n_terms < 1 or self.n_terms > self.base.n_eigs:
+            raise TruncationError(f"requested {self.n_terms} terms, spectrum provides {self.base.n_eigs}")
+        if self.base.basis is None and self.kernel is None:
+            raise ValueError("a Nystrom base needs the kernel for the extension formula")
+
+    def powered_eigenvalues(self) -> np.ndarray:
+        return self.base.eigenvalues[: self.n_terms] ** self.gamma
+
+    def trace(self) -> float:
+        return float(self.powered_eigenvalues().sum())
+
+
+def power_kernel_eval(spec: PowerKernelSpec, x, x2) -> float:
+    """Evaluate sum_i lambda_i^gamma e_i(x) e_i(x2) over the truncation."""
+    lam_g = spec.powered_eigenvalues()
+    va = spec.base.extend(spec.kernel, x, spec.n_terms)[0]
+    vb = spec.base.extend(spec.kernel, x2, spec.n_terms)[0]
+    return float(np.sum(lam_g * va * vb))
+
+
+def power_kernel(spec: PowerKernelSpec, name: str | None = None, domain: Box | None = None) -> Kernel:
+    """Wrap a power-kernel spec as a Kernel usable by the rest of the lab."""
+    lam_g = spec.powered_eigenvalues()
+    box = domain or spec.base.quad.box
+
+    def pw(a, b):
+        va = spec.base.extend(spec.kernel, a, spec.n_terms)
+        vb = spec.base.extend(spec.kernel, b, spec.n_terms)
+        return (va * lam_g[None, :]) @ vb.T
+
+    def diag(x):
+        return (spec.base.extend(spec.kernel, x, spec.n_terms) ** 2) @ lam_g
+
+    label = name or f"power(gamma={spec.gamma:g},N={spec.n_terms})"
+    return Kernel(label, box.dim, box, pw, diagonal=diag, params={"gamma": spec.gamma, "n_terms": spec.n_terms})

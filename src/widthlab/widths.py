@@ -38,6 +38,7 @@ from .asymptotics import (
     SlopeReport,
     Verdict,
 )
+from .config import p_label
 from .errors import ChainViolationError
 from .kernels import Kernel
 from .spectral import SpectrumEstimate, tail_sum
@@ -200,7 +201,6 @@ class EllipsoidModel:
 
     feature_matrix: np.ndarray
     grid: np.ndarray
-    source_spectrum: SpectrumEstimate
 
 
 def build_ellipsoid(
@@ -217,7 +217,7 @@ def build_ellipsoid(
         grid = np.atleast_2d(np.asarray(grid, dtype=float))
         V = spectrum.extend(kernel, grid, m)
     Phi = V * np.sqrt(spectrum.eigenvalues[:m])[None, :]
-    return EllipsoidModel(Phi, grid, spectrum)
+    return EllipsoidModel(Phi, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +259,7 @@ def rate_transfer_verdict(
             detail=f"alpha must lie strictly inside (0, 2); got {alpha:g}",
         )
     target = -1.0 / alpha
-    qname = "inf" if q == math.inf else f"{q:g}"
+    qname = p_label(q)
     note = " (sup-norm extension-property branch)" if q == math.inf else ""
     claim = f"Kolmogorov widths into L_{qname} decay like n^(-1/{alpha:g}) by entropy rate transfer{note}"
     ok_l2 = _premise_ok(e_l2_report, target, slope_tol)

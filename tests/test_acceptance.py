@@ -158,8 +158,7 @@ def test_criterion_09_entropy_oracles():
 
 
 def test_criterion_10_power_kernel_truncation(bridge_analytic, bridge_kernel):
-    expansion = bridge_analytic.to_expansion()
-    spec = wl.PowerKernelSpec(expansion, gamma=1.0, n_terms=200)
+    spec = wl.PowerKernelSpec(bridge_analytic, gamma=1.0, n_terms=200)
     tol = 2.0 * (1.0 / 6.0 - sum(1.0 / (math.pi**2 * i**2) for i in range(1, 201)))
     rng = np.random.default_rng(42)
     pts = rng.random((25, 2))

@@ -1,5 +1,6 @@
 """The benchmark's layer tracer still sees every layer the runner uses."""
 
+import importlib.util
 import json
 import math
 import os
@@ -95,3 +96,25 @@ def test_descent_bounds_pass(tmp_path):
     assert [row[:2] for row in rows] == [["4", "2"]]
     for _, _, value in rows:
         assert math.isfinite(float(value)) and float(value) > 0
+
+
+def test_design_search_pass_reads_every_manifest_field(tmp_path):
+    # workload_pass.py sums cache_hits and the stage timings of each call's manifest.json
+    spec = importlib.util.spec_from_file_location("layer_trace", ROOT / "benchmarks" / "layer_trace.py")
+    layer_trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layer_trace)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    cmd = [sys.executable, str(ROOT / "benchmarks" / "workload_pass.py"), "--workload", "design_search", "--seed", "1234", "--tiny"]
+    records = []
+    for _ in range(2):
+        out = subprocess.run(cmd + ["--out", str(tmp_path / "out")], env=env, capture_output=True, text=True, cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert len(lines) == 1, out.stdout
+        records.append(json.loads(lines[0]))
+    # cold: the widths and entropy calls hit the spectrum entry; warm: every lookup hits
+    assert [record["cache_hits"] for record in records] == [2, 5]
+    # only run_campaign times the fits stage
+    stages = set(layer_trace.STAGES.values()) - {"fits"}
+    for record in records:
+        assert stages <= set(record["timings"]), stages - set(record["timings"])

@@ -245,6 +245,32 @@ class TestCliExitCodes:
         assert "widths.n_grid" in err and "widths.dense_n_max" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "old,new",
+        [("strategies = uniform,greedy", "strategies = uniform"), ("n_grid = 4,8,16,32,64", "n_grid = 4,8,16")],
+        ids=["no_greedy", "three_greedy_n_in_window"],
+    )
+    def test_hard_target_without_its_fit_exit_2(self, tmp_path, capsys, old, new):
+        # the bm_gap targets i_slope and gap_slope read the greedy sup-norm fit, which
+        # needs 4 greedy n inside fit.window; both used to be skipped without a word
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(wl.PRESETS["bm_gap"].replace(old, new).replace("runs/bm_gap", str(tmp_path / "out")))
+        assert main(["campaign", "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert "targets.i_slope" in err and "I-Linf[greedy]" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, where):
+        # a multistart cell hands the seed to np.random.default_rng, which rejects a negative one
+        text = multistart_config(tmp_path, "out")
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(text.replace("seed = 11", "seed = -1") if where == "config" else text)
+        assert main(["widths", "--config", str(cfgfile)] + (["--seed", "-1"] if where == "flag" else [])) == 2
+        err = capsys.readouterr().err
+        assert "run.seed" in err
+        assert "Traceback" not in err
+
 
 class TestSpectrumCommand:
     def test_writes_lambda1(self, tmp_path, capsys):
@@ -428,6 +454,13 @@ class TestDesignCache:
         assert [m["cache_hits"] for _, m in runs] == [0, 4]
         assert runs[1][0] == runs[0][0]
         assert runs[1][1]["warnings"] == runs[0][1]["warnings"]
+        # cache_hits counts the hit records, and the warm manifest is the cold one but for timings and results
+        for _, manifest in runs:
+            assert manifest["cache_hits"] == sum(r["result"] == "hit" for r in manifest["cache"])
+            del manifest["timings"], manifest["cache_hits"]
+            for record in manifest["cache"]:
+                del record["result"]
+        assert runs[1][1] == runs[0][1]
 
         # each change is a design miss whose rows equal a fresh directory's
         variants = [

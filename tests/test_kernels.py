@@ -42,8 +42,8 @@ class TestEvalKernel:
             b = np.array([wl.eval_kernel(k, yi, xi) for xi, yi in zip(x[:50], y[:50])])
             assert np.array_equal(a, b)
             # vectorized check over the full 1000 pairs
-            K1 = k(x[:, None], y[:, None])
-            K2 = k(y[:, None], x[:, None]).T
+            K1 = k.pairwise(x[:, None], y[:, None])
+            K2 = k.pairwise(y[:, None], x[:, None]).T
             assert np.array_equal(K1, K2)
 
     def test_diagonal_matches_pairwise(self, rng):
@@ -99,7 +99,7 @@ class TestTraceIntegral:
 
 @pytest.fixture(scope="module")
 def bridge_expansion(bridge_analytic):
-    return bridge_analytic.to_expansion()
+    return bridge_analytic
 
 
 class TestPowerKernel:
@@ -119,6 +119,16 @@ class TestPowerKernel:
             exact = wl.eval_kernel(bridge_kernel, s, t)
             assert abs(val - exact) <= 2.0 * tail
 
+    def test_gamma_one_nystrom_reproduces_brownian(self, bm_nystrom, bm_kernel):
+        # a Nystrom base evaluates its modes through the extension formula, so it needs the kernel
+        with pytest.raises(ValueError, match="kernel"):
+            wl.PowerKernelSpec(bm_nystrom, gamma=1.0, n_terms=200)
+        spec = wl.PowerKernelSpec(bm_nystrom, gamma=1.0, n_terms=200, kernel=bm_kernel)
+        tail = wl.tail_sum(bm_nystrom, 200, trace=wl.analytic_trace("brownian"))
+        for s, t in np.random.default_rng(42).random((25, 2)):
+            for y in (s, t):
+                assert abs(wl.power_kernel_eval(spec, s, y) - wl.eval_kernel(bm_kernel, s, y)) <= 2.0 * tail
+
     def test_eigenfunction_zero_node(self, bridge_expansion):
         # e_2(t) = sqrt(2) sin(2 pi t) vanishes at t = 0.5: no second-mode term
         spec_full = wl.PowerKernelSpec(bridge_expansion, gamma=1.0, n_terms=2)
@@ -128,13 +138,13 @@ class TestPowerKernel:
         )
 
     def test_gamma_two_brownian_trace(self, bm_analytic):
-        exp = wl.analytic_spectrum("brownian", 500).to_expansion()
+        exp = wl.analytic_spectrum("brownian", 500)
         spec = wl.PowerKernelSpec(exp, gamma=2.0, n_terms=500)
         # sum over odd integers of 16/(j^4 pi^4) = 1/6
         assert spec.trace() == pytest.approx(1.0 / 6.0, abs=1e-6)
 
     def test_truncated_trace_monotone_and_bounded(self, bm_analytic, bm_kernel, quad_2000):
-        exp = bm_analytic.to_expansion()
+        exp = bm_analytic
         traces = [wl.PowerKernelSpec(exp, 1.0, n).trace() for n in (10, 50, 100, 260)]
         assert all(b >= a for a, b in zip(traces, traces[1:]))
         assert traces[-1] <= wl.trace_integral(bm_kernel, quad_2000) + 1e-12
@@ -166,13 +176,12 @@ class TestPowerKernel:
 
 class TestMercerExpansion:
     def test_orthonormality(self, bm_analytic):
-        exp = bm_analytic.to_expansion(n_terms=50)
-        assert exp.orthonormality_defect() < 1e-8
+        assert bm_analytic.orthonormality_defect() < 1e-8
 
     def test_rejects_increasing_eigenvalues(self, bm_analytic):
         lam = np.array([0.1, 0.5])
         with pytest.raises(ValueError):
-            wl.MercerExpansion(lam, lambda X: np.ones((len(X), 2)), 2, "analytic")
+            wl.SpectrumEstimate(lam, np.ones((bm_analytic.quad.size, 2)), bm_analytic.quad, source="analytic")
 
 
 # the kernel layer works in place on one distance buffer; these are the
