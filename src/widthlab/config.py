@@ -15,19 +15,20 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .kernels import CATALOG_IDS
+from .kernels import CATALOG_IDS, ONE_DIM_IDS
 from .spectral import ANALYTIC_MAX_TERMS, has_analytic_spectrum
 
-# schema: section -> key -> (parser, default); None default means required
+# schema: section -> key -> (parser, default). kernel.id is required; a None
+# grid size or box is filled per kernel.dim by _validate; a None target is unset.
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "kernel": {
         "id": ("str", None),
         "dim": ("int", 1),
-        "domain": ("box", None),  # "0,1" or "0,1;0,1"; default unit box
+        "domain": ("box", None),  # "0,1" or "0,1;0,1"
         "length_scale": ("float", 0.3),
     },
     "quadrature": {
-        "points_per_axis": ("int", None),  # default depends on dim
+        "points_per_axis": ("int", None),
     },
     "spectrum": {
         "n_eigs": ("int", 260),
@@ -38,7 +39,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "dense_n_max": ("int", 64),
         "p_values": ("plist", [2.0, math.inf]),
         "strategies": ("strlist", ["uniform", "greedy"]),
-        "eval_points_per_axis": ("int", None),  # default depends on dim
+        "eval_points_per_axis": ("int", None),
         "candidate_points_per_axis": ("int", None),
     },
     "entropy": {
@@ -64,6 +65,13 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "out_dir": ("str", "runs/out"),
         "workers": ("int", 1),  # ignored; width cells run serially
     },
+}
+
+# the grid sizes whose default depends on kernel.dim: (dim 1, dim 2)
+_DIM_DEFAULTS = {
+    ("quadrature", "points_per_axis"): (2000, 64),
+    ("widths", "eval_points_per_axis"): (4096, 128),
+    ("widths", "candidate_points_per_axis"): (4097, 64),
 }
 
 _VALID_SOURCES = ("auto", "analytic", "nystrom")
@@ -125,7 +133,7 @@ def _parse_value(kind: str, raw: str, where: str):
 
 @dataclass
 class ExperimentConfig:
-    """Validated configuration for one run; see _SCHEMA for fields."""
+    """The resolved run: every field of _SCHEMA, defaults filled and `spectrum.source` never `auto`."""
 
     values: dict[str, dict[str, object]] = field(default_factory=dict)
     preset_name: str = ""
@@ -133,67 +141,26 @@ class ExperimentConfig:
     def get(self, section: str, key: str):
         return self.values[section][key]
 
-    # -- resolved accessors -------------------------------------------------
     @property
     def kernel_id(self) -> str:
-        return str(self.get("kernel", "id"))
+        return self.get("kernel", "id")
 
     @property
     def dim(self) -> int:
-        return int(self.get("kernel", "dim"))
-
-    def domain_axes(self) -> list[tuple[float, float]]:
-        axes = self.get("kernel", "domain")
-        if axes is None:
-            return [(0.0, 1.0)] * self.dim
-        return list(axes)
-
-    @property
-    def quad_points(self) -> int:
-        v = self.get("quadrature", "points_per_axis")
-        if v is None:
-            return 2000 if self.dim == 1 else 64
-        return int(v)
+        return self.get("kernel", "dim")
 
     @property
     def eval_points(self) -> int:
-        v = self.get("widths", "eval_points_per_axis")
-        if v is None:
-            return 4096 if self.dim == 1 else 128
-        return int(v)
-
-    @property
-    def spectrum_source(self) -> str:
-        """`spectrum.source` resolved to analytic or nystrom.
-
-        The registered closed forms hold on the unit interval only, so `auto`
-        falls back to Nystrom on any other box and `analytic` is rejected there.
-        """
-        source = str(self.get("spectrum", "source"))
-        closed_form = has_analytic_spectrum(self.kernel_id) and self.domain_axes() == [(0.0, 1.0)]
-        if source == "auto":
-            return "analytic" if closed_form else "nystrom"
-        if source == "analytic" and not closed_form:
-            raise ConfigError(
-                f"field spectrum.source = analytic: no closed-form eigensystem for kernel "
-                f"'{self.kernel_id}' on domain {self.domain_axes()}; the registry covers brownian and bridge on [0, 1]"
-            )
-        return source
+        return self.get("widths", "eval_points_per_axis")
 
     @property
     def candidate_points(self) -> int:
-        v = self.get("widths", "candidate_points_per_axis")
-        if v is None:
-            return 4097 if self.dim == 1 else 64
-        return int(v)
+        return self.get("widths", "candidate_points_per_axis")
 
     @property
     def dense_max(self) -> int:
         """The last index of the dense width range: `widths.dense_n_max`, capped by `spectrum.n_eigs` - 1."""
-        return min(int(self.get("widths", "dense_n_max")), int(self.get("spectrum", "n_eigs")) - 1)
-
-    def target(self, key: str):
-        return self.get("targets", key)
+        return min(self.get("widths", "dense_n_max"), self.get("spectrum", "n_eigs") - 1)
 
     def config_hash(self) -> str:
         canon = []
@@ -203,16 +170,17 @@ class ExperimentConfig:
         return hashlib.sha256("\n".join(canon).encode()).hexdigest()[:16]
 
     def dump(self) -> str:
+        """The resolved run as config text, which parse_config reads back to the same values."""
         lines = []
         for section in self.values:
             lines.append(f"[{section}]")
             for key, val in self.values[section].items():
                 if val is None:
                     continue
-                if isinstance(val, (list, tuple)):
-                    txt = ",".join("inf" if v == math.inf else str(v) for v in val)
-                elif isinstance(val, float) and val == math.inf:
-                    txt = "inf"
+                if _SCHEMA[section][key][0] == "box":
+                    txt = ";".join(f"{lo},{hi}" for lo, hi in val)
+                elif isinstance(val, (list, tuple)):
+                    txt = ",".join(str(v) for v in val)
                 else:
                     txt = str(val)
                 lines.append(f"{key} = {txt}")
@@ -244,28 +212,40 @@ def parse_config(text: str, preset_name: str = "") -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig):
-    if cfg.values["kernel"]["id"] is None:
+    """Check every field and resolve the ones whose default depends on others.
+
+    The per-dim grid sizes and box are filled and `spectrum.source = auto`
+    becomes analytic or nystrom, so a second call (after --seed or --out)
+    changes nothing.
+    """
+    if cfg.kernel_id is None:
         raise ConfigError("missing required field kernel.id")
     if cfg.kernel_id not in CATALOG_IDS:
         raise ConfigError(f"unknown kernel id '{cfg.kernel_id}' (field kernel.id)")
     if cfg.dim not in (1, 2):
         raise ConfigError(f"field kernel.dim must be 1 or 2, got {cfg.dim}")
-    axes = cfg.domain_axes()
+    if cfg.dim != 1 and cfg.kernel_id in ONE_DIM_IDS:
+        raise ConfigError(f"field kernel.dim = {cfg.dim}: kernel '{cfg.kernel_id}' is one-dimensional")
+    for (section, key), per_dim in _DIM_DEFAULTS.items():
+        if cfg.values[section][key] is None:
+            cfg.values[section][key] = per_dim[cfg.dim - 1]
+    if cfg.values["kernel"]["domain"] is None:
+        cfg.values["kernel"]["domain"] = [(0.0, 1.0)] * cfg.dim
+    axes = cfg.get("kernel", "domain")
     if len(axes) != cfg.dim:
         raise ConfigError("field kernel.domain does not match kernel.dim")
     if any(hi <= lo for lo, hi in axes):
         raise ConfigError(f"field kernel.domain needs lo < hi on every axis, got {axes}")
     if not cfg.get("kernel", "length_scale") > 0:
         raise ConfigError("field kernel.length_scale must be > 0")
-    for name in ("quadrature.points_per_axis", "widths.eval_points_per_axis", "widths.candidate_points_per_axis"):
-        v = cfg.get(*name.split("."))
-        if v is not None and v < 1:
-            raise ConfigError(f"field {name} must be >= 1, got {v}")
+    for section, key in _DIM_DEFAULTS:
+        if cfg.get(section, key) < 1:
+            raise ConfigError(f"field {section}.{key} must be >= 1, got {cfg.get(section, key)}")
     for section in ("widths", "entropy"):
         n_grid = cfg.get(section, "n_grid")
-        if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or (n_grid and n_grid[0] < 1):
-            raise ConfigError(f"field {section}.n_grid must be strictly increasing positive integers")
-    n_max = max(cfg.get("widths", "n_grid"), default=0)
+        if not n_grid or n_grid[0] < 1 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
+            raise ConfigError(f"field {section}.n_grid must be a nonempty list of strictly increasing positive integers")
+    n_max = max(cfg.get("widths", "n_grid"))
     if {"greedy", "multistart"} & set(cfg.get("widths", "strategies")) and n_max > cfg.candidate_points**cfg.dim:
         raise ConfigError(f"field widths.candidate_points_per_axis gives fewer candidates than the {n_max} points of widths.n_grid")
     p_values = cfg.get("widths", "p_values")
@@ -281,9 +261,19 @@ def _validate(cfg: ExperimentConfig):
             raise ConfigError(f"unknown strategy '{s}' in widths.strategies")
     if len(set(strategies)) < len(strategies):
         raise ConfigError(f"field widths.strategies repeats an entry: {','.join(strategies)}")
-    if cfg.get("spectrum", "source") not in _VALID_SOURCES:
+    source = cfg.get("spectrum", "source")
+    if source not in _VALID_SOURCES:
         raise ConfigError(f"field spectrum.source must be one of {_VALID_SOURCES}")
-    source, n_eigs, nodes = cfg.spectrum_source, cfg.get("spectrum", "n_eigs"), cfg.quad_points**cfg.dim
+    # the registered closed forms hold on the unit interval only
+    closed_form = has_analytic_spectrum(cfg.kernel_id) and axes == [(0.0, 1.0)]
+    if source == "auto":
+        source = cfg.values["spectrum"]["source"] = "analytic" if closed_form else "nystrom"
+    if source == "analytic" and not closed_form:
+        raise ConfigError(
+            f"field spectrum.source = analytic: no closed-form eigensystem for kernel "
+            f"'{cfg.kernel_id}' on domain {axes}; the registry covers brownian and bridge on [0, 1]"
+        )
+    n_eigs, nodes = cfg.get("spectrum", "n_eigs"), cfg.get("quadrature", "points_per_axis") ** cfg.dim
     if source == "analytic" and n_eigs > ANALYTIC_MAX_TERMS:
         raise ConfigError(f"field spectrum.n_eigs = {n_eigs}: the analytic registry tabulates at most {ANALYTIC_MAX_TERMS} modes")
     if source == "nystrom" and n_eigs > nodes:

@@ -117,7 +117,7 @@ def make_kernel(kernel_id: str, dim: int = 1, domain: Box | None = None, length_
     matern12, matern32, gaussian. The first three are 1d only.
     """
     kid = kernel_id.strip().lower()
-    if kid in ("brownian", "bridge", "brownian_int"):
+    if kid in ONE_DIM_IDS:
         if dim != 1:
             raise DomainError(f"kernel '{kid}' is one-dimensional")
         box = domain or unit_interval()
@@ -201,4 +201,5 @@ def make_kernel(kernel_id: str, dim: int = 1, domain: Box | None = None, length_
     raise ConfigError(f"unknown kernel id '{kid}' (field kernel.id)")
 
 
-CATALOG_IDS = ("brownian", "bridge", "brownian_int", "matern12", "matern32", "gaussian")
+ONE_DIM_IDS = ("brownian", "bridge", "brownian_int")
+CATALOG_IDS = (*ONE_DIM_IDS, "matern12", "matern32", "gaussian")

@@ -154,18 +154,18 @@ class _Timer:
 
 
 def kernel_from_config(cfg: ExperimentConfig) -> Kernel:
-    axes = cfg.domain_axes()
+    axes = cfg.get("kernel", "domain")
     box = Box(tuple(a for a, _ in axes), tuple(b for _, b in axes))
-    return make_kernel(cfg.kernel_id, dim=cfg.dim, domain=box, length_scale=float(cfg.get("kernel", "length_scale")))
+    return make_kernel(cfg.kernel_id, dim=cfg.dim, domain=box, length_scale=cfg.get("kernel", "length_scale"))
 
 
 def quad_from_config(cfg: ExperimentConfig, kernel: Kernel) -> QuadratureRule:
-    return midpoint_rule(kernel.domain, cfg.quad_points)
+    return midpoint_rule(kernel.domain, cfg.get("quadrature", "points_per_axis"))
 
 
 def _setup(cfg: ExperimentConfig, out_dir: str | Path | None) -> tuple[Path, RunManifest, Kernel, QuadratureRule]:
     """Output directory, a fresh manifest, the kernel and the quadrature of one call."""
-    out = Path(out_dir) if out_dir is not None else Path(str(cfg.get("run", "out_dir")))
+    out = Path(out_dir if out_dir is not None else cfg.get("run", "out_dir"))
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -242,8 +242,8 @@ def _save_spectrum(path_base: Path, spectrum: SpectrumEstimate, meta: str, manif
 def stage_spectrum(
     cfg: ExperimentConfig, kernel: Kernel, quad: QuadratureRule, out_dir: Path, manifest: RunManifest
 ) -> SpectrumEstimate:
-    n_eigs = int(cfg.get("spectrum", "n_eigs"))
-    source = cfg.spectrum_source
+    n_eigs = cfg.get("spectrum", "n_eigs")
+    source = cfg.get("spectrum", "source")
     with _Timer(manifest, "spectrum"):
         if source == "analytic":
             spectrum = analytic_spectrum(cfg.kernel_id, n_eigs, quad)
@@ -274,10 +274,10 @@ def stage_widths(
     out_dir: Path,
     manifest: RunManifest,
 ) -> list[WidthRow]:
-    n_grid = [int(n) for n in cfg.get("widths", "n_grid")]
+    n_grid = cfg.get("widths", "n_grid")
     dense_max = cfg.dense_max
-    p_values = list(cfg.get("widths", "p_values"))
-    strategies = list(cfg.get("widths", "strategies"))
+    p_values = cfg.get("widths", "p_values")
+    strategies = cfg.get("widths", "strategies")
     mu = quad.mass
     eval_grid = kernel.domain.grid(cfg.eval_points, endpoint=True)
     candidates = kernel.domain.grid(cfg.candidate_points, endpoint=True)
@@ -369,7 +369,7 @@ def _multistart_cell(
     design from its points, as the search itself returns it, so its jitter
     matches the cold pass.
     """
-    seed = int(cfg.get("run", "seed"))
+    seed = cfg.get("run", "seed")
     entry = _cache_path(
         out_dir,
         "design",
@@ -408,7 +408,7 @@ class EntropyStage:
 def stage_entropy(cfg: ExperimentConfig, spectrum: SpectrumEstimate, manifest: RunManifest) -> EntropyStage:
     sigma = np.sqrt(spectrum.eigenvalues)
     op = DiagonalOperator(sigma)
-    n_grid = [int(n) for n in cfg.get("entropy", "n_grid")]
+    n_grid = cfg.get("entropy", "n_grid")
     rows: list[WidthRow] = []
     with _Timer(manifest, "entropy"):
         # Carl check against the L2 width sequence s_k = sqrt(lambda_{k+1}), over the k where it is positive
@@ -536,14 +536,17 @@ _TARGET_LABELS = (
 )
 
 
-def _eval_targets(cfg: ExperimentConfig, fits: FitStage) -> list[TargetResult]:
-    miss = "exploratory-miss" if cfg.target("exploratory") else "target-miss"
+def _eval_targets(cfg: ExperimentConfig, fits: FitStage, manifest: RunManifest) -> list[TargetResult]:
+    miss = "exploratory-miss" if cfg.get("targets", "exploratory") else "target-miss"
     slopes = fits.slopes
     out: list[TargetResult] = []
     for name, label in _TARGET_LABELS:
-        pair = cfg.target(name)
+        pair = cfg.get("targets", name)
+        if pair is None:
+            continue
         # an exploratory target is not failed on a miss, so one without its fit is skipped
-        if pair is None or (label not in slopes and miss == "exploratory-miss"):
+        if label not in slopes and miss == "exploratory-miss":
+            manifest.warn(f"exploratory target targets.{name} skipped: this config does not produce its fit {label}")
             continue
         if label not in slopes:
             raise ConfigError(
@@ -562,19 +565,27 @@ def _write_width_rows(out_dir: Path, cfg: ExperimentConfig, rows: list[WidthRow]
 
     Single-stage commands share one widths.csv per output directory, so
     an entropy run appends its scale next to previously computed width
-    scales instead of clobbering them.
+    scales instead of clobbering them. The rows of the other scales are
+    kept only when `widths_config.txt`, which holds the hash of the config
+    that wrote them, names this config; otherwise they are dropped, with a
+    manifest warning.
     """
     header = "scale_id,n,kind,value,method,kernel_id,p,seed"
-    kid, seed = cfg.kernel_id, int(cfg.get("run", "seed"))
+    kid, seed = cfg.kernel_id, cfg.get("run", "seed")
     txt_rows = [f"{r.scale_id},{r.n},{r.kind},{fmt(r.value)},{r.method},{kid},{r.p},{seed}" for r in rows]
-    path = out_dir / "widths.csv"
+    path, stamp = out_dir / "widths.csv", out_dir / "widths_config.txt"
     new_scales = {r.scale_id for r in rows}
     kept: list[str] = []
     if path.exists():
         for line in path.read_text().splitlines()[1:]:
             if line and line.split(",", 1)[0] not in new_scales:
                 kept.append(line)
+    written_by = stamp.read_text().strip() if stamp.exists() else "unknown"
+    if kept and written_by != manifest.config_hash:
+        manifest.warn(f"{path}: dropped {len(kept)} rows of another config (hash {written_by}, this config {manifest.config_hash})")
+        kept = []
     write_csv(path, header, kept + txt_rows, manifest)
+    write_artifact(stamp, [manifest.config_hash + "\n"], manifest)
 
 
 def _write_slopes(out_dir: Path, fits: FitStage, targets: list[TargetResult], manifest: RunManifest):
@@ -603,7 +614,7 @@ def _write_report(
         lines.append(
             f"  [{t.status:>16s}] {t.name}: observed {t.observed:+.4f}, target {t.expected:+.2f} +/- {t.tolerance:.2f}"
         )
-    notes = str(cfg.target("notes"))
+    notes = cfg.get("targets", "notes")
     if notes:
         lines.append(f"  premise flags: {notes}")
     lines.append("")
@@ -630,14 +641,14 @@ def _write_report(
 
 
 def _verdicts(cfg: ExperimentConfig, entropy_stage: EntropyStage) -> list[Verdict]:
-    alpha = cfg.target("alpha")
+    alpha = cfg.get("targets", "alpha")
     if alpha is None:
         return []
-    slope_tol = float(cfg.get("fit", "slope_tol"))
+    slope_tol = cfg.get("fit", "slope_tol")
     e_l2, e_linf = entropy_stage.e_l2_report, entropy_stage.e_linf_report
     return [
-        rate_transfer_verdict(e_l2, e_linf, math.inf, float(alpha), slope_tol),
-        width_gap_verdict(e_l2, e_linf, float(alpha), slope_tol),
+        rate_transfer_verdict(e_l2, e_linf, math.inf, alpha, slope_tol),
+        width_gap_verdict(e_l2, e_linf, alpha, slope_tol),
     ]
 
 
@@ -650,7 +661,7 @@ def run_campaign(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> Ca
     entropy_stage = stage_entropy(cfg, spectrum, manifest)
     fits = stage_fits(cfg, spectrum, width_rows, manifest)
     verdicts = _verdicts(cfg, entropy_stage)
-    targets = _eval_targets(cfg, fits)
+    targets = _eval_targets(cfg, fits, manifest)
     _write_width_rows(out, cfg, width_rows + entropy_stage.rows, manifest)
     _write_slopes(out, fits, targets, manifest)
     _write_report(out, cfg, targets, verdicts, entropy_stage, manifest)
@@ -681,7 +692,7 @@ def run_widths_only(cfg: ExperimentConfig, out_dir: str | Path | None = None) ->
 
 def run_greedy_only(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> DesignSet:
     out, manifest, kernel, _ = _setup(cfg, out_dir)
-    n_max = max(int(n) for n in cfg.get("widths", "n_grid"))
+    n_max = max(cfg.get("widths", "n_grid"))
     des = greedy_design(kernel, kernel.domain.grid(cfg.candidate_points, endpoint=True), n_max)
     _write_design(out / "designs" / f"design_{cfg.kernel_id}_greedy_n{n_max}.csv", des, manifest)
     if des.greedy_sup_path is not None:

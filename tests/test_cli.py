@@ -10,6 +10,7 @@ import pytest
 
 import widthlab as wl
 from widthlab.cli import main
+from widthlab.config import _validate
 from widthlab.errors import ChainViolationError, ConfigError
 from widthlab.runner import run_campaign, run_spectrum_only
 
@@ -87,9 +88,30 @@ class TestConfigParsing:
             assert cfg.config_hash()
 
     def test_roundtrip_dump(self):
-        cfg = wl.load_preset("bm_gap")
-        again = wl.parse_config(cfg.dump())
-        assert again.config_hash() == cfg.config_hash()
+        # the dump holds every resolved value, so it parses back to the same run;
+        # the last config sets no grid size and no domain
+        configs = [wl.load_preset(name) for name in sorted(wl.PRESETS)] + [wl.parse_config("[kernel]\nid = matern12\ndim = 2\n")]
+        for cfg in configs:
+            text = cfg.dump()
+            for key in ("domain", "points_per_axis", "eval_points_per_axis", "candidate_points_per_axis"):
+                assert f"\n{key} = " in text, (cfg.preset_name, key)
+            assert cfg.get("spectrum", "source") in ("analytic", "nystrom")
+            again = wl.parse_config(text)
+            assert again.values == cfg.values
+            assert again.config_hash() == cfg.config_hash()
+            # validation resolves once: a second pass, as after --seed or --out, changes nothing
+            _validate(again)
+            assert again.config_hash() == cfg.config_hash()
+
+    @pytest.mark.parametrize(
+        "explicit",
+        ["[spectrum]\nsource = analytic\n", "[widths]\ncandidate_points_per_axis = 4097\n", "domain = 0,1\n"],
+        ids=["auto_source", "candidate_points", "domain"],
+    )
+    def test_one_run_one_hash(self, explicit):
+        # a default left out and the same value written out describe one run
+        implicit = wl.parse_config("[kernel]\nid = brownian\n")
+        assert wl.parse_config("[kernel]\nid = brownian\n" + explicit).config_hash() == implicit.config_hash()
 
 
 # each of these passed validation once and then ended in a traceback
@@ -109,6 +131,9 @@ INVALID_FIELDS = {
     # repeats are compared by p label, so 2 and 2.0 collide
     "widths.p_values": lambda t: t.replace("p_values = 2,inf", "p_values = 2,inf,2.0"),
     "widths.strategies": lambda t: t.replace("strategies = uniform,greedy", "strategies = uniform,greedy,uniform"),
+    "widths.n_grid": lambda t: t.replace("n_grid = 2,4,8,16", "n_grid ="),
+    # the 1-d kernels used to pass validation here and end in exit 1
+    "kernel.dim": lambda t: t.replace("id = brownian", "id = brownian\ndim = 2").replace("source = analytic", "source = nystrom"),
 }
 
 
@@ -636,3 +661,46 @@ class TestGreedyAndEntropyCommands:
         assert main(["entropy", "--config", str(cfgfile)]) == 0
         scales = {ln.split(",")[0] for ln in (tmp_path / "out" / "widths.csv").read_text().splitlines()[1:]}
         assert {"I_Lp_upper", "d_L2", "e_diag_est"} <= scales
+
+    def test_other_configs_rows_dropped(self, tmp_path):
+        # entropy of one length scale after widths of another: the width rows
+        # used to be kept beside the new entropy rows, all labelled alike
+        text = (
+            "[kernel]\nid = matern32\nlength_scale = 0.2\n[quadrature]\npoints_per_axis = 200\n"
+            "[spectrum]\nn_eigs = 40\n[widths]\nn_grid = 2,4,8,16\ndense_n_max = 16\n"
+            f"eval_points_per_axis = 257\ncandidate_points_per_axis = 257\n[run]\nout_dir = {tmp_path / 'out'}\n"
+        )
+        first, second = tmp_path / "first.ini", tmp_path / "second.ini"
+        first.write_text(text)
+        second.write_text(text.replace("length_scale = 0.2", "length_scale = 0.5"))
+        assert main(["widths", "--config", str(first)]) == 0
+        n_first = len((tmp_path / "out" / "widths.csv").read_text().splitlines()) - 1
+        assert main(["entropy", "--config", str(second)]) == 0
+        rows = (tmp_path / "out" / "widths.csv").read_text().splitlines()[1:]
+        assert rows and {ln.split(",")[0] for ln in rows} == {"e_diag_est"}
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        stamp = tmp_path / "out" / "widths_config.txt"
+        assert stamp.read_text() == manifest["config_hash"] + "\n"
+        assert str(stamp) in manifest["files"]
+        first_hash = wl.parse_config(first.read_text()).config_hash()
+        assert [w for w in manifest["warnings"] if "dropped" in w] == [
+            f"{tmp_path / 'out' / 'widths.csv'}: dropped {n_first} rows of another config "
+            f"(hash {first_hash}, this config {manifest['config_hash']})"
+        ]
+
+
+def test_exploratory_target_without_its_fit_warns(tmp_path):
+    # two greedy n give no greedy sup-norm fit, so i_slope and gap_slope cannot be checked
+    text = wl.PRESETS["bm_gap"].replace("runs/bm_gap", str(tmp_path / "out")).replace("n_grid = 4,8,16,32,64", "n_grid = 4,8")
+    text = text.replace("[targets]", "[targets]\nexploratory = true")
+    text = text.replace("strategies = uniform,greedy", "strategies = uniform,greedy\neval_points_per_axis = 257\ncandidate_points_per_axis = 257")
+    text += "[quadrature]\npoints_per_axis = 200\n"
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(text)
+    assert main(["campaign", "--config", str(cfgfile)]) == 0
+    warned = json.loads((tmp_path / "out" / "manifest.json").read_text())["warnings"]
+    assert [w for w in warned if "exploratory" in w] == [
+        "exploratory target targets.i_slope skipped: this config does not produce its fit I-Linf[greedy]",
+        "exploratory target targets.gap_slope skipped: this config does not produce its fit gap_Linf",
+    ]
+    assert "targets.i_slope skipped" in (tmp_path / "out" / "report.txt").read_text()
