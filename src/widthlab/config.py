@@ -67,6 +67,9 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     },
 }
 
+# fields that do not change what a run computes
+_UNHASHED = {("run", "out_dir"), ("run", "workers")}
+
 # the grid sizes whose default depends on kernel.dim: (dim 1, dim 2)
 _DIM_DEFAULTS = {
     ("quadrature", "points_per_axis"): (2000, 64),
@@ -163,9 +166,17 @@ class ExperimentConfig:
         return min(self.get("widths", "dense_n_max"), self.get("spectrum", "n_eigs") - 1)
 
     def config_hash(self) -> str:
+        """Hash of the resolved values that decide the run's results.
+
+        `run.out_dir` (where the results go, however it is spelled) and
+        `run.workers` (ignored) are left out, so a directory reached by two
+        spellings, or a relative and an absolute path, keeps one hash.
+        """
         canon = []
         for section in sorted(self.values):
             for key in sorted(self.values[section]):
+                if (section, key) in _UNHASHED:
+                    continue
                 canon.append(f"{section}.{key}={self.values[section][key]!r}")
         return hashlib.sha256("\n".join(canon).encode()).hexdigest()[:16]
 

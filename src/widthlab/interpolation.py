@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import DegenerateDesignError
 from .kernels import Kernel, gram_matrix
@@ -57,20 +57,28 @@ def design(kernel: Kernel, points) -> DesignSet:
         return DesignSet(pts, kernel, None)
     if pts.shape[1] != kernel.dim:
         pts = pts.reshape(-1, kernel.dim)
-    K = gram_matrix(kernel, pts)  # validates distinctness and domain
-    jitter = 0.0
+    L, jitter = _cholesky(gram_matrix(kernel, pts))  # gram_matrix validates distinctness and domain
+    return DesignSet(pts, kernel, L, jitter=jitter)
+
+
+def _cholesky(K: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of a Gram matrix, and the ridge added to make it succeed (0.0 if none).
+
+    A failed factorization is retried once on K + jitter I, with jitter
+    JITTER_SCALE times the mean diagonal; a second failure raises
+    DegenerateDesignError.
+    """
     try:
-        L = np.linalg.cholesky(K)
+        return np.linalg.cholesky(K), 0.0
     except np.linalg.LinAlgError:
         # trace can vanish for boundary points of vanishing kernels; keep
         # the ridge strictly positive so the zero-information limit works
         scale = np.trace(K) / K.shape[0]
         jitter = JITTER_SCALE * (scale if scale > 0 else 1.0)
         try:
-            L = np.linalg.cholesky(K + jitter * np.eye(K.shape[0]))
+            return np.linalg.cholesky(K + jitter * np.eye(K.shape[0])), jitter
         except np.linalg.LinAlgError as exc:
             raise DegenerateDesignError("Gram matrix singular even after jitter") from exc
-    return DesignSet(pts, kernel, L, jitter=jitter)
 
 
 def power_values(des: DesignSet, points, diag: np.ndarray | None = None) -> np.ndarray:
@@ -83,14 +91,42 @@ def power_values(des: DesignSet, points, diag: np.ndarray | None = None) -> np.n
         diag = des.kernel.diag(pts)
     if des.size == 0:
         return np.sqrt(np.maximum(diag, 0.0))
-    return _power_from_cross(des, des.kernel.pairwise(des.points, pts), diag)
+    return _power_from_cross(des.chol, des.kernel.pairwise(des.points, pts), diag)
 
 
-def _power_from_cross(des: DesignSet, cross: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """Power function from the cross-kernel block k(x_i, y_j) of a nonempty design."""
-    S = solve_triangular(des.chol, cross, lower=True)
+def _power_from_cross(chol: np.ndarray, cross: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Power function from a design's Cholesky factor and its cross-kernel block k(x_i, y_j).
+
+    Non-finite cross-kernel values raise ValueError; the solve would turn
+    them into NaN power values. The factor is not scanned: it comes from a
+    Cholesky factorization that succeeded.
+    """
+    if not np.isfinite(cross).all():
+        raise ValueError("cross-kernel values must not contain infs or NaNs")
+    S = _solve_lower(chol, cross)
     p2 = diag - np.einsum("ij,ij->j", S, S)
     return np.sqrt(np.maximum(p2, 0.0))
+
+
+def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """L^{-1} B for a lower-triangular L, bit-identical to `scipy.linalg.solve_triangular(L, B, lower=True)`.
+
+    It makes solve_triangular's LAPACK `dtrtrs` call on the same branch: an
+    F-contiguous L (a 1 x 1 factor is both C- and F-contiguous) as it is, a
+    C-contiguous one as the transposed upper system. It skips the batch
+    wrapper and the finiteness scan, which `_power_from_cross` makes
+    itself. `dtrtrs` copies B into its Fortran-ordered result, a plain copy
+    when B is F-ordered.
+    """
+    if L.flags.f_contiguous:
+        X, info = dtrtrs(L, B, lower=1)
+    else:
+        X, info = dtrtrs(L.T, B, lower=0, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return X
 
 
 def greedy_design(kernel: Kernel, candidates, n: int) -> DesignSet:
@@ -235,11 +271,23 @@ def _coordinate_descent(
 ) -> tuple[DesignSet, float]:
     """Shrinking-bracket line search over each point coordinate in turn.
 
-    A trial moves one coordinate of one point, so it keeps the current
-    design's cross-kernel block k(x_i, targets) and re-evaluates only the
-    moved point's row. Every catalog kernel's `pairwise` is elementwise, so
-    that row is bit-identical to the one a full evaluation would give; for
-    a matrix-product kernel such as `power_kernel` it agrees to rounding.
+    A trial moves one coordinate of one point and computes the score that
+    `norm(power_values(design(kernel, cand), targets, diag))` would give,
+    bit for bit, without building either: `gram_matrix` (which checks that
+    every point lies in the domain to 1e-12 and that the points are pairwise
+    distinct to `_DUPLICATE_TOL`, and symmetrizes the kernel values),
+    `_cholesky` (the jitter rule of `design`) and `_power_from_cross` (which
+    rejects non-finite cross-kernel values, then solves and takes the
+    quadratic form). A duplicate pair, like a Gram matrix singular even
+    after jitter, scores inf; a point outside the domain raises DomainError.
+
+    The current design's cross-kernel block k(x_i, targets) is kept, in
+    Fortran order so that the solve copies it without a transposition, and
+    a trial re-evaluates only the moved point's row. Every catalog kernel's
+    `pairwise` is elementwise, so that row is bit-identical to the one a
+    full evaluation would give; for a matrix-product kernel such as
+    `power_kernel` it agrees to rounding. `design` builds the returned
+    design.
     """
     lo = np.asarray(kernel.domain.lo)
     hi = np.asarray(kernel.domain.hi)
@@ -249,12 +297,12 @@ def _coordinate_descent(
 
     def score(cand_pts: np.ndarray, cross: np.ndarray) -> float:
         try:
-            des = design(kernel, cand_pts)
+            L, _ = _cholesky(gram_matrix(kernel, cand_pts))
         except DegenerateDesignError:
             return math.inf
-        return norm(_power_from_cross(des, cross, diag))
+        return norm(_power_from_cross(L, cross, diag))
 
-    cross = kernel.pairwise(pts, targets)
+    cross = np.asfortranarray(kernel.pairwise(pts, targets))
     best = score(pts, cross)
     radius = span / max(2.0 * n ** (1.0 / kernel.dim), 4.0)
     steps = np.concatenate([-np.linspace(1.0, 1.0 / offsets, offsets // 2), np.linspace(1.0 / offsets, 1.0, offsets // 2)])
@@ -271,7 +319,7 @@ def _coordinate_descent(
                         continue
                     cand = pts.copy()
                     cand[i, ax] = t
-                    cand_cross = cross.copy()
+                    cand_cross = cross.copy(order="F")
                     cand_cross[i] = kernel.pairwise(cand[i : i + 1], targets)[0]
                     val = score(cand, cand_cross)
                     if val < best * (1.0 - 1e-9):

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DomainError
 
 _WEIGHT_SUM_TOL = 1e-12
+_DOMAIN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -38,10 +39,11 @@ class Box:
     def volume(self) -> float:
         return float(np.prod(np.asarray(self.hi) - np.asarray(self.lo)))
 
-    def contains(self, x: np.ndarray, tol: float = 1e-12) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
+        """Whether every row of x lies in the box, up to 1e-12 on each axis."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        lo = np.asarray(self.lo) - tol
-        hi = np.asarray(self.hi) + tol
+        lo = np.asarray(self.lo) - _DOMAIN_TOL
+        hi = np.asarray(self.hi) + _DOMAIN_TOL
         return bool(np.all((x >= lo) & (x <= hi)))
 
     def grid(self, points_per_axis: int, endpoint: bool = True) -> np.ndarray:

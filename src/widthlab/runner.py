@@ -29,6 +29,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import time
 import warnings
 import zipfile
@@ -37,6 +38,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
+import scipy
 
 from .version import __version__
 from .asymptotics import RateSeries, SlopeReport, Verdict, fit_loglog, gap_report
@@ -102,11 +104,26 @@ def _write_design(path: Path, des: DesignSet, manifest: RunManifest):
     write_csv(path, header, [",".join(fmt(c) for c in pt) for pt in des.points], manifest)
 
 
+def _environment() -> dict[str, object]:
+    """The Python version, and the version and BLAS of numpy and of scipy.
+
+    The two libraries may link different BLAS builds: the Cholesky
+    factorizations run in numpy's, the eigensolver and the triangular
+    solves in scipy's.
+    """
+    env: dict[str, object] = {"python": platform.python_version()}
+    for lib in (np, scipy):
+        blas = lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        env[lib.__name__] = {"version": lib.__version__, "blas": blas.get("name"), "blas_version": blas.get("version")}
+    return env
+
+
 @dataclass
 class RunManifest:
     config_hash: str
     version: str = __version__
     preset: str = ""
+    environment: dict[str, object] = field(default_factory=_environment)
     timings: dict[str, float] = field(default_factory=dict)
     cache: list[dict[str, str]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
@@ -123,6 +140,7 @@ class RunManifest:
                     "config_hash": self.config_hash,
                     "version": self.version,
                     "preset": self.preset,
+                    "environment": self.environment,
                     "timings": self.timings,
                     "cache_hits": sum(record["result"] == "hit" for record in self.cache),
                     "cache": self.cache,

@@ -72,8 +72,8 @@ def test_traced_widths_pass_counts_every_layer(tmp_path):
 
 
 def test_traced_multistart_pass_counts_designs(tmp_path):
-    # the descent scores its trials without power_values, but each trial
-    # still builds its design through interpolation.design
+    # the descent scores its trials without design or power_values, but its
+    # uniform and greedy starts and its result are built by interpolation.design
     config = CONFIG.replace("n_grid = 2,4,8,16", "n_grid = 2").replace("strategies = uniform,greedy", "strategies = multistart")
     counts = traced_counts(tmp_path, config)
     assert counts.get("interpolation.design_calls", 0) > 0

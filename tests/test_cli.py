@@ -50,6 +50,14 @@ def small_config(tmp_path, name="out"):
     return SMALL_CONFIG.replace("PLACEHOLDER", str(tmp_path / name))
 
 
+# a Nystrom config whose widths and entropy rows share one widths.csv
+MATERN_TEXT = (
+    "[kernel]\nid = matern32\nlength_scale = 0.2\n[quadrature]\npoints_per_axis = 200\n"
+    "[spectrum]\nn_eigs = 40\n[widths]\nn_grid = 2,4,8,16\ndense_n_max = 16\n"
+    "eval_points_per_axis = 257\ncandidate_points_per_axis = 257\n"
+)
+
+
 class TestConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="widths.colours"):
@@ -665,11 +673,7 @@ class TestGreedyAndEntropyCommands:
     def test_other_configs_rows_dropped(self, tmp_path):
         # entropy of one length scale after widths of another: the width rows
         # used to be kept beside the new entropy rows, all labelled alike
-        text = (
-            "[kernel]\nid = matern32\nlength_scale = 0.2\n[quadrature]\npoints_per_axis = 200\n"
-            "[spectrum]\nn_eigs = 40\n[widths]\nn_grid = 2,4,8,16\ndense_n_max = 16\n"
-            f"eval_points_per_axis = 257\ncandidate_points_per_axis = 257\n[run]\nout_dir = {tmp_path / 'out'}\n"
-        )
+        text = MATERN_TEXT + f"[run]\nout_dir = {tmp_path / 'out'}\n"
         first, second = tmp_path / "first.ini", tmp_path / "second.ini"
         first.write_text(text)
         second.write_text(text.replace("length_scale = 0.2", "length_scale = 0.5"))
@@ -687,6 +691,29 @@ class TestGreedyAndEntropyCommands:
             f"{tmp_path / 'out' / 'widths.csv'}: dropped {n_first} rows of another config "
             f"(hash {first_hash}, this config {manifest['config_hash']})"
         ]
+
+
+    @pytest.mark.parametrize("second", ["fo/out/", "{abs}"], ids=["trailing_slash", "absolute"])
+    def test_one_directory_two_spellings(self, tmp_path, monkeypatch, second):
+        # the hash leaves out run.out_dir, so the rows of one config sent to one
+        # directory under two spellings are all kept
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.ini").write_text(MATERN_TEXT)
+        assert main(["widths", "--config", "c.ini", "--out", "fo/out"]) == 0
+        n_widths = len((tmp_path / "fo" / "out" / "widths.csv").read_text().splitlines()) - 1
+        assert main(["entropy", "--config", "c.ini", "--out", second.format(abs=tmp_path / "fo" / "out")]) == 0
+        rows = (tmp_path / "fo" / "out" / "widths.csv").read_text().splitlines()[1:]
+        n_entropy = sum(ln.startswith("e_diag_est,") for ln in rows)
+        assert (n_widths, n_entropy, len(rows)) == (103, 14, 117)
+        manifest = json.loads((tmp_path / "fo" / "out" / "manifest.json").read_text())
+        assert not [w for w in manifest["warnings"] if "dropped" in w]
+
+    def test_hash_leaves_out_where_results_go(self):
+        cfg = wl.parse_config(MATERN_TEXT)
+        for key, value in (("out_dir", "elsewhere/"), ("workers", 4)):
+            other = wl.parse_config(MATERN_TEXT)
+            other.values["run"][key] = value
+            assert other.config_hash() == cfg.config_hash(), key
 
 
 def test_exploratory_target_without_its_fit_warns(tmp_path):

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 import widthlab as wl
 from widthlab.errors import DegenerateDesignError
+from widthlab.interpolation import _coordinate_descent, _lp_norm, _solve_lower
 
 
 INF = math.inf
@@ -166,16 +168,17 @@ class TestOptimize:
             wl.optimize_interpolation_width(bm_kernel, quad_2000, p, 4, strategy="uniform")
 
 
-def reference_multistart(kernel, quad, p, n, candidates, eval_grid, seed, restarts):
-    """Multistart search as it read before the descent reused cross-kernel rows.
+def reference_descent(kernel, quad, p, start, points, diag, offsets=8):
+    """Coordinate descent as it read before its trials reused cross-kernel rows and skipped `design`.
 
-    Every trial builds its design and evaluates the full power function.
+    Every trial builds its design and evaluates the full power function,
+    solving with scipy's `solve_triangular` rather than the library's own
+    triangular solve.
     """
-    points = eval_grid if p == INF else quad.nodes
-    diag = kernel.diag(points)
 
     def objective(des):
-        vals = wl.power_values(des, points, diag=diag)
+        S = solve_triangular(des.chol, kernel.pairwise(des.points, points), lower=True)
+        vals = np.sqrt(np.maximum(diag - np.einsum("ij,ij->j", S, S), 0.0))
         return float(vals.max()) if p == INF else float((quad.weights @ vals**p) ** (1.0 / p))
 
     def safe_objective(cand_pts):
@@ -184,41 +187,45 @@ def reference_multistart(kernel, quad, p, n, candidates, eval_grid, seed, restar
         except DegenerateDesignError:
             return math.inf
 
-    def descent(start, offsets=8):
-        lo, hi = np.asarray(kernel.domain.lo), np.asarray(kernel.domain.hi)
-        span = float((hi - lo).max())
-        pts = np.array(start, dtype=float, copy=True)
-        m = pts.shape[0]  # a 2d uniform start can hold fewer than n points
-        best = safe_objective(pts)
-        radius = span / max(2.0 * m ** (1.0 / kernel.dim), 4.0)
-        steps = np.concatenate([-np.linspace(1.0, 1.0 / offsets, offsets // 2), np.linspace(1.0 / offsets, 1.0, offsets // 2)])
-        sweeps = 0
-        while radius > 1e-6 * span and sweeps < 200:
-            sweeps += 1
-            improved = False
-            for i in range(m):
-                for ax in range(kernel.dim):
-                    base = pts[i, ax]
-                    for t in np.clip(base + radius * steps, lo[ax], hi[ax]):
-                        if t == base:
-                            continue
-                        cand = pts.copy()
-                        cand[i, ax] = t
-                        val = safe_objective(cand)
-                        if val < best * (1.0 - 1e-9):
-                            best, pts = val, cand
-                            improved = True
-            if not improved:
-                radius *= 0.5
-        return wl.design(kernel, pts), best
+    lo, hi = np.asarray(kernel.domain.lo), np.asarray(kernel.domain.hi)
+    span = float((hi - lo).max())
+    pts = np.array(start, dtype=float, copy=True)
+    m = pts.shape[0]  # a 2d uniform start can hold fewer than n points
+    best = safe_objective(pts)
+    radius = span / max(2.0 * m ** (1.0 / kernel.dim), 4.0)
+    steps = np.concatenate([-np.linspace(1.0, 1.0 / offsets, offsets // 2), np.linspace(1.0 / offsets, 1.0, offsets // 2)])
+    sweeps = 0
+    while radius > 1e-6 * span and sweeps < 200:
+        sweeps += 1
+        improved = False
+        for i in range(m):
+            for ax in range(kernel.dim):
+                base = pts[i, ax]
+                for t in np.clip(base + radius * steps, lo[ax], hi[ax]):
+                    if t == base:
+                        continue
+                    cand = pts.copy()
+                    cand[i, ax] = t
+                    val = safe_objective(cand)
+                    if val < best * (1.0 - 1e-9):
+                        best, pts = val, cand
+                        improved = True
+        if not improved:
+            radius *= 0.5
+    return wl.design(kernel, pts), best
 
+
+def reference_multistart(kernel, quad, p, n, candidates, eval_grid, seed, restarts):
+    """Multistart search over `reference_descent`."""
+    points = eval_grid if p == INF else quad.nodes
+    diag = kernel.diag(points)
     lo, hi = np.asarray(kernel.domain.lo), np.asarray(kernel.domain.hi)
     starts = [wl.uniform_design(kernel, n).points, wl.greedy_design(kernel, candidates, n).points]
     rng = np.random.default_rng(seed)
     starts += [lo + (hi - lo) * rng.random((n, kernel.dim)) for _ in range(restarts)]
     best_des, best_val = None, math.inf
     for start in starts:
-        des, val = descent(start)
+        des, val = reference_descent(kernel, quad, p, start, points, diag)
         if val < best_val:
             best_des, best_val = des, val
     return best_des, best_val
@@ -244,6 +251,65 @@ class TestMultistartReference:
                 ref_des, ref_val = reference_multistart(kernel, quad, p, n, candidates, eval_grid, seed=5, restarts=0)
                 assert np.array_equal(des.points, ref_des.points), (p, n)
                 assert val == ref_val, (p, n)
+
+    @pytest.mark.parametrize(
+        "kid,start",
+        [("matern32", [0.2, 0.5, 0.5, 0.8]), ("bridge", [0.0, 0.3, 0.6, 1.0])],
+        ids=["duplicate_pair", "bridge_boundary"],
+    )
+    @pytest.mark.parametrize("p", [2.0, INF])
+    def test_descent_equals_full_evaluation(self, kid, start, p):
+        # a start with a duplicate pair scores inf, so its trials check every
+        # point until one is accepted; the bridge kernel vanishes on the
+        # boundary, so the start and the trials that keep a boundary point
+        # factor only with jitter
+        kernel = wl.make_kernel(kid)
+        quad = wl.midpoint_rule(kernel.domain, 48)
+        points = kernel.domain.grid(65, endpoint=True) if p == INF else quad.nodes
+        diag = kernel.diag(points)
+        start = np.array(start)[:, None]
+        if kid == "bridge":
+            assert wl.design(kernel, start).jitter > 0
+        else:
+            with pytest.raises(DegenerateDesignError):
+                wl.design(kernel, start)
+        des, val = _coordinate_descent(kernel, start, points, diag, _lp_norm(quad, p))
+        ref_des, ref_val = reference_descent(kernel, quad, p, start, points, diag)
+        assert np.array_equal(des.points, ref_des.points)
+        assert val == ref_val
+        assert des.jitter == ref_des.jitter
+
+
+class TestSolveLower:
+    """`_solve_lower` makes the LAPACK call of `solve_triangular(L, B, lower=True)`, so it returns the same bits."""
+
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    @pytest.mark.parametrize("l_order", ["C", "F"])
+    @pytest.mark.parametrize("b_order", ["C", "F"])
+    def test_equals_solve_triangular(self, rng, n, l_order, b_order):
+        kernel = wl.make_kernel("matern32")
+        des = wl.design(kernel, np.sort(rng.random(n))[:, None])
+        L = np.array(des.chol, order=l_order)
+        B = np.array(kernel.pairwise(des.points, kernel.domain.grid(257)), order=b_order)
+        assert np.array_equal(_solve_lower(L, B), solve_triangular(L, B, lower=True))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_jittered_factor(self, bridge_kernel, order):
+        des = wl.design(bridge_kernel, [0.25, 0.5, 1.0])
+        assert des.jitter > 0
+        L = np.array(des.chol, order=order)
+        B = bridge_kernel.pairwise(des.points, bridge_kernel.domain.grid(257))
+        assert np.array_equal(_solve_lower(L, B), solve_triangular(L, B, lower=True))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_singular_factor_raises_alike(self, order):
+        L = np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.2, 0.3, 1.0]], order=order)
+        B = np.ones((3, 2))
+        with pytest.raises(np.linalg.LinAlgError) as ours:
+            _solve_lower(L, B)
+        with pytest.raises(np.linalg.LinAlgError) as theirs:
+            solve_triangular(L, B, lower=True)
+        assert str(ours.value) == str(theirs.value)
 
 
 class TestDesignSet:

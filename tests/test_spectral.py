@@ -1,6 +1,10 @@
 """Nystrom spectra against closed forms, tail sums, quadrature rules."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +73,26 @@ class TestNystrom:
         again = wl.nystrom_spectrum(bm_kernel, quad_2000, 200)
         np.testing.assert_array_equal(again.eigenvalues, bm_nystrom.eigenvalues)
         np.testing.assert_array_equal(again.eigvec_node_values, bm_nystrom.eigvec_node_values)
+
+    def test_eigensolver_memory(self):
+        # the eigensolver works in the matrix's own buffer: beside the n x n
+        # matrix only the dsyevd work array of about 2 n^2 doubles is left
+        # (5.2 n^2 when numpy's eigh copied the matrix and returned a new one)
+        n = 1536
+        code = (
+            "import resource, widthlab as wl\n"
+            "k = wl.make_kernel('matern32')\n"
+            "wl.nystrom_spectrum(k, wl.midpoint_rule(k.domain, 64), 8)\n"
+            f"quad = wl.midpoint_rule(k.domain, {n})\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "wl.nystrom_spectrum(k, quad, 200)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        )
+        src = str(Path(wl.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        growth = int(out.stdout) * (1 if sys.platform == "darwin" else 1024)  # ru_maxrss is in KiB on Linux
+        assert growth < 4 * n * n * 8
 
     def test_insufficient_resolution(self, bm_kernel):
         q = wl.midpoint_rule(bm_kernel.domain, 10)
