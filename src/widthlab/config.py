@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError
-from .kernels import CATALOG_IDS, ONE_DIM_IDS
+from .kernels import CATALOG_IDS, ONE_DIM_IDS, make_kernel
+from .quadrature import Box
 from .spectral import ANALYTIC_MAX_TERMS, has_analytic_spectrum
 
 # schema: section -> key -> (parser, default). kernel.id is required; a None
@@ -245,10 +249,28 @@ def _validate(cfg: ExperimentConfig):
     axes = cfg.get("kernel", "domain")
     if len(axes) != cfg.dim:
         raise ConfigError("field kernel.domain does not match kernel.dim")
+    # a non-finite bound makes its squared width non-finite too
+    if not math.isfinite(sum((hi - lo) * (hi - lo) for lo, hi in axes)):
+        raise ConfigError(f"field kernel.domain needs finite bounds whose squared widths sum to a finite value, got {axes}")
     if any(hi <= lo for lo, hi in axes):
         raise ConfigError(f"field kernel.domain needs lo < hi on every axis, got {axes}")
-    if not cfg.get("kernel", "length_scale") > 0:
+    ell = cfg.get("kernel", "length_scale")
+    if not ell > 0:
         raise ConfigError("field kernel.length_scale must be > 0")
+    # every value a catalog kernel forms on the box grows with the distance
+    # between its points (3 d2 and sqrt(3 d2) / ell for matern32) or with
+    # their coordinates (their cubes for brownian_int), so it is largest
+    # between two corners of the box; the Nystrom matrix and the trace
+    # integral weigh kernel values by quadrature weights summing to the volume
+    corners = np.array(list(itertools.product(*axes)))
+    box = Box(tuple(lo for lo, _ in axes), tuple(hi for _, hi in axes))
+    kernel = make_kernel(cfg.kernel_id, dim=cfg.dim, domain=box, length_scale=ell)
+    with np.errstate(all="ignore"):
+        corner_values = kernel.pairwise(corners, corners)
+        weighted = box.volume * np.abs(corner_values).max()
+    if not (np.isfinite(corner_values).all() and np.isfinite(weighted)):
+        scale = "" if cfg.kernel_id in ONE_DIM_IDS else f" with kernel.length_scale = {ell}"
+        raise ConfigError(f"field kernel.domain: kernel '{cfg.kernel_id}'{scale} overflows on the box {axes}")
     for section, key in _DIM_DEFAULTS:
         if cfg.get(section, key) < 1:
             raise ConfigError(f"field {section}.{key} must be >= 1, got {cfg.get(section, key)}")

@@ -22,10 +22,11 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
 from .errors import DegenerateDesignError
-from .kernels import Kernel, gram_matrix
+from .kernels import _DUPLICATE_TOL, Kernel, _has_duplicate, _sqdist, gram_matrix
 from .quadrature import QuadratureRule
 
 JITTER_SCALE = 1e-12
+_NONFINITE_CROSS = "cross-kernel values must not contain infs or NaNs"
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,14 @@ def _cholesky(K: np.ndarray) -> tuple[np.ndarray, float]:
             raise DegenerateDesignError("Gram matrix singular even after jitter") from exc
 
 
+def _cholesky_or_none(K: np.ndarray) -> np.ndarray | None:
+    """The factor `_cholesky` returns, or None for a Gram matrix singular even after jitter."""
+    try:
+        return _cholesky(K)[0]
+    except DegenerateDesignError:
+        return None
+
+
 def power_values(des: DesignSet, points, diag: np.ndarray | None = None) -> np.ndarray:
     """Power function on a batch of points (vectorized quadratic form).
 
@@ -102,7 +111,12 @@ def _power_from_cross(chol: np.ndarray, cross: np.ndarray, diag: np.ndarray) -> 
     Cholesky factorization that succeeded.
     """
     if not np.isfinite(cross).all():
-        raise ValueError("cross-kernel values must not contain infs or NaNs")
+        raise ValueError(_NONFINITE_CROSS)
+    return _power_from_finite(chol, cross, diag)
+
+
+def _power_from_finite(chol: np.ndarray, cross: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """The quadratic form P^2 = k(x, x) - |L^{-1} k_x|^2, clipped at 0, for a cross block known to be finite."""
     S = _solve_lower(chol, cross)
     p2 = diag - np.einsum("ij,ij->j", S, S)
     return np.sqrt(np.maximum(p2, 0.0))
@@ -148,19 +162,19 @@ def greedy_design(kernel: Kernel, candidates, n: int) -> DesignSet:
         return design(kernel, np.empty((0, kernel.dim)))
     p2 = np.maximum(kernel.diag(cand), 0.0)
     scale = float(p2.max())
-    V = np.zeros((cand.shape[0], 0))
+    V = np.empty((cand.shape[0], n))  # Newton basis, one column per chosen point
     chosen: list[int] = []
     sups: list[float] = []
-    for _ in range(n):
+    for k in range(n):
         i = int(np.argmax(p2))  # argmax returns the first maximizer
         if p2[i] <= 1e-15 * max(scale, 1.0):
             break  # candidate set numerically exhausted
         sups.append(math.sqrt(p2[i]))
         col = kernel.pairwise(cand, cand[i : i + 1])[:, 0]
-        if V.shape[1]:
-            col = col - V @ V[i, :]
+        if k:
+            col = col - V[:, :k] @ V[i, :k]
         col = col / math.sqrt(p2[i])
-        V = np.hstack([V, col[:, None]])
+        V[:, k] = col
         p2 = np.maximum(p2 - col**2, 0.0)
         chosen.append(i)
     des = design(kernel, cand[chosen])
@@ -271,23 +285,49 @@ def _coordinate_descent(
 ) -> tuple[DesignSet, float]:
     """Shrinking-bracket line search over each point coordinate in turn.
 
-    A trial moves one coordinate of one point and computes the score that
-    `norm(power_values(design(kernel, cand), targets, diag))` would give,
-    bit for bit, without building either: `gram_matrix` (which checks that
-    every point lies in the domain to 1e-12 and that the points are pairwise
-    distinct to `_DUPLICATE_TOL`, and symmetrizes the kernel values),
-    `_cholesky` (the jitter rule of `design`) and `_power_from_cross` (which
-    rejects non-finite cross-kernel values, then solves and takes the
-    quadratic form). A duplicate pair, like a Gram matrix singular even
-    after jitter, scores inf; a point outside the domain raises DomainError.
+    A trial moves one coordinate of one point, and its score is the value
+    `norm(power_values(design(kernel, cand), targets, diag))` would give, bit
+    for bit, without building either. A coordinate (point i, axis ax)
+    scores all its trial positions as one batch, then replays the accept
+    rule `val < best * (1 - 1e-9)` over them in trial order. Every trial of
+    a coordinate keeps the other points, so its design does not depend on
+    which earlier trial was accepted.
 
-    The current design's cross-kernel block k(x_i, targets) is kept, in
-    Fortran order so that the solve copies it without a transposition, and
-    a trial re-evaluates only the moved point's row. Every catalog kernel's
-    `pairwise` is elementwise, so that row is bit-identical to the one a
-    full evaluation would give; for a matrix-product kernel such as
-    `power_kernel` it agrees to rounding. `design` builds the returned
-    design.
+    What a coordinate computes, for its T trials:
+    - one `pairwise` call for the T new cross-kernel rows k(x_i, targets),
+      and one for the T new Gram rows, whose self entries come from the
+      same call, evaluated against the new points themselves;
+    - the squared distances of the new points to the other n - 1 points.
+      The other points among themselves are checked once per point i;
+    - per trial, the current Gram matrix with row and column i replaced,
+      factored by `_cholesky`, the jitter rule of `design`;
+    - per trial, in the order of the checks of `design` and
+      `_power_from_cross`: a duplicate pair (distance within
+      `_DUPLICATE_TOL`) scores inf; a Gram matrix singular even after
+      jitter scores inf; a non-finite cross-kernel block raises
+      ValueError; else the triangular solve and the quadratic form of
+      `_power_from_finite`, on the current cross block with row i replaced.
+
+    Why each check of `gram_matrix` still holds:
+    - Every catalog kernel's `pairwise` is elementwise and exactly
+      symmetric, so each new row and each entry of the kept Gram matrix is
+      bit-identical to a full evaluation, and `0.5 * (K + K.T)` is an exact
+      no-op; for a matrix-product kernel such as `power_kernel` the scores
+      agree to rounding.
+    - `_sqdist` is elementwise too, so the distinctness test sees the
+      same numbers as the full one.
+    - The start runs the full `gram_matrix` check, so a start outside the
+      domain raises DomainError. A trial clips its moved coordinate into
+      the box and keeps every other coordinate of a design that passed, so
+      the domain check holds by construction and is not re-run.
+
+    A trial whose whole point array was already scored in this descent,
+    the start included, is skipped: it can never be accepted, because best
+    never increases. If it was rejected, its value v satisfied
+    v >= best_then * (1 - 1e-9) >= best_now * (1 - 1e-9); if it was
+    accepted, best_now <= v, and v < v * (1 - 1e-9) is false for v >= 0.
+    Skipping it changes no accept decision and no returned bit. `design`
+    builds the returned design.
     """
     lo = np.asarray(kernel.domain.lo)
     hi = np.asarray(kernel.domain.hi)
@@ -295,15 +335,18 @@ def _coordinate_descent(
     pts = np.array(points, dtype=float, copy=True)
     n = pts.shape[0]
 
-    def score(cand_pts: np.ndarray, cross: np.ndarray) -> float:
-        try:
-            L, _ = _cholesky(gram_matrix(kernel, cand_pts))
-        except DegenerateDesignError:
-            return math.inf
-        return norm(_power_from_cross(L, cross, diag))
-
+    # the current design's cross-kernel block, in Fortran order so that the
+    # solve copies it without a transposition; a trial writes its row i
     cross = np.asfortranarray(kernel.pairwise(pts, targets))
-    best = score(pts, cross)
+    row_finite = np.isfinite(cross).all(axis=1)
+    try:
+        K = gram_matrix(kernel, pts)
+    except DegenerateDesignError:  # a duplicate pair scores inf; its trials still need the Gram entries
+        K, L = kernel.pairwise(pts, pts), None
+    else:
+        L = _cholesky_or_none(K)
+    best = math.inf if L is None else norm(_power_from_cross(L, cross, diag))
+    seen = {pts.tobytes()}
     radius = span / max(2.0 * n ** (1.0 / kernel.dim), 4.0)
     steps = np.concatenate([-np.linspace(1.0, 1.0 / offsets, offsets // 2), np.linspace(1.0 / offsets, 1.0, offsets // 2)])
     sweeps = 0
@@ -311,20 +354,54 @@ def _coordinate_descent(
         sweeps += 1
         improved = False
         for i in range(n):
+            others = np.delete(pts, i, axis=0)
+            others_distinct = not _has_duplicate(others)
+            others_finite = bool(np.delete(row_finite, i).all())
             for ax in range(kernel.dim):
                 base = pts[i, ax]
-                trials = np.clip(base + radius * steps, lo[ax], hi[ax])
-                for t in trials:
-                    if t == base:
+                trials = []
+                for t in np.clip(base + radius * steps, lo[ax], hi[ax]):
+                    pts[i, ax] = t
+                    key = pts.tobytes()
+                    if t != base and key not in seen:
+                        seen.add(key)
+                        trials.append(t)
+                pts[i, ax] = base
+                if not trials:
+                    continue
+                new = np.repeat(pts[i : i + 1], len(trials), axis=0)
+                new[:, ax] = trials
+                rows = kernel.pairwise(new, targets)
+                finite = np.isfinite(rows).all(axis=1)
+                gram_rows = kernel.pairwise(new, np.concatenate([pts, new]))
+                g = gram_rows[:, :n]
+                g[:, i] = np.diagonal(gram_rows[:, n:])
+                ok = others_distinct & (_sqdist(new, others).min(axis=1, initial=np.inf) > _DUPLICATE_TOL**2)
+                vals = [math.inf] * len(trials)
+                saved = cross[i].copy()
+                for j in np.flatnonzero(ok):
+                    Kj = K.copy()
+                    Kj[i, :] = Kj[:, i] = g[j]
+                    L = _cholesky_or_none(Kj)
+                    if L is None:
                         continue
-                    cand = pts.copy()
-                    cand[i, ax] = t
-                    cand_cross = cross.copy(order="F")
-                    cand_cross[i] = kernel.pairwise(cand[i : i + 1], targets)[0]
-                    val = score(cand, cand_cross)
+                    if not (others_finite and finite[j]):
+                        raise ValueError(_NONFINITE_CROSS)
+                    cross[i] = rows[j]
+                    vals[j] = norm(_power_from_finite(L, cross, diag))
+                accepted = None
+                for j, val in enumerate(vals):
                     if val < best * (1.0 - 1e-9):
-                        best, pts, cross = val, cand, cand_cross
-                        improved = True
+                        best, accepted = val, j
+                if accepted is None:
+                    cross[i] = saved
+                    continue
+                pts[i, ax] = trials[accepted]
+                cross[i] = rows[accepted]
+                row_finite[i] = finite[accepted]
+                K[i, :] = g[accepted]
+                K[:, i] = g[accepted]
+                improved = True
         if not improved:
             radius *= 0.5
     return design(kernel, pts), best

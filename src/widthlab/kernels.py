@@ -73,13 +73,19 @@ def gram_matrix(kernel: Kernel, points) -> np.ndarray:
     pts = _as_points(points, kernel.dim)
     if not kernel.domain.contains(pts):
         raise DomainError("design point outside the kernel domain")
-    if pts.shape[0] > 1:
-        d2 = _sqdist(pts, pts)
-        np.fill_diagonal(d2, np.inf)
-        if d2.min() <= _DUPLICATE_TOL**2:
-            raise DegenerateDesignError("duplicate points in design")
+    if _has_duplicate(pts):
+        raise DegenerateDesignError("duplicate points in design")
     K = kernel.pairwise(pts, pts)
     return 0.5 * (K + K.T)
+
+
+def _has_duplicate(pts: np.ndarray) -> bool:
+    """Whether two rows of pts lie within `_DUPLICATE_TOL` of each other."""
+    if pts.shape[0] < 2:
+        return False
+    d2 = _sqdist(pts, pts)
+    np.fill_diagonal(d2, np.inf)
+    return bool(d2.min() <= _DUPLICATE_TOL**2)
 
 
 def trace_integral(kernel: Kernel, quad: QuadratureRule) -> float:

@@ -1,17 +1,25 @@
 """Power function, greedy designs, width objectives."""
 
+import csv
+import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
 import widthlab as wl
+import widthlab.interpolation as interpolation
+from widthlab import runner
+from widthlab.config import p_label
 from widthlab.errors import DegenerateDesignError
 from widthlab.interpolation import _coordinate_descent, _lp_norm, _solve_lower
 
 
 INF = math.inf
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestPowerFunction:
@@ -93,6 +101,31 @@ class TestGreedyDesign:
         d1 = wl.greedy_design(bridge_kernel, cand, 10)
         d2 = wl.greedy_design(bridge_kernel, cand, 10)
         np.testing.assert_array_equal(d1.points, d2.points)
+
+    @pytest.mark.parametrize("kid,dim", [(kid, 1) for kid in wl.CATALOG_IDS] + [("matern32", 2), ("gaussian", 2)])
+    def test_equals_hstack_reference(self, kid, dim):
+        # the Newton basis grown by np.hstack on every step, as greedy_design once did
+        kernel = wl.make_kernel(kid, dim=dim)
+        cand = kernel.domain.grid({1: 1025, 2: 33}[dim], endpoint=True)
+        p2 = np.maximum(kernel.diag(cand), 0.0)
+        scale = float(p2.max())
+        V = np.zeros((cand.shape[0], 0))
+        chosen, sups = [], []
+        for _ in range(24):
+            i = int(np.argmax(p2))
+            if p2[i] <= 1e-15 * max(scale, 1.0):
+                break
+            sups.append(math.sqrt(p2[i]))
+            col = kernel.pairwise(cand, cand[i : i + 1])[:, 0]
+            if V.shape[1]:
+                col = col - V @ V[i, :]
+            col = col / math.sqrt(p2[i])
+            V = np.hstack([V, col[:, None]])
+            p2 = np.maximum(p2 - col**2, 0.0)
+            chosen.append(i)
+        des = wl.greedy_design(kernel, cand, 24)
+        assert np.array_equal(des.points, cand[chosen])
+        assert np.array_equal(des.greedy_sup_path, np.asarray(sups))
 
 
 class TestInterpolationWidth:
@@ -278,6 +311,162 @@ class TestMultistartReference:
         assert np.array_equal(des.points, ref_des.points)
         assert val == ref_val
         assert des.jitter == ref_des.jitter
+
+
+def patched_kernel(base, patch):
+    """`base` with its pairwise values edited in place by `patch(out, s, t)`, s and t the broadcast 1d coordinates."""
+
+    def pairwise(a, b):
+        out = base.pairwise(a, b)
+        patch(out, a[:, :1], b[:, 0][None, :])
+        return out
+
+    return dataclasses.replace(base, name=f"patched-{base.name}", pairwise=pairwise)
+
+
+def descent_and_reference(kernel, start, p):
+    """`_coordinate_descent` and `reference_descent` from one 1d start, on a 48-node midpoint rule."""
+    quad = wl.midpoint_rule(kernel.domain, 48)
+    points = kernel.domain.grid(65, endpoint=True) if p == INF else quad.nodes
+    diag = kernel.diag(points)
+    start = np.array(start)[:, None]
+    ours = _coordinate_descent(kernel, start, points, diag, _lp_norm(quad, p))
+    return ours, reference_descent(kernel, quad, p, start, points, diag)
+
+
+class TestDescentBatch:
+    """Each path of a coordinate's batch scoring gives the reference descent's result."""
+
+    @staticmethod
+    def assert_same(ours, ref):
+        (des, val), (ref_des, ref_val) = ours, ref
+        assert np.array_equal(des.points, ref_des.points)
+        assert val == ref_val
+        assert des.jitter == ref_des.jitter
+
+    @pytest.mark.parametrize("p", [2.0, INF])
+    def test_one_trial_factors_only_with_jitter(self, monkeypatch, p):
+        # the first point's trials clip onto 0, where the bridge kernel
+        # vanishes: that trial factors only with jitter, the others cleanly
+        kernel = wl.make_kernel("bridge")
+        assert wl.design(kernel, [0.0, 0.4, 0.7]).jitter > 0
+        assert wl.design(kernel, [0.05 - 0.25 / 6, 0.4, 0.7]).jitter == 0.0
+        jitters = []
+        cholesky = interpolation._cholesky
+
+        def traced(K):
+            L, jitter = cholesky(K)
+            jitters.append(jitter)
+            return L, jitter
+
+        monkeypatch.setattr(interpolation, "_cholesky", traced)
+        ours, ref = descent_and_reference(kernel, [0.05, 0.4, 0.7], p)
+        assert 0.0 in jitters and any(j > 0 for j in jitters)
+        self.assert_same(ours, ref)
+
+    @pytest.mark.parametrize("p", [2.0, INF])
+    def test_trial_on_another_design_point(self, monkeypatch, p):
+        # with radius 1/8 the first trial of the second point, 0.25 - 0.125,
+        # lands on the first point: it scores inf without a solve, though
+        # its Gram matrix factors with jitter
+        kernel = wl.make_kernel("matern32")
+        assert 0.25 - 0.125 * 1.0 == 0.125
+        dup = np.array([[0.125], [0.125], [0.5], [0.75]])
+        assert interpolation._cholesky(kernel.pairwise(dup, dup))[1] > 0
+        solved = []
+        solve = interpolation._solve_lower
+        monkeypatch.setattr(interpolation, "_solve_lower", lambda L, B: solved.append(B.copy()) or solve(L, B))
+        self.assert_same(*descent_and_reference(kernel, [0.125, 0.25, 0.5, 0.75], p))
+        # a cross-kernel block with two equal rows belongs to a design with a duplicate pair
+        assert solved and all(len(np.unique(B, axis=0)) == len(B) for B in solved)
+
+    @pytest.mark.parametrize("p", [2.0, INF])
+    def test_clipped_duplicate_trials(self, p):
+        # radius 1/6: three trials of the first point clip onto 0, three of the last onto 1
+        kernel = wl.make_kernel("matern32")
+        assert np.count_nonzero(0.05 + np.array([-1.0, -0.75, -0.5]) / 6 < 0.0) == 3
+        self.assert_same(*descent_and_reference(kernel, [0.05, 0.5, 0.95], p))
+
+    def test_nonfinite_cross_row_of_a_degenerate_trial(self):
+        # a point at 0 has NaN kernel values against every other point and
+        # k(0, 0) = -1: the trials clipped onto 0 have a NaN cross row, but
+        # their Cholesky fails even after jitter, so they score inf and raise nothing
+        def patch(out, s, t):
+            out[(s == 0.0) | (t == 0.0)] = np.nan
+            out[(s == 0.0) & (t == 0.0)] = -1.0
+
+        kernel = patched_kernel(wl.make_kernel("matern32"), patch)
+        quad = wl.midpoint_rule(kernel.domain, 48)
+        assert not np.isfinite(kernel.pairwise(np.zeros((1, 1)), quad.nodes)).any()
+        with pytest.raises(DegenerateDesignError):
+            wl.design(kernel, [0.0, 0.5, 0.95])
+        self.assert_same(*descent_and_reference(kernel, [0.05, 0.5, 0.95], 2.0))
+
+    def test_nonfinite_cross_row_raises(self):
+        # a point moved past 0.9 has a NaN kernel value at the first
+        # quadrature node but a finite Gram row: that trial's Cholesky
+        # succeeds and it raises, as the reference's solve does
+        y0 = wl.midpoint_rule(wl.make_kernel("matern32").domain, 48).nodes[0, 0]
+
+        def patch(out, s, t):
+            out[((s > 0.9) & (t == y0)) | ((t > 0.9) & (s == y0))] = np.nan
+
+        kernel = patched_kernel(wl.make_kernel("matern32"), patch)
+        assert wl.design(kernel, [0.2, 0.5, 0.8 + 0.75 / 6]).jitter == 0.0
+        quad = wl.midpoint_rule(kernel.domain, 48)
+        start = np.array([[0.2], [0.5], [0.8]])
+        diag = kernel.diag(quad.nodes)
+        with pytest.raises(ValueError, match="cross-kernel values"):
+            _coordinate_descent(kernel, start, quad.nodes, diag, _lp_norm(quad, 2.0))
+        with pytest.raises(ValueError):  # from the finiteness check of the reference's solve
+            reference_descent(kernel, quad, 2.0, start, quad.nodes, diag)
+
+    def test_no_design_solved_twice(self, monkeypatch):
+        # the reference scores some designs more than once; the descent solves each once
+        kernel = wl.make_kernel("matern32")
+        scored = []
+        design = wl.design
+        monkeypatch.setattr(wl, "design", lambda k, pts: scored.append(np.asarray(pts).tobytes()) or design(k, pts))
+        solved = []
+        solve = interpolation._solve_lower
+        monkeypatch.setattr(interpolation, "_solve_lower", lambda L, B: solved.append(B.tobytes()) or solve(L, B))
+        ours, ref = descent_and_reference(kernel, [0.05, 0.5, 0.95], 2.0)
+        self.assert_same(ours, ref)
+        assert len(set(scored)) < len(scored)
+        assert len(set(solved)) == len(solved) > 0
+
+
+def test_design_search_multistart_matches_goldens():
+    # the multistart cells of the design_search benchmark, at the goldens'
+    # seed, against their golden values: a descent that drifts by one ulp fails
+    spec = importlib.util.spec_from_file_location("workload_pass", ROOT / "benchmarks" / "workload_pass.py")
+    workload_pass = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workload_pass)
+    cfg = wl.parse_config(workload_pass.config_text("design_search", workload_pass.DEFAULT_SEED))
+    with open(ROOT / "benchmarks" / "goldens" / "design_search" / "widths.csv", newline="") as f:
+        golden = {(row["n"], row["p"]): row["value"] for row in csv.DictReader(f) if row["method"] == "multistart"}
+    kernel = runner.kernel_from_config(cfg)
+    quad = runner.quad_from_config(cfg, kernel)
+    # the grids and arguments of runner.stage_widths and runner._multistart_cell
+    eval_grid = kernel.domain.grid(cfg.eval_points, endpoint=True)
+    candidates = kernel.domain.grid(cfg.candidate_points, endpoint=True)
+    values = {}
+    for p in cfg.get("widths", "p_values"):
+        for n in cfg.get("widths", "n_grid"):
+            _, val = wl.optimize_interpolation_width(
+                kernel,
+                quad,
+                p,
+                n,
+                strategy="multistart",
+                candidates=candidates,
+                eval_grid=eval_grid,
+                seed=cfg.get("run", "seed"),
+                restarts=runner._MULTISTART_RESTARTS,
+            )
+            values[(str(n), p_label(p))] = runner.fmt(val)
+    assert len(golden) == 2
+    assert values == golden
 
 
 class TestSolveLower:
