@@ -67,7 +67,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     "run": {
         "seed": ("int", 0),
         "out_dir": ("str", "runs/out"),
-        "workers": ("int", 1),  # ignored; width cells run serially
+        "workers": ("int", 1),  # ignored; multistart descents use up to one process per CPU
     },
 }
 
@@ -254,6 +254,12 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(f"field kernel.domain needs finite bounds whose squared widths sum to a finite value, got {axes}")
     if any(hi <= lo for lo, hi in axes):
         raise ConfigError(f"field kernel.domain needs lo < hi on every axis, got {axes}")
+    # the 1-d kernels have a negative diagonal off these boxes: s - s^2 for
+    # bridge outside [0, 1], s and s^3 / 3 for brownian and brownian_int below 0
+    lo, hi = axes[0]
+    if (cfg.kernel_id == "bridge" and not 0.0 <= lo < hi <= 1.0) or (cfg.kernel_id in ("brownian", "brownian_int") and lo < 0.0):
+        box = "inside [0, 1]" if cfg.kernel_id == "bridge" else "with lo >= 0"
+        raise ConfigError(f"field kernel.domain: kernel '{cfg.kernel_id}' is a covariance only on a box {box}, got {axes}")
     ell = cfg.get("kernel", "length_scale")
     if not ell > 0:
         raise ConfigError("field kernel.length_scale must be > 0")

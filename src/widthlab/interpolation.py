@@ -15,6 +15,7 @@ greedy selection, and coordinate-descent refinement.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -22,7 +23,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
 from .errors import DegenerateDesignError
-from .kernels import _DUPLICATE_TOL, Kernel, _has_duplicate, _sqdist, gram_matrix
+from .kernels import _DUPLICATE_TOL, _NONFINITE_GRAM, Kernel, _has_duplicate, _sqdist, gram_matrix
 from .quadrature import QuadratureRule
 
 JITTER_SCALE = 1e-12
@@ -248,6 +249,16 @@ def optimize_interpolation_width(
     Strategies: "uniform" (fixed grid), "greedy" (power-function greedy
     on the candidate grid), "multistart" (coordinate-descent refinement
     from the uniform and greedy designs plus seeded random starts).
+
+    The multistart descents are independent, so they run on one forked
+    process per CPU, at most one per start. They run here one after
+    another with one CPU, without the `fork` start method, in a pool
+    worker (which may not start processes), or in a process that runs
+    more than one thread (see `_single_threaded`). Either way
+    each returns its points and value, the best is kept in start order
+    (the first of equal values wins), and `design` rebuilds it, so the
+    result is the same bit for bit. An error in a descent reaches the
+    caller with its type and message.
     """
     norm = _lp_norm(quad, p)
     if n < 1:
@@ -272,12 +283,54 @@ def optimize_interpolation_width(
     hi = np.asarray(kernel.domain.hi)
     for _ in range(restarts):
         starts.append(lo + (hi - lo) * rng.random((n, kernel.dim)))
-    best_des, best_val = None, math.inf
-    for pts in starts:
-        des, val = _coordinate_descent(kernel, pts, targets, diag, norm)
+
+    def descend(start: np.ndarray) -> tuple[np.ndarray, float]:
+        des, val = _coordinate_descent(kernel, start, targets, diag, norm)
+        return des.points, val
+
+    import multiprocessing  # here, so that importing the package does not pay for it
+
+    procs = min(len(starts), len(os.sched_getaffinity(0)))
+    forkable = "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon
+    if procs > 1 and forkable and _single_threaded():
+        # the kernel's closures cannot be pickled: `descend` reaches the
+        # workers by fork, through the initializer's arguments
+        with multiprocessing.get_context("fork").Pool(procs, _inherit, (descend,)) as pool:
+            results = pool.map(_call_inherited, starts)
+    else:
+        results = map(descend, starts)
+    best_pts, best_val = None, math.inf
+    for pts, val in results:
         if val < best_val:
-            best_des, best_val = des, val
-    return best_des, best_val
+            best_pts, best_val = pts, val
+    return design(kernel, best_pts), best_val
+
+
+def _single_threaded() -> bool:
+    """Whether this process runs one thread, native threads such as a BLAS pool's included (read on Linux; False elsewhere).
+
+    A forked child holds only the thread that forked, so a lock another
+    thread held stays locked in it. And each worker starts a BLAS pool of
+    its own: on a 2-CPU x86-64 machine with OpenBLAS on two threads, two
+    workers took 2.5-4.8 s per descent that took 0.06 s in one process.
+    """
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+_inherited: Callable | None = None  # set in a forked pool worker only
+
+
+def _inherit(fn: Callable):
+    """Pool initializer: keep the function the worker inherited by fork."""
+    global _inherited
+    _inherited = fn
+
+
+def _call_inherited(arg):
+    return _inherited(arg)
 
 
 def _coordinate_descent(
@@ -303,10 +356,13 @@ def _coordinate_descent(
       factored by `_cholesky`, the jitter rule of `design`;
     - per trial, in the order of the checks of `design` and
       `_power_from_cross`: a duplicate pair (distance within
-      `_DUPLICATE_TOL`) scores inf; a Gram matrix singular even after
-      jitter scores inf; a non-finite cross-kernel block raises
-      ValueError; else the triangular solve and the quadratic form of
-      `_power_from_finite`, on the current cross block with row i replaced.
+      `_DUPLICATE_TOL`) scores inf; a non-finite Gram matrix raises
+      ValueError; a Gram matrix singular even after jitter scores inf; a
+      non-finite cross-kernel block raises ValueError; else the triangular
+      solve and the quadratic form of `_power_from_finite`, on the current
+      cross block with row i replaced. The finiteness of the new rows is
+      scanned once per coordinate, that of the other points' rows once per
+      point i.
 
     Why each check of `gram_matrix` still holds:
     - Every catalog kernel's `pairwise` is elementwise and exactly
@@ -357,6 +413,7 @@ def _coordinate_descent(
             others = np.delete(pts, i, axis=0)
             others_distinct = not _has_duplicate(others)
             others_finite = bool(np.delete(row_finite, i).all())
+            others_gram_finite = bool(np.isfinite(np.delete(np.delete(K, i, axis=0), i, axis=1)).all())
             for ax in range(kernel.dim):
                 base = pts[i, ax]
                 trials = []
@@ -376,10 +433,13 @@ def _coordinate_descent(
                 gram_rows = kernel.pairwise(new, np.concatenate([pts, new]))
                 g = gram_rows[:, :n]
                 g[:, i] = np.diagonal(gram_rows[:, n:])
+                gram_finite = np.isfinite(g).all(axis=1)
                 ok = others_distinct & (_sqdist(new, others).min(axis=1, initial=np.inf) > _DUPLICATE_TOL**2)
                 vals = [math.inf] * len(trials)
                 saved = cross[i].copy()
                 for j in np.flatnonzero(ok):
+                    if not (others_gram_finite and gram_finite[j]):
+                        raise ValueError(_NONFINITE_GRAM)
                     Kj = K.copy()
                     Kj[i, :] = Kj[:, i] = g[j]
                     L = _cholesky_or_none(Kj)

@@ -19,6 +19,7 @@ from .errors import ConfigError, DegenerateDesignError, DomainError
 from .quadrature import Box, QuadratureRule, unit_interval
 
 _DUPLICATE_TOL = 1e-14
+_NONFINITE_GRAM = "Gram matrix values must not contain infs or NaNs"
 
 
 @dataclass(frozen=True)
@@ -69,14 +70,21 @@ def eval_kernel(kernel: Kernel, x, x2) -> float:
 
 
 def gram_matrix(kernel: Kernel, points) -> np.ndarray:
-    """Gram matrix K[i, j] = k(x_i, x_j) for pairwise distinct points."""
+    """Gram matrix K[i, j] = k(x_i, x_j) for pairwise distinct points.
+
+    A non-finite entry raises ValueError: a Cholesky factorization does
+    not reject NaN, it returns a NaN factor.
+    """
     pts = _as_points(points, kernel.dim)
     if not kernel.domain.contains(pts):
         raise DomainError("design point outside the kernel domain")
     if _has_duplicate(pts):
         raise DegenerateDesignError("duplicate points in design")
     K = kernel.pairwise(pts, pts)
-    return 0.5 * (K + K.T)
+    K = 0.5 * (K + K.T)
+    if not np.isfinite(K).all():
+        raise ValueError(_NONFINITE_GRAM)
+    return K
 
 
 def _has_duplicate(pts: np.ndarray) -> bool:

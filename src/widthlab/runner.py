@@ -18,8 +18,10 @@ A `design_<key>.npz` holds the points and value of one multistart cell,
 keyed by p (17 digits), n, the seed, the number of random restarts and the
 candidate and evaluation points per axis. An entry that cannot be read is
 recomputed and overwritten, with a manifest warning; `manifest.cache`
-records every lookup. Width cells run serially, so outputs are
-byte-deterministic for a fixed config and seed.
+records every lookup. Width cells run one after another; a multistart
+cell's descents may run in parallel processes, but their results are
+reduced in start order, so outputs are byte-deterministic for a fixed config
+and seed.
 """
 
 from __future__ import annotations
@@ -105,13 +107,13 @@ def _write_design(path: Path, des: DesignSet, manifest: RunManifest):
 
 
 def _environment() -> dict[str, object]:
-    """The Python version, and the version and BLAS of numpy and of scipy.
+    """The Python version, the CPUs this process may run on, and the version and BLAS of numpy and of scipy.
 
-    The two libraries may link different BLAS builds: the Cholesky
-    factorizations run in numpy's, the eigensolver and the triangular
-    solves in scipy's.
+    A multistart cell runs its descents on up to `cpus` processes. The two
+    libraries may link different BLAS builds: the Cholesky factorizations
+    run in numpy's, the eigensolver and the triangular solves in scipy's.
     """
-    env: dict[str, object] = {"python": platform.python_version()}
+    env: dict[str, object] = {"python": platform.python_version(), "cpus": len(os.sched_getaffinity(0))}
     for lib in (np, scipy):
         blas = lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
         env[lib.__name__] = {"version": lib.__version__, "blas": blas.get("name"), "blas_version": blas.get("version")}
@@ -349,7 +351,7 @@ def stage_widths(
         rows.append(WidthRow("I_Lp_upper", 0, KIND_UPPER, v0, "empty", p_label(p)))
 
     if cfg.get("run", "workers") > 1:
-        manifest.warn(f"run.workers = {cfg.get('run', 'workers')} ignored: width cells run serially")
+        manifest.warn(f"run.workers = {cfg.get('run', 'workers')} ignored: a multistart cell runs its descents on up to one process per CPU")
     # widths.csv keeps its rows in (strategy, p label, n) order
     cells = sorted(itertools.product(strategies, p_values, n_grid), key=lambda c: (c[0], p_label(c[1]), c[2]))
     with _Timer(manifest, "widths.interpolation"):

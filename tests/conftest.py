@@ -1,4 +1,13 @@
-import numpy as np
+import os
+
+# BLAS runs one thread in the test process and its children, as in the
+# benchmark: the golden values hold for one thread, and a multistart cell
+# runs its descents on forked processes only from a single-threaded process.
+# Set before numpy loads its BLAS, which reads them once.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 import pytest
 
 import widthlab as wl

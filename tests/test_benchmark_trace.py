@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 CONFIG = """
@@ -96,6 +98,19 @@ def test_descent_bounds_pass(tmp_path):
     assert [row[:2] for row in rows] == [["4", "2"]]
     for _, _, value in rows:
         assert math.isfinite(float(value)) and float(value) > 0
+
+
+def test_design_search_pass_leaves_no_process(tmp_path):
+    # the pass runs its multistart cell's descents on forked workers; the
+    # benchmark rejects a pass that leaves a process running
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    cmd = [sys.executable, str(ROOT / "benchmarks" / "workload_pass.py"), "--workload", "design_search", "--seed", "1234", "--tiny"]
+    proc = subprocess.Popen(cmd + ["--out", str(tmp_path / "out")], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path, start_new_session=True)
+    pgid = os.getpgid(proc.pid)
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 0, err
+    with pytest.raises(ProcessLookupError):
+        os.killpg(pgid, 0)
 
 
 def test_design_search_pass_reads_every_manifest_field(tmp_path):

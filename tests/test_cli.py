@@ -153,6 +153,14 @@ INVALID_FIELDS = {
     "kernel.domain=brownian_int": lambda t: t.replace("id = brownian", "id = brownian_int\ndomain = 0,1e80").replace(
         "source = analytic", "source = nystrom"
     ),
+    # the 1-d kernels have a negative diagonal off these boxes, and used to
+    # pass validation
+    **{
+        f"kernel.domain={kid}:{axis}": lambda t, kid=kid, axis=axis: t.replace("id = brownian", f"id = {kid}\ndomain = {axis}").replace(
+            "source = analytic", "source = nystrom"
+        )
+        for kid, axis in (("bridge", "0,2"), ("bridge", "-0.5,0.5"), ("brownian", "-1,1"), ("brownian_int", "-1,1"))
+    },
     "kernel.length_scale=1e-170": lambda t: t.replace("id = brownian", "id = gaussian\nlength_scale = 1e-170").replace(
         "source = analytic", "source = nystrom"
     ),
@@ -636,7 +644,7 @@ class TestCampaignCommand:
         b = (tmp_path / "parallel" / "widths.csv").read_bytes()
         assert a == b
         warned = json.loads((tmp_path / "parallel" / "manifest.json").read_text())["warnings"]
-        assert [w for w in warned if "ignored" in w] == ["run.workers = 4 ignored: width cells run serially"]
+        assert [w for w in warned if "ignored" in w] == ["run.workers = 4 ignored: a multistart cell runs its descents on up to one process per CPU"]
         assert not any("ignored" in w for w in json.loads((tmp_path / "serial" / "manifest.json").read_text())["warnings"])
 
     def test_widths_csv_row_order(self, tmp_path):

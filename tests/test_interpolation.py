@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import importlib.util
 import math
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
@@ -388,15 +390,18 @@ class TestDescentBatch:
         self.assert_same(*descent_and_reference(kernel, [0.05, 0.5, 0.95], p))
 
     def test_nonfinite_cross_row_of_a_degenerate_trial(self):
-        # a point at 0 has NaN kernel values against every other point and
-        # k(0, 0) = -1: the trials clipped onto 0 have a NaN cross row, but
-        # their Cholesky fails even after jitter, so they score inf and raise nothing
+        # a point at 0 has NaN kernel values against every quadrature node
+        # and k(0, 0) = -1: the trials clipped onto 0 have a NaN cross row,
+        # but a finite Gram matrix whose Cholesky fails even after jitter, so
+        # they score inf and raise nothing
+        quad = wl.midpoint_rule(wl.make_kernel("matern32").domain, 48)
+        nodes = quad.nodes[:, 0]
+
         def patch(out, s, t):
-            out[(s == 0.0) | (t == 0.0)] = np.nan
+            out[((s == 0.0) & np.isin(t, nodes)) | (np.isin(s, nodes) & (t == 0.0))] = np.nan
             out[(s == 0.0) & (t == 0.0)] = -1.0
 
         kernel = patched_kernel(wl.make_kernel("matern32"), patch)
-        quad = wl.midpoint_rule(kernel.domain, 48)
         assert not np.isfinite(kernel.pairwise(np.zeros((1, 1)), quad.nodes)).any()
         with pytest.raises(DegenerateDesignError):
             wl.design(kernel, [0.0, 0.5, 0.95])
@@ -421,6 +426,29 @@ class TestDescentBatch:
         with pytest.raises(ValueError):  # from the finiteness check of the reference's solve
             reference_descent(kernel, quad, 2.0, start, quad.nodes, diag)
 
+    @pytest.mark.parametrize("start", [[0.2, 0.5, 0.8, 0.95], [0.2, 0.2, 0.92, 0.97]], ids=["trial", "others"])
+    def test_nonfinite_gram_raises(self, start):
+        # two distinct points past 0.9, none of them a quadrature node, have
+        # a NaN kernel value; np.linalg.cholesky would return a NaN factor.
+        # A trial moves the third point past 0.9, or, from a start with a
+        # duplicate pair (which scores inf), keeps the last two points
+        quad = wl.midpoint_rule(wl.make_kernel("matern32").domain, 48)
+        nodes = quad.nodes[:, 0]
+
+        def patch(out, s, t):
+            out[(s > 0.9) & (t > 0.9) & (s != t) & ~np.isin(s, nodes) & ~np.isin(t, nodes)] = np.nan
+
+        kernel = patched_kernel(wl.make_kernel("matern32"), patch)
+        assert np.isnan(np.linalg.cholesky(kernel.pairwise(np.array([[0.92], [0.97]]), np.array([[0.92], [0.97]])))).any()
+        with pytest.raises(ValueError, match="Gram matrix values"):
+            wl.design(kernel, [0.2, 0.5, 0.92, 0.97])
+        start = np.array(start)[:, None]
+        diag = kernel.diag(quad.nodes)
+        with pytest.raises(ValueError, match="Gram matrix values"):
+            _coordinate_descent(kernel, start, quad.nodes, diag, _lp_norm(quad, 2.0))
+        with pytest.raises(ValueError, match="Gram matrix values"):
+            reference_descent(kernel, quad, 2.0, start, quad.nodes, diag)
+
     def test_no_design_solved_twice(self, monkeypatch):
         # the reference scores some designs more than once; the descent solves each once
         kernel = wl.make_kernel("matern32")
@@ -434,6 +462,79 @@ class TestDescentBatch:
         self.assert_same(ours, ref)
         assert len(set(scored)) < len(scored)
         assert len(set(solved)) == len(solved) > 0
+
+
+class TestMultistartPool:
+    """The descents of a multistart cell run on forked processes, with the serial result."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Pretend the process may run on `k` CPUs; a descent in the parent process raises when k > 1."""
+        parent = os.getpid()
+        descent = interpolation._coordinate_descent
+
+        def set_cpus(k):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+            def traced(*args, **kwargs):
+                if k > 1 and os.getpid() == parent:
+                    raise AssertionError("descent ran in the parent process")
+                return descent(*args, **kwargs)
+
+            monkeypatch.setattr(interpolation, "_coordinate_descent", traced)
+
+        yield set_cpus
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("kid", ["bridge", "matern32"])
+    def test_equals_full_evaluation(self, cpus, kid, k):
+        cpus(k)
+        kernel = wl.make_kernel(kid)
+        quad = wl.midpoint_rule(kernel.domain, 48)
+        eval_grid = kernel.domain.grid(65, endpoint=True)
+        candidates = kernel.domain.grid(33, endpoint=True)
+        for p in (2.0, INF):
+            args = (kernel, quad, p, 5)
+            kwargs = dict(candidates=candidates, eval_grid=eval_grid, seed=5, restarts=2)
+            des, val = wl.optimize_interpolation_width(*args, strategy="multistart", **kwargs)
+            ref_des, ref_val = reference_multistart(*args, **kwargs)
+            assert np.array_equal(des.points, ref_des.points), p
+            assert val == ref_val, p
+            assert des.jitter == ref_des.jitter, p
+
+    @staticmethod
+    def small_cell() -> tuple[np.ndarray, float]:
+        """The points and value of a small matern32 multistart cell."""
+        kernel = wl.make_kernel("matern32")
+        quad = wl.midpoint_rule(kernel.domain, 48)
+        des, val = wl.optimize_interpolation_width(kernel, quad, 2.0, 3, strategy="multistart", candidates=kernel.domain.grid(33, endpoint=True))
+        return des.points, val
+
+    def test_in_a_pool_worker(self, cpus):
+        # a pool worker may not start processes of its own, so the cell runs its descents there in turn
+        cpus(2)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            points, val = pool.apply(self.small_cell)
+        ref_points, ref_val = self.small_cell()
+        assert np.array_equal(points, ref_points)
+        assert val == ref_val
+
+    def test_worker_error_reaches_caller(self, cpus):
+        # the uniform start's last point, 1, has an infinite kernel value at
+        # the first quadrature node, so that descent raises in its worker
+        cpus(2)
+        quad = wl.midpoint_rule(wl.make_kernel("matern32").domain, 48)
+        y0 = quad.nodes[0, 0]
+
+        def patch(out, s, t):
+            out[((s > 0.9) & (t == y0)) | ((t > 0.9) & (s == y0))] = np.inf
+
+        kernel = patched_kernel(wl.make_kernel("matern32"), patch)
+        with pytest.raises(ValueError) as err:
+            wl.optimize_interpolation_width(kernel, quad, 2.0, 3, strategy="multistart", candidates=kernel.domain.grid(33, endpoint=True))
+        assert type(err.value) is ValueError
+        assert str(err.value) == interpolation._NONFINITE_CROSS
 
 
 def test_design_search_multistart_matches_goldens():
