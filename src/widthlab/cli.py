@@ -27,15 +27,15 @@ def _read_text(path: Path) -> str:
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    if getattr(args, "preset", None):
+    if args.preset:
         cfg = load_preset(args.preset)
-    elif getattr(args, "config", None):
+    elif args.config:
         cfg = parse_config(_read_text(Path(args.config)))
     else:
         raise ConfigError("provide --config PATH or --preset NAME")
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.values["run"]["seed"] = int(args.seed)
-    if getattr(args, "out", None):
+    if args.out:
         cfg.values["run"]["out_dir"] = str(args.out)
     _validate(cfg)  # the flags override validated fields, so check them like the file's
     return cfg
@@ -104,16 +104,15 @@ def main(argv: list[str] | None = None) -> int:
             stage = runner.run_entropy_only(cfg)
             print(f"entropy: evidence slope {stage.e_l2_report.slope:+.4f}")
             return 0
-        if args.command == "campaign":
-            result = runner.run_campaign(cfg)
-            for t in result.targets:
-                print(f"[{t.status:>16s}] {t.name}: observed {t.observed:+.4f} target {t.expected:+.2f} +/- {t.tolerance:.2f}")
-            for v in result.verdicts:
-                print(f"[{v.status:>20s}] {v.claim}")
-            print(f"report: {result.out_dir / 'report.txt'}")
-            # exploratory misses are reported, not failed; hard misses fail
-            return 1 if any(t.status == "target-miss" for t in result.targets) else 0
-        raise ConfigError(f"unknown command {args.command}")
+        # argparse admits no other command: this is `campaign`
+        result = runner.run_campaign(cfg)
+        for t in result.targets:
+            print(f"[{t.status:>16s}] {t.name}: observed {t.observed:+.4f} target {t.expected:+.2f} +/- {t.tolerance:.2f}")
+        for v in result.verdicts:
+            print(f"[{v.status:>20s}] {v.claim}")
+        print(f"report: {result.out_dir / 'report.txt'}")
+        # exploratory misses are reported, not failed; hard misses fail
+        return 1 if any(t.status == "target-miss" for t in result.targets) else 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

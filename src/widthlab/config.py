@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .kernels import CATALOG_IDS, ONE_DIM_IDS, make_kernel
+from .kernels import CATALOG_IDS, ONE_DIM_IDS, Kernel, make_kernel
 from .quadrature import Box
 from .spectral import ANALYTIC_MAX_TERMS, has_analytic_spectrum
 
@@ -169,6 +169,12 @@ class ExperimentConfig:
         """The last index of the dense width range: `widths.dense_n_max`, capped by `spectrum.n_eigs` - 1."""
         return min(self.get("widths", "dense_n_max"), self.get("spectrum", "n_eigs") - 1)
 
+    def kernel(self) -> Kernel:
+        """The kernel of `kernel.id` on the box `kernel.domain`, with `kernel.length_scale`."""
+        axes = self.get("kernel", "domain")
+        box = Box(tuple(lo for lo, _ in axes), tuple(hi for _, hi in axes))
+        return make_kernel(self.kernel_id, dim=self.dim, domain=box, length_scale=self.get("kernel", "length_scale"))
+
     def config_hash(self) -> str:
         """Hash of the resolved values that decide the run's results.
 
@@ -269,11 +275,10 @@ def _validate(cfg: ExperimentConfig):
     # between two corners of the box; the Nystrom matrix and the trace
     # integral weigh kernel values by quadrature weights summing to the volume
     corners = np.array(list(itertools.product(*axes)))
-    box = Box(tuple(lo for lo, _ in axes), tuple(hi for _, hi in axes))
-    kernel = make_kernel(cfg.kernel_id, dim=cfg.dim, domain=box, length_scale=ell)
+    kernel = cfg.kernel()
     with np.errstate(all="ignore"):
         corner_values = kernel.pairwise(corners, corners)
-        weighted = box.volume * np.abs(corner_values).max()
+        weighted = kernel.domain.volume * np.abs(corner_values).max()
     if not (np.isfinite(corner_values).all() and np.isfinite(weighted)):
         scale = "" if cfg.kernel_id in ONE_DIM_IDS else f" with kernel.length_scale = {ell}"
         raise ConfigError(f"field kernel.domain: kernel '{cfg.kernel_id}'{scale} overflows on the box {axes}")

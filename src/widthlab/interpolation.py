@@ -27,6 +27,7 @@ from .kernels import _DUPLICATE_TOL, _NONFINITE_GRAM, Kernel, _has_duplicate, _s
 from .quadrature import QuadratureRule
 
 JITTER_SCALE = 1e-12
+MULTISTART_RESTARTS = 2  # seeded random starts of a multistart search, besides the uniform and greedy ones
 _NONFINITE_CROSS = "cross-kernel values must not contain infs or NaNs"
 
 
@@ -242,7 +243,7 @@ def optimize_interpolation_width(
     candidates: np.ndarray | None = None,
     eval_grid: np.ndarray | None = None,
     seed: int = 0,
-    restarts: int = 2,
+    restarts: int = MULTISTART_RESTARTS,
 ) -> tuple[DesignSet, float]:
     """Search for a good n-point design; the value is an upper bound.
 
@@ -307,17 +308,22 @@ def optimize_interpolation_width(
 
 
 def _single_threaded() -> bool:
-    """Whether this process runs one thread, native threads such as a BLAS pool's included (read on Linux; False elsewhere).
+    """Whether this process runs one thread, native threads such as a BLAS pool's included (False where it cannot be read).
 
     A forked child holds only the thread that forked, so a lock another
     thread held stays locked in it. And each worker starts a BLAS pool of
     its own: on a 2-CPU x86-64 machine with OpenBLAS on two threads, two
     workers took 2.5-4.8 s per descent that took 0.06 s in one process.
     """
+    return _thread_count() == 1
+
+
+def _thread_count() -> int | None:
+    """The threads of this process, native ones included, read on Linux; None elsewhere."""
     try:
-        return len(os.listdir("/proc/self/task")) == 1
+        return len(os.listdir("/proc/self/task"))
     except OSError:
-        return False
+        return None
 
 
 _inherited: Callable | None = None  # set in a forked pool worker only

@@ -8,8 +8,10 @@ tolerances.
 """
 
 import filecmp
+import importlib.util
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ import widthlab as wl
 from widthlab.runner import run_campaign
 
 INF = math.inf
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def criterion(num: int, desc: str, ok: bool, detail: str = ""):
@@ -37,6 +40,13 @@ def bm_campaign(tmp_path_factory):
 def bridge_campaign(tmp_path_factory):
     t0 = time.perf_counter()
     result = run_campaign(wl.load_preset("bridge_gap"), out_dir=tmp_path_factory.mktemp("bridge_gap"))
+    return result, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="module")
+def matern2d_campaign(tmp_path_factory):
+    t0 = time.perf_counter()
+    result = run_campaign(wl.load_preset("matern2d_gap"), out_dir=tmp_path_factory.mktemp("matern2d"))
     return result, time.perf_counter() - t0
 
 
@@ -115,6 +125,11 @@ def test_criterion_06_sup_norm_gap(bm_campaign, bridge_campaign):
         i_slope = result.fit_stage.reports["I-Linf[greedy]"].slope
         gap_slope = result.fit_stage.gap_reports["gap_Linf"].slope
         ok &= abs(i_slope - (-0.5)) <= 0.07 and abs(gap_slope - 0.5) <= 0.10
+        # the gap fit divides an upper bound by a lower one, so report.txt lists it apart from the certificates
+        certificates, _, rest = (result.out_dir / "report.txt").read_text().partition(
+            "gap slope target (not a certificate: its fit bounds the gap exponent from above only):\n"
+        )
+        ok &= "] gap_slope:" not in certificates and rest.startswith(f"  [{'met':>16s}] gap_slope: observed {gap_slope:+.4f}")
         details.append(f"{label}: I {i_slope:+.4f}, gap {gap_slope:+.4f}")
     ok &= total < 600.0
     criterion(6, "greedy sup-width slope -0.5 and square-root gap, both kernels", ok,
@@ -170,10 +185,8 @@ def test_criterion_10_power_kernel_truncation(bridge_analytic, bridge_kernel):
               f"max err {worst:.2e} <= {tol:.2e}")
 
 
-def test_criterion_11_matern2d_exploratory(tmp_path_factory):
-    t0 = time.perf_counter()
-    result = run_campaign(wl.load_preset("matern2d_gap"), out_dir=tmp_path_factory.mktemp("matern2d"))
-    elapsed = time.perf_counter() - t0
+def test_criterion_11_matern2d_exploratory(matern2d_campaign):
+    result, elapsed = matern2d_campaign
     statuses = {t.name: t.status for t in result.targets}
     # misses are allowed here but must be labeled exploratory, never silent
     labels_ok = all(s in ("met", "exploratory-miss") for s in statuses.values())
@@ -193,3 +206,15 @@ def test_criterion_12_determinism(tmp_path_factory):
     ok = all(same.values())
     criterion(12, "identical seeds give identical value columns", ok,
               ", ".join(f"{k}: {'same' if v else 'DIFFERS'}" for k, v in same.items()))
+
+
+@pytest.mark.parametrize("preset,campaign", [("bm_gap", "bm_campaign"), ("matern2d_gap", "matern2d_campaign")])
+def test_value_columns_match_golden(preset, campaign, request):
+    # widths.csv (but its seed column), slopes.csv and verdicts.json against
+    # the benchmark's golden run at its seed, through the benchmark's own gate
+    spec = importlib.util.spec_from_file_location("golden_gate", ROOT / "benchmarks" / "golden_gate.py")
+    golden_gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden_gate)
+    result, _ = request.getfixturevalue(campaign)
+    _, problems = golden_gate.check(result.out_dir, ROOT / "benchmarks" / "goldens" / preset, 1234)
+    assert problems == []

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import widthlab as wl
+from widthlab import runner
 from widthlab.cli import main
 from widthlab.config import _validate
 from widthlab.errors import ChainViolationError, ConfigError
@@ -546,17 +547,34 @@ class TestDesignCache:
             assert multistart_rows(shared) == multistart_rows(tmp_path / name), name
 
     def test_spectrum_and_envelope_names_unchanged(self, tmp_path):
-        # existing cache/ directories stay valid: these are the raw keys
-        # the spectrum and envelope entries have hashed since they were added
+        # the raw keys of the spectrum and envelope entries: a change to them
+        # makes every entry of an existing cache/ directory miss once
         run_widths(tmp_path, multistart_config(tmp_path, "out"))
         rule = "midpoint^1x100|m=100|mass=0.99999999999999989|lo=0|hi=1"
+        tail = f"numpy_blas_threads=1|scipy_blas_threads=1|version={wl.__version__}"
         raw = {
-            "spectrum": f"matern32(ell=0.29999999999999999)|{rule}|n_eigs=30|version={wl.__version__}",
-            "envelope": f"matern32(ell=0.29999999999999999)|{rule}|n_eigs=30|source=nystrom|eval_points=129|dense_max=16|version={wl.__version__}",
+            "spectrum": f"matern32(ell=0.29999999999999999)|{rule}|n_eigs=30|{tail}",
+            "envelope": f"matern32(ell=0.29999999999999999)|{rule}|n_eigs=30|source=nystrom|eval_points=129|dense_max=16|{tail}",
         }
         for entry, key in raw.items():
             name = f"{entry}_{hashlib.sha256(key.encode()).hexdigest()[:20]}.npz"
             assert (tmp_path / "out" / "cache" / name).exists(), entry
+
+    def test_blas_threads_key_every_entry(self, tmp_path, monkeypatch):
+        # the BLAS thread count moves the last bits of a spectrum, so an entry
+        # written at 2 threads is a miss at 1 (the tests pin BLAS to 1 thread)
+        text = multistart_config(tmp_path, "out")
+        for threads, result in ((2, "miss"), (1, "miss"), (1, "hit")):
+            with monkeypatch.context() as patched:
+                if threads == 2:
+                    patched.setattr(runner, "_blas_threads", lambda lib: 2)
+                run_widths(tmp_path, text)
+            manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+            env = manifest["environment"]
+            assert (env["numpy"]["blas_threads"], env["scipy"]["blas_threads"]) == (threads, threads)
+            assert env["threads"] >= 1
+            assert [r["result"] for r in manifest["cache"]] == [result] * 4
+            assert all(f"numpy_blas_threads={threads}|scipy_blas_threads={threads}|" in r["key"] for r in manifest["cache"])
 
 
 class TestWidthsCommand:

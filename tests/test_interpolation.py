@@ -563,7 +563,6 @@ def test_design_search_multistart_matches_goldens():
                 candidates=candidates,
                 eval_grid=eval_grid,
                 seed=cfg.get("run", "seed"),
-                restarts=runner._MULTISTART_RESTARTS,
             )
             values[(str(n), p_label(p))] = runner.fmt(val)
     assert len(golden) == 2
