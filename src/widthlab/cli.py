@@ -41,6 +41,10 @@ def _resolve_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _target_line(t: runner.TargetResult) -> str:
+    return f"[{t.status:>16s}] {t.name}: observed {t.observed:+.4f} target {t.expected:+.2f} +/- {t.tolerance:.2f}"
+
+
 def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--config", help="path to a config file")
     sub.add_argument("--preset", choices=sorted(PRESETS), help="built-in campaign preset")
@@ -106,8 +110,13 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         # argparse admits no other command: this is `campaign`
         result = runner.run_campaign(cfg)
-        for t in result.targets:
-            print(f"[{t.status:>16s}] {t.name}: observed {t.observed:+.4f} target {t.expected:+.2f} +/- {t.tolerance:.2f}")
+        certified, gap = runner.gap_apart(result.targets)
+        for t in certified:
+            print(_target_line(t))
+        if gap:
+            print(runner.GAP_HEADING)
+            for t in gap:
+                print(_target_line(t))
         for v in result.verdicts:
             print(f"[{v.status:>20s}] {v.claim}")
         print(f"report: {result.out_dir / 'report.txt'}")

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .errors import DegenerateDesignError
 from .kernels import _DUPLICATE_TOL, _NONFINITE_GRAM, Kernel, _has_duplicate, _sqdist, gram_matrix
+from .lapack import flapack
 from .quadrature import QuadratureRule
 
 JITTER_SCALE = 1e-12
@@ -127,17 +127,18 @@ def _power_from_finite(chol: np.ndarray, cross: np.ndarray, diag: np.ndarray) ->
 def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     """L^{-1} B for a lower-triangular L, bit-identical to `scipy.linalg.solve_triangular(L, B, lower=True)`.
 
-    It makes solve_triangular's LAPACK `dtrtrs` call on the same branch: an
-    F-contiguous L (a 1 x 1 factor is both C- and F-contiguous) as it is, a
-    C-contiguous one as the transposed upper system. It skips the batch
-    wrapper and the finiteness scan, which `_power_from_cross` makes
-    itself. `dtrtrs` copies B into its Fortran-ordered result, a plain copy
-    when B is F-ordered.
+    It makes solve_triangular's LAPACK `dtrtrs` call on the same branch,
+    through the same f2py wrapper (`lapack.flapack`, loaded without
+    `scipy.linalg`): an F-contiguous L (a 1 x 1 factor is both C- and
+    F-contiguous) as it is, a C-contiguous one as the transposed upper
+    system. It skips the batch wrapper and the finiteness scan, which
+    `_power_from_cross` makes itself. `dtrtrs` copies B into its
+    Fortran-ordered result, a plain copy when B is F-ordered.
     """
     if L.flags.f_contiguous:
-        X, info = dtrtrs(L, B, lower=1)
+        X, info = flapack.dtrtrs(L, B, lower=1)
     else:
-        X, info = dtrtrs(L.T, B, lower=0, trans=1)
+        X, info = flapack.dtrtrs(L.T, B, lower=0, trans=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     if info < 0:
@@ -255,7 +256,7 @@ def optimize_interpolation_width(
     process per CPU, at most one per start. They run here one after
     another with one CPU, without the `fork` start method, in a pool
     worker (which may not start processes), or in a process that runs
-    more than one thread (see `_single_threaded`). Either way
+    more than one thread (see `descent_processes`). Either way
     each returns its points and value, the best is kept in start order
     (the first of equal values wins), and `design` rebuilds it, so the
     result is the same bit for bit. An error in a descent reaches the
@@ -289,11 +290,10 @@ def optimize_interpolation_width(
         des, val = _coordinate_descent(kernel, start, targets, diag, norm)
         return des.points, val
 
-    import multiprocessing  # here, so that importing the package does not pay for it
+    procs, _ = descent_processes(len(starts))
+    if procs > 1:
+        import multiprocessing
 
-    procs = min(len(starts), len(os.sched_getaffinity(0)))
-    forkable = "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon
-    if procs > 1 and forkable and _single_threaded():
         # the kernel's closures cannot be pickled: `descend` reaches the
         # workers by fork, through the initializer's arguments
         with multiprocessing.get_context("fork").Pool(procs, _inherit, (descend,)) as pool:
@@ -307,15 +307,35 @@ def optimize_interpolation_width(
     return design(kernel, best_pts), best_val
 
 
-def _single_threaded() -> bool:
-    """Whether this process runs one thread, native threads such as a BLAS pool's included (False where it cannot be read).
+def descent_processes(starts: int) -> tuple[int, str | None]:
+    """The processes that the descents of `starts` multistart starts run on, and why they run serially (None when they do not).
 
-    A forked child holds only the thread that forked, so a lock another
-    thread held stays locked in it. And each worker starts a BLAS pool of
-    its own: on a 2-CPU x86-64 machine with OpenBLAS on two threads, two
-    workers took 2.5-4.8 s per descent that took 0.06 s in one process.
+    One process per CPU, at most one per start, unless one of these holds,
+    in this order: one CPU ("one CPU"); no `fork` start method ("no fork");
+    this process is a pool worker, which may not start processes
+    ("daemonic worker"); or it runs other than one thread, native threads
+    such as a BLAS pool's included ("3 threads", or "unknown threads" where
+    the count cannot be read). A forked child holds only the thread that
+    forked, so a lock another thread held stays locked in it. And each
+    worker starts a BLAS pool of its own: on a 2-CPU x86-64 machine with
+    OpenBLAS on two threads, two workers took 2.5-4.8 s per descent that
+    took 0.06 s in one process.
     """
-    return _thread_count() == 1
+    import multiprocessing  # here, so that importing the package does not pay for it
+
+    procs = min(starts, len(os.sched_getaffinity(0)))
+    threads = _thread_count()
+    if procs < 2:
+        reason = "one CPU"
+    elif "fork" not in multiprocessing.get_all_start_methods():
+        reason = "no fork"
+    elif multiprocessing.current_process().daemon:
+        reason = "daemonic worker"
+    elif threads != 1:
+        reason = f"{threads or 'unknown'} threads"
+    else:
+        return procs, None
+    return 1, reason
 
 
 def _thread_count() -> int | None:

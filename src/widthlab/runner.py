@@ -16,13 +16,13 @@ every run. An `envelope_<key>.npz` holds the squared sup-norm Mercer
 envelope for n = 0..`dense_max`, for either source, keyed by `n_eigs`, the
 resolved spectrum source, the evaluation points per axis and `dense_max`.
 A `design_<key>.npz` holds the points and value of one multistart cell,
-keyed by p (17 digits), n, the seed, the number of random restarts and the
-candidate and evaluation points per axis. An entry that cannot be read is
-recomputed and overwritten, with a manifest warning; `manifest.cache`
-records every lookup. Width cells run one after another; a multistart
-cell's descents may run in parallel processes, but their results are
-reduced in start order, so outputs are byte-deterministic for a fixed config
-and seed.
+and how its descents ran, keyed by p (17 digits), n, the seed, the number
+of random restarts and the candidate and evaluation points per axis. An
+entry that cannot be read is recomputed and overwritten, with a manifest
+warning; `manifest.cache` records every lookup. Width cells run one after
+another; a multistart cell's descents may run in parallel processes, but
+their results are reduced in start order, so outputs are byte-deterministic
+for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .errors import ConfigError
 from .interpolation import (
     MULTISTART_RESTARTS,
     DesignSet,
+    descent_processes,
     greedy_design,
     design as make_design,
     interpolation_width,
@@ -403,7 +404,10 @@ def _multistart_cell(
     The search depends only on what the key holds. p is written with 17
     digits, since its label would merge 2 and 2.0000001. A hit rebuilds the
     design from its points, as the search itself does, so hit and miss
-    return the same design.
+    return the same design. The entry also holds how the cell's descents
+    ran, "2 processes" or "serial (3 threads)" (see `descent_processes`),
+    and the lookup's `manifest.cache` record carries it as `descents`, on a
+    hit as on a miss.
     """
     seed = cfg.get("run", "seed")
     entry = _cache_path(
@@ -421,10 +425,12 @@ def _multistart_cell(
     )
 
     def search() -> list:
+        procs, serial = descent_processes(2 + MULTISTART_RESTARTS)  # the uniform and greedy starts, and the restarts
         des, val = optimize_interpolation_width(kernel, quad, p, n, strategy="multistart", candidates=candidates, eval_grid=eval_grid, seed=seed)
-        return [des.points, val]
+        return [des.points, val, f"{procs} processes" if serial is None else f"serial ({serial})"]
 
-    points, value = _cached(entry, manifest, ("points", "value"), search)
+    points, value, descents = _cached(entry, manifest, ("points", "value", "descents"), search)
+    manifest.cache[-1]["descents"] = str(descents)  # the record of this lookup
     return make_design(kernel, points), float(value)
 
 
@@ -632,6 +638,19 @@ def _write_slopes(out_dir: Path, fits: FitStage, targets: list[TargetResult], ma
     write_csv(out_dir / "slopes.csv", "label,slope,stderr,window_lo,window_hi,status", rows, manifest)
 
 
+GAP_HEADING = "gap slope target (not a certificate: its fit bounds the gap exponent from above only):"
+
+
+def gap_apart(targets: list[TargetResult]) -> tuple[list[TargetResult], list[TargetResult]]:
+    """The certified slope targets, and apart from them the target on the gap_Linf fit, which `report.txt` and the CLI list under GAP_HEADING.
+
+    gap_Linf divides I_Lp_upper, an upper bound, by d_L2, which bounds
+    d_n(Linf) only from below (through sqrt(mu)).
+    """
+    gap = [t for t in targets if t.label == "gap_Linf"]
+    return [t for t in targets if t not in gap], gap
+
+
 def _write_report(
     out_dir: Path,
     cfg: ExperimentConfig,
@@ -646,15 +665,14 @@ def _write_report(
     lines = []
     lines.append(f"widthlab campaign report (preset: {cfg.preset_name or 'custom'}, config {manifest.config_hash})")
     lines.append("")
-    # gap_Linf divides I_Lp_upper, an upper bound, by d_L2, which bounds d_n(Linf) only from below (through sqrt(mu))
-    gap = [t for t in targets if t.label == "gap_Linf"]
+    certified, gap = gap_apart(targets)
     lines.append("slope targets (numeric certificates):")
-    lines += [target_line(t) for t in targets if t not in gap]
+    lines += [target_line(t) for t in certified]
     notes = cfg.get("targets", "notes")
     if notes:
         lines.append(f"  premise flags: {notes}")
     if gap:
-        lines.append("gap slope target (not a certificate: its fit bounds the gap exponent from above only):")
+        lines.append(GAP_HEADING)
         lines += [target_line(t) for t in gap]
     lines.append("")
     lines.append("rule-based verdicts (not numeric certificates; premises attached):")

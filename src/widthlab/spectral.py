@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InsufficientResolutionError, InsufficientTailError, NoAnalyticSpectrumError, TruncationError
 from .kernels import Kernel
+from .lapack import flapack
 from .quadrature import Box, QuadratureRule, midpoint_rule, unit_interval
 
 ORTHONORMALITY_TOL = 1e-8
@@ -101,17 +101,22 @@ def nystrom_spectrum(kernel: Kernel, quad: QuadratureRule, n_eigs: int) -> Spect
     The solver is LAPACK `dsyevd` on the lower triangle, run in the
     matrix's own buffer: `A` is exactly symmetric once averaged with its
     transpose, so the Fortran-ordered view `A.T` holds the same values, and
-    scipy hands it to `dsyevd` without a copy and returns the eigenvectors
-    in it. This is the routine, triangle and input that `np.linalg.eigh(A)`
-    runs on its own copy of `A`, but numpy and scipy each link their own
-    BLAS build, so equal results are not a property of the call: with the
-    numpy 2.4 and scipy 1.17 wheels (OpenBLAS 0.3.31 and 0.3.30, as
-    `manifest.json`'s `environment` block records) the eigenvalues and
-    eigenvectors were bit-identical to numpy's on the 2000- and 4096-node
-    benchmark matrices on an x86-64 machine, and the benchmark's golden gate holds every value
-    to them. Neither numpy's copy nor a separate n x n output is
-    allocated; what is left beside `A` is the `dsyevd` work
-    array of about 2 n^2 doubles.
+    scipy's f2py wrapper (`lapack.flapack`) hands it to `dsyevd` without a
+    copy and returns the eigenvectors in it. The call is the one
+    `scipy.linalg.eigh(A.T, lower=True, driver="evd", overwrite_a=True)`
+    makes, with its checks: a non-finite matrix raises ValueError with
+    eigh's message, the workspace sizes come from `dsyevd_lwork`, and a
+    nonzero `info` raises ValueError (an illegal argument) or LinAlgError
+    (no convergence). It is also the routine, triangle and input that
+    `np.linalg.eigh(A)` runs on its own copy of `A`, but numpy and scipy
+    each link their own BLAS build, so equal results are not a property of
+    the call: with the numpy 2.4 and scipy 1.17 wheels (OpenBLAS 0.3.31
+    and 0.3.30, as `manifest.json`'s `environment` block records) the
+    eigenvalues and eigenvectors were bit-identical to numpy's on the 2000-
+    and 4096-node benchmark matrices on an x86-64 machine, and the
+    benchmark's golden gate holds every value to them. Neither numpy's
+    copy nor a separate n x n output is allocated; what is left beside `A`
+    is the `dsyevd` work array of about 2 n^2 doubles.
     """
     if n_eigs > quad.size:
         raise InsufficientResolutionError(
@@ -124,7 +129,15 @@ def nystrom_spectrum(kernel: Kernel, quad: QuadratureRule, n_eigs: int) -> Spect
     A *= sw
     A = A + A.T
     A *= 0.5
-    lam_all, U = scipy.linalg.eigh(A.T, lower=True, driver="evd", overwrite_a=True)
+    n = A.shape[0]
+    lwork, liwork, _ = flapack.dsyevd_lwork(n, compute_v=1, lower=1)
+    lam_all, U, info = flapack.dsyevd(
+        np.asarray_chkfinite(A.T), compute_v=1, lower=1, lwork=int(lwork), liwork=int(liwork), overwrite_a=1
+    )
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal dsyevd")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"dsyevd failed to converge on {n} x {n} matrix (info {info})")
     order = np.argsort(lam_all)[::-1][:n_eigs]
     lam = lam_all[order]
     U = U[:, order]

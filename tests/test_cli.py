@@ -3,6 +3,7 @@
 import filecmp
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -560,6 +561,17 @@ class TestDesignCache:
             name = f"{entry}_{hashlib.sha256(key.encode()).hexdigest()[:20]}.npz"
             assert (tmp_path / "out" / "cache" / name).exists(), entry
 
+    @pytest.mark.parametrize("cpus,descents", [(1, "serial (one CPU)"), (2, "2 processes")])
+    def test_design_record_names_descents(self, tmp_path, monkeypatch, cpus, descents):
+        # the record says how the cell's descents ran, on the miss that ran
+        # them and on the hit that reads them back (the tests run one thread)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        for result in ("miss", "hit"):
+            run_widths(tmp_path, multistart_config(tmp_path, "out"))
+            records = json.loads((tmp_path / "out" / "manifest.json").read_text())["cache"]
+            assert [(r["result"], r["descents"]) for r in records if r["entry"] == "design"] == [(result, descents)] * 2
+            assert all("descents" not in r for r in records if r["entry"] != "design")
+
     def test_blas_threads_key_every_entry(self, tmp_path, monkeypatch):
         # the BLAS thread count moves the last bits of a spectrum, so an entry
         # written at 2 threads is a miss at 1 (the tests pin BLAS to 1 thread)
@@ -626,6 +638,19 @@ class TestCampaignCommand:
         assert main(["report", "--out", str(out)]) == 0
         text = capsys.readouterr().out
         assert "verdicts" in text
+
+    def test_gap_target_printed_apart(self, tmp_path, capsys):
+        # the gap target is no certificate: stdout lists it after the certified
+        # targets, under the heading report.txt uses
+        text = small_config(tmp_path).replace("alpha = 1.0", "alpha = 1.0\ngap_slope = 0.5,5.0\nd_slope = -1.0,5.0")
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(text)
+        assert main(["campaign", "--config", str(cfgfile)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        certified = next(i for i, ln in enumerate(lines) if "] d_slope:" in ln)
+        gap = next(i for i, ln in enumerate(lines) if "] gap_slope:" in ln)
+        assert certified < lines.index(runner.GAP_HEADING) == gap - 1
+        assert runner.GAP_HEADING in (tmp_path / "out" / "report.txt").read_text().splitlines()
 
     def test_hard_target_miss_exits_1(self, tmp_path, capsys):
         text = small_config(tmp_path).replace("alpha = 1.0", "alpha = 1.0\nd_slope = -5.0,0.01")

@@ -291,11 +291,23 @@ class TestBitExactMercerEnvelope:
             assert [math.sqrt(v) for v in sup2] == [ref[n] for n in range(n_max + 1)]
 
 
-def test_import_leaves_scipy_spatial_unloaded():
-    # scipy.spatial costs set-up time and memory on every run; the squared
-    # distances are computed without it
+@pytest.mark.parametrize(
+    "module",
+    [
+        # set-up time and memory on every run; the squared distances are computed without it
+        "scipy.spatial",
+        # about 0.25 s and 20 MB, mostly the numpy submodules below that its
+        # array-API shim loads; `widthlab.lapack` loads its `_flapack` alone
+        "scipy.linalg",
+        # about 0.10 s
+        "numpy.f2py",
+        # about 0.08 s
+        "numpy.testing",
+    ],
+)
+def test_import_leaves_module_unloaded(module):
     src = str(Path(wl.__file__).resolve().parents[1])
-    code = "import sys, widthlab.runner, widthlab.cli; print('scipy.spatial' in sys.modules)"
+    code = f"import sys, widthlab.runner, widthlab.cli; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"

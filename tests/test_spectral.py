@@ -1,5 +1,6 @@
 """Nystrom spectra against closed forms, tail sums, quadrature rules."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -93,6 +94,18 @@ class TestNystrom:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         growth = int(out.stdout) * (1 if sys.platform == "darwin" else 1024)  # ru_maxrss is in KiB on Linux
         assert growth < 4 * n * n * 8
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_matrix_raises(self, bm_kernel, bad):
+        # the finiteness check that scipy.linalg.eigh made before dsyevd
+        def pairwise(a, b):
+            K = bm_kernel.pairwise(a, b)
+            K[3, 5] = bad
+            return K
+
+        kernel = dataclasses.replace(bm_kernel, pairwise=pairwise)
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            wl.nystrom_spectrum(kernel, wl.midpoint_rule(kernel.domain, 16), 4)
 
     def test_insufficient_resolution(self, bm_kernel):
         q = wl.midpoint_rule(bm_kernel.domain, 10)
