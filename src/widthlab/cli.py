@@ -41,10 +41,6 @@ def _resolve_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _target_line(t: runner.TargetResult) -> str:
-    return f"[{t.status:>16s}] {t.name}: observed {t.observed:+.4f} target {t.expected:+.2f} +/- {t.tolerance:.2f}"
-
-
 def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--config", help="path to a config file")
     sub.add_argument("--preset", choices=sorted(PRESETS), help="built-in campaign preset")
@@ -112,11 +108,11 @@ def main(argv: list[str] | None = None) -> int:
         result = runner.run_campaign(cfg)
         certified, gap = runner.gap_apart(result.targets)
         for t in certified:
-            print(_target_line(t))
+            print(runner.target_line(t))
         if gap:
             print(runner.GAP_HEADING)
             for t in gap:
-                print(_target_line(t))
+                print(runner.target_line(t))
         for v in result.verdicts:
             print(f"[{v.status:>20s}] {v.claim}")
         print(f"report: {result.out_dir / 'report.txt'}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .kernels import CATALOG_IDS, ONE_DIM_IDS, Kernel, make_kernel
-from .quadrature import Box
+from .quadrature import DEFAULT_POINTS, Box
 from .spectral import ANALYTIC_MAX_TERMS, has_analytic_spectrum
 
 # schema: section -> key -> (parser, default). kernel.id is required; a None
@@ -76,9 +76,9 @@ _UNHASHED = {("run", "out_dir"), ("run", "workers")}
 
 # the grid sizes whose default depends on kernel.dim: (dim 1, dim 2)
 _DIM_DEFAULTS = {
-    ("quadrature", "points_per_axis"): (2000, 64),
-    ("widths", "eval_points_per_axis"): (4096, 128),
-    ("widths", "candidate_points_per_axis"): (4097, 64),
+    ("quadrature", "points_per_axis"): DEFAULT_POINTS["quadrature"],
+    ("widths", "eval_points_per_axis"): DEFAULT_POINTS["eval"],
+    ("widths", "candidate_points_per_axis"): DEFAULT_POINTS["candidates"],
 }
 
 _VALID_SOURCES = ("auto", "analytic", "nystrom")
@@ -260,12 +260,6 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(f"field kernel.domain needs finite bounds whose squared widths sum to a finite value, got {axes}")
     if any(hi <= lo for lo, hi in axes):
         raise ConfigError(f"field kernel.domain needs lo < hi on every axis, got {axes}")
-    # the 1-d kernels have a negative diagonal off these boxes: s - s^2 for
-    # bridge outside [0, 1], s and s^3 / 3 for brownian and brownian_int below 0
-    lo, hi = axes[0]
-    if (cfg.kernel_id == "bridge" and not 0.0 <= lo < hi <= 1.0) or (cfg.kernel_id in ("brownian", "brownian_int") and lo < 0.0):
-        box = "inside [0, 1]" if cfg.kernel_id == "bridge" else "with lo >= 0"
-        raise ConfigError(f"field kernel.domain: kernel '{cfg.kernel_id}' is a covariance only on a box {box}, got {axes}")
     ell = cfg.get("kernel", "length_scale")
     if not ell > 0:
         raise ConfigError("field kernel.length_scale must be > 0")
@@ -273,12 +267,17 @@ def _validate(cfg: ExperimentConfig):
     # between its points (3 d2 and sqrt(3 d2) / ell for matern32) or with
     # their coordinates (their cubes for brownian_int), so it is largest
     # between two corners of the box; the Nystrom matrix and the trace
-    # integral weigh kernel values by quadrature weights summing to the volume
+    # integral weigh kernel values by quadrature weights summing to the volume.
+    # The diagonal is smallest at a corner: constant, rising (s, s^3 / 3) or
+    # concave (s - s^2), and a negative one is no covariance
     corners = np.array(list(itertools.product(*axes)))
     kernel = cfg.kernel()
     with np.errstate(all="ignore"):
         corner_values = kernel.pairwise(corners, corners)
         weighted = kernel.domain.volume * np.abs(corner_values).max()
+    for corner, variance in zip(corners.tolist(), np.diagonal(corner_values)):
+        if variance < 0:
+            raise ConfigError(f"field kernel.domain: kernel '{cfg.kernel_id}' is no covariance on the box {axes}: k(x, x) = {variance:.6g} at x = {corner}")
     if not (np.isfinite(corner_values).all() and np.isfinite(weighted)):
         scale = "" if cfg.kernel_id in ONE_DIM_IDS else f" with kernel.length_scale = {ell}"
         raise ConfigError(f"field kernel.domain: kernel '{cfg.kernel_id}'{scale} overflows on the box {axes}")
@@ -308,8 +307,7 @@ def _validate(cfg: ExperimentConfig):
     source = cfg.get("spectrum", "source")
     if source not in _VALID_SOURCES:
         raise ConfigError(f"field spectrum.source must be one of {_VALID_SOURCES}")
-    # the registered closed forms hold on the unit interval only
-    closed_form = has_analytic_spectrum(cfg.kernel_id) and axes == [(0.0, 1.0)]
+    closed_form = has_analytic_spectrum(cfg.kernel_id, kernel.domain)
     if source == "auto":
         source = cfg.values["spectrum"]["source"] = "analytic" if closed_form else "nystrom"
     if source == "analytic" and not closed_form:

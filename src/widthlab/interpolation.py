@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DegenerateDesignError
 from .kernels import _DUPLICATE_TOL, _NONFINITE_GRAM, Kernel, _has_duplicate, _sqdist, gram_matrix
 from .lapack import flapack
-from .quadrature import QuadratureRule
+from .quadrature import DEFAULT_POINTS, QuadratureRule
 
 JITTER_SCALE = 1e-12
 MULTISTART_RESTARTS = 2  # seeded random starts of a multistart search, besides the uniform and greedy ones
@@ -38,7 +38,8 @@ class DesignSet:
     `jitter` records the ridge added to make the Cholesky factorization
     succeed; zero for a cleanly positive-definite Gram matrix.
     `greedy_sup_path` is filled by greedy_design with the sup of the
-    power function before each point insertion.
+    power function before each point insertion, and `descents` by a
+    multistart search with how its descents ran, as in "2 processes".
     """
 
     points: np.ndarray
@@ -46,6 +47,7 @@ class DesignSet:
     chol: np.ndarray | None
     jitter: float = 0.0
     greedy_sup_path: np.ndarray | None = field(default=None, compare=False)
+    descents: str | None = field(default=None, compare=False)
 
     @property
     def size(self) -> int:
@@ -92,14 +94,10 @@ def _cholesky_or_none(K: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def power_values(des: DesignSet, points, diag: np.ndarray | None = None) -> np.ndarray:
-    """Power function on a batch of points (vectorized quadratic form).
-
-    `diag` may carry precomputed kernel diagonal values for the points.
-    """
+def power_values(des: DesignSet, points) -> np.ndarray:
+    """Power function on a batch of points (vectorized quadratic form)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if diag is None:
-        diag = des.kernel.diag(pts)
+    diag = des.kernel.diag(pts)
     if des.size == 0:
         return np.sqrt(np.maximum(diag, 0.0))
     return _power_from_cross(des.chol, des.kernel.pairwise(des.points, pts), diag)
@@ -193,8 +191,8 @@ def interpolation_width(
     """L_p norm of the power function for the given design.
 
     Finite p integrates P^p against the quadrature; p = inf takes the
-    max over an endpoint-including evaluation grid (default 4096 points
-    in 1d, 128 per axis in 2d), which must be denser than the design.
+    max over an endpoint-including evaluation grid (default: the
+    `DEFAULT_POINTS` one, 1d or 2d only), which must be denser than the design.
     The result is the width objective at D, an upper bound on the
     infimum over designs of the same size.
     """
@@ -202,7 +200,7 @@ def interpolation_width(
     if p != math.inf:
         return norm(power_values(des, quad.nodes))
     if eval_grid is None:
-        eval_grid = des.kernel.domain.grid(_default_sup_points(des.kernel.dim), endpoint=True)
+        eval_grid = _default_grid(des.kernel, "eval", "eval_grid")
     return norm(power_values(des, eval_grid))
 
 
@@ -215,8 +213,11 @@ def _lp_norm(quad: QuadratureRule, p: float) -> Callable[[np.ndarray], float]:
     return lambda vals: float((quad.weights @ vals**p) ** (1.0 / p))
 
 
-def _default_sup_points(dim: int) -> int:
-    return {1: 4096, 2: 128}.get(dim, 32)
+def _default_grid(kernel: Kernel, grid: str, arg: str) -> np.ndarray:
+    """The endpoint-including grid of `DEFAULT_POINTS[grid]` points per axis that the argument `arg` defaults to, in 1d or 2d."""
+    if kernel.dim > 2:
+        raise ValueError(f"{arg}: no default grid in {kernel.dim} dimensions; pass one")
+    return kernel.domain.grid(DEFAULT_POINTS[grid][kernel.dim - 1], endpoint=True)
 
 
 def uniform_design(kernel: Kernel, n: int) -> DesignSet:
@@ -256,7 +257,7 @@ def optimize_interpolation_width(
     process per CPU, at most one per start. They run here one after
     another with one CPU, without the `fork` start method, in a pool
     worker (which may not start processes), or in a process that runs
-    more than one thread (see `descent_processes`). Either way
+    more than one thread (see `descent_processes`; `descents` says which). Either way
     each returns its points and value, the best is kept in start order
     (the first of equal values wins), and `design` rebuilds it, so the
     result is the same bit for bit. An error in a descent reaches the
@@ -266,9 +267,9 @@ def optimize_interpolation_width(
     if n < 1:
         raise ValueError("n must be >= 1")
     if candidates is None:
-        candidates = kernel.domain.grid(_default_sup_points(kernel.dim) + 1, endpoint=True)
+        candidates = _default_grid(kernel, "candidates", "candidates")
     if p == math.inf and eval_grid is None:
-        eval_grid = kernel.domain.grid(_default_sup_points(kernel.dim), endpoint=True)
+        eval_grid = _default_grid(kernel, "eval", "eval_grid")
 
     if strategy in ("uniform", "greedy"):
         des = uniform_design(kernel, n) if strategy == "uniform" else greedy_design(kernel, candidates, n)
@@ -290,7 +291,7 @@ def optimize_interpolation_width(
         des, val = _coordinate_descent(kernel, start, targets, diag, norm)
         return des.points, val
 
-    procs, _ = descent_processes(len(starts))
+    procs, serial = descent_processes(len(starts))
     if procs > 1:
         import multiprocessing
 
@@ -304,7 +305,9 @@ def optimize_interpolation_width(
     for pts, val in results:
         if val < best_val:
             best_pts, best_val = pts, val
-    return design(kernel, best_pts), best_val
+    des = design(kernel, best_pts)
+    descents = f"{procs} processes" if serial is None else f"serial ({serial})"
+    return DesignSet(des.points, kernel, des.chol, des.jitter, descents=descents), best_val
 
 
 def descent_processes(starts: int) -> tuple[int, str | None]:
@@ -323,7 +326,7 @@ def descent_processes(starts: int) -> tuple[int, str | None]:
     """
     import multiprocessing  # here, so that importing the package does not pay for it
 
-    procs = min(starts, len(os.sched_getaffinity(0)))
+    procs = min(starts, _cpu_count())
     threads = _thread_count()
     if procs < 2:
         reason = "one CPU"
@@ -336,6 +339,12 @@ def descent_processes(starts: int) -> tuple[int, str | None]:
     else:
         return procs, None
     return 1, reason
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one (Linux), else `os.cpu_count()`."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
 
 
 def _thread_count() -> int | None:
@@ -365,7 +374,7 @@ def _coordinate_descent(
     """Shrinking-bracket line search over each point coordinate in turn.
 
     A trial moves one coordinate of one point, and its score is the value
-    `norm(power_values(design(kernel, cand), targets, diag))` would give, bit
+    `norm(power_values(design(kernel, cand), targets))` would give, bit
     for bit, without building either. A coordinate (point i, axis ax)
     scores all its trial positions as one batch, then replays the accept
     rule `val < best * (1 - 1e-9)` over them in trial order. Every trial of

@@ -17,6 +17,10 @@ from .errors import DomainError
 _WEIGHT_SUM_TOL = 1e-12
 _DOMAIN_TOL = 1e-12
 
+# the default points per axis of each grid, (in 1d, in 2d): the quadrature
+# rule, the sup-norm evaluation grid and the design candidate grid
+DEFAULT_POINTS = {"quadrature": (2000, 64), "eval": (4096, 128), "candidates": (4097, 64)}
+
 
 @dataclass(frozen=True)
 class Box:

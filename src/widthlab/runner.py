@@ -54,11 +54,11 @@ from .errors import ConfigError
 from .interpolation import (
     MULTISTART_RESTARTS,
     DesignSet,
-    descent_processes,
     greedy_design,
     design as make_design,
     interpolation_width,
     optimize_interpolation_width,
+    _cpu_count,
     _thread_count,
     uniform_design,
 )
@@ -138,7 +138,7 @@ def _environment() -> dict[str, object]:
     eigensolver and the triangular solves in scipy's. Their thread counts
     change the last bits of a spectrum, so every cache key holds them.
     """
-    env: dict[str, object] = {"python": platform.python_version(), "cpus": len(os.sched_getaffinity(0)), "threads": _thread_count()}
+    env: dict[str, object] = {"python": platform.python_version(), "cpus": _cpu_count(), "threads": _thread_count()}
     for lib in (np, scipy):
         blas = lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
         env[lib.__name__] = {
@@ -384,7 +384,7 @@ def stage_widths(
 
     for (strategy, n), des in sorted(designs.items()):
         _write_design(out_dir / "designs" / f"design_{cfg.kernel_id}_{strategy}_n{n}.csv", des, manifest)
-
+    validate_chain(rows)
     return rows
 
 
@@ -405,9 +405,8 @@ def _multistart_cell(
     digits, since its label would merge 2 and 2.0000001. A hit rebuilds the
     design from its points, as the search itself does, so hit and miss
     return the same design. The entry also holds how the cell's descents
-    ran, "2 processes" or "serial (3 threads)" (see `descent_processes`),
-    and the lookup's `manifest.cache` record carries it as `descents`, on a
-    hit as on a miss.
+    ran, the search's `DesignSet.descents`, and the lookup's
+    `manifest.cache` record carries it as `descents`, on a hit as on a miss.
     """
     seed = cfg.get("run", "seed")
     entry = _cache_path(
@@ -425,9 +424,8 @@ def _multistart_cell(
     )
 
     def search() -> list:
-        procs, serial = descent_processes(2 + MULTISTART_RESTARTS)  # the uniform and greedy starts, and the restarts
         des, val = optimize_interpolation_width(kernel, quad, p, n, strategy="multistart", candidates=candidates, eval_grid=eval_grid, seed=seed)
-        return [des.points, val, f"{procs} processes" if serial is None else f"serial ({serial})"]
+        return [des.points, val, des.descents]
 
     points, value, descents = _cached(entry, manifest, ("points", "value", "descents"), search)
     manifest.cache[-1]["descents"] = str(descents)  # the record of this lookup
@@ -478,6 +476,7 @@ def stage_entropy(cfg: ExperimentConfig, spectrum: SpectrumEstimate, manifest: R
         for p, rep in carl.items():
             if not rep.ok:
                 manifest.warn(f"carl check flagged indices {rep.flagged} at p={p}: pipeline bug")
+    validate_chain(rows)
     return EntropyStage(rows, e_l2, e_linf, carl)
 
 
@@ -638,6 +637,11 @@ def _write_slopes(out_dir: Path, fits: FitStage, targets: list[TargetResult], ma
     write_csv(out_dir / "slopes.csv", "label,slope,stderr,window_lo,window_hi,status", rows, manifest)
 
 
+def target_line(t: TargetResult) -> str:
+    """The line of a slope target in `report.txt` and on the CLI's stdout."""
+    return f"  [{t.status:>16s}] {t.name}: observed {t.observed:+.4f}, target {t.expected:+.2f} +/- {t.tolerance:.2f}"
+
+
 GAP_HEADING = "gap slope target (not a certificate: its fit bounds the gap exponent from above only):"
 
 
@@ -659,9 +663,6 @@ def _write_report(
     entropy_stage: EntropyStage,
     manifest: RunManifest,
 ):
-    def target_line(t: TargetResult) -> str:
-        return f"  [{t.status:>16s}] {t.name}: observed {t.observed:+.4f}, target {t.expected:+.2f} +/- {t.tolerance:.2f}"
-
     lines = []
     lines.append(f"widthlab campaign report (preset: {cfg.preset_name or 'custom'}, config {manifest.config_hash})")
     lines.append("")
@@ -714,7 +715,6 @@ def run_campaign(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> Ca
     out, manifest, kernel, quad = _setup(cfg, out_dir)
     spectrum = stage_spectrum(cfg, kernel, quad, out, manifest)
     width_rows = stage_widths(cfg, kernel, quad, spectrum, out, manifest)
-    validate_chain(width_rows)
     entropy_stage = stage_entropy(cfg, spectrum, manifest)
     fits = stage_fits(cfg, spectrum, width_rows, manifest)
     verdicts = _verdicts(cfg, entropy_stage)
@@ -741,7 +741,6 @@ def run_widths_only(cfg: ExperimentConfig, out_dir: str | Path | None = None) ->
     out, manifest, kernel, quad = _setup(cfg, out_dir)
     spectrum = stage_spectrum(cfg, kernel, quad, out, manifest)
     rows = stage_widths(cfg, kernel, quad, spectrum, out, manifest)
-    validate_chain(rows)
     _write_width_rows(out, cfg, rows, manifest)
     manifest.save(out / "manifest.json")
     return rows

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InsufficientResolutionError, InsufficientTailError, NoAnalyticSpectrumError, TruncationError
 from .kernels import Kernel
 from .lapack import flapack
-from .quadrature import Box, QuadratureRule, midpoint_rule, unit_interval
+from .quadrature import DEFAULT_POINTS, Box, QuadratureRule, midpoint_rule, unit_interval
 
 ORTHONORMALITY_TOL = 1e-8
 
@@ -196,13 +196,17 @@ def analytic_spectrum(kernel_id: str, n_eigs: int, quad: QuadratureRule | None =
     """Exact eigensystem for kernels with a registered closed form.
 
     The returned estimate carries the exact trace and an analytic basis
-    evaluator; node values are tabulated on `quad` (default: 2000-node
-    midpoint rule on the unit interval).
+    evaluator; node values are tabulated on `quad` (default: the midpoint
+    rule on the unit interval with the 1-d `DEFAULT_POINTS["quadrature"]`).
+    A rule on another box raises NoAnalyticSpectrumError: the closed forms
+    hold on the unit interval only.
     """
     lam_fn, basis_fn, trace = _registered(kernel_id)
     if n_eigs > ANALYTIC_MAX_TERMS:
         raise InsufficientResolutionError(f"analytic registry tabulates at most {ANALYTIC_MAX_TERMS} modes")
-    quad = quad or midpoint_rule(unit_interval(), 2000)
+    quad = quad or midpoint_rule(unit_interval(), DEFAULT_POINTS["quadrature"][0])
+    if not has_analytic_spectrum(kernel_id, quad.box):
+        raise NoAnalyticSpectrumError(f"the closed form of kernel id '{kernel_id}' holds on [0, 1] only, and the rule covers {quad.box}")
     lam = lam_fn(n_eigs)
 
     def basis(X: np.ndarray) -> np.ndarray:
@@ -220,8 +224,9 @@ def analytic_trace(kernel_id: str) -> float:
     return _registered(kernel_id)[2]
 
 
-def has_analytic_spectrum(kernel_id: str) -> bool:
-    return kernel_id.strip().lower() in _ANALYTIC_REGISTRY
+def has_analytic_spectrum(kernel_id: str, box: Box | None) -> bool:
+    """Whether a closed-form eigensystem of the kernel holds on the box: a registered id on the unit interval."""
+    return kernel_id.strip().lower() in _ANALYTIC_REGISTRY and box == unit_interval()
 
 
 # ---------------------------------------------------------------------------

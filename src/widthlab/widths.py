@@ -283,7 +283,7 @@ def rate_transfer_verdict(
 
 def width_gap_verdict(
     e_l2_report: SlopeReport,
-    e_linf_report: SlopeReport | None,
+    e_linf_report: SlopeReport,
     alpha: float,
     slope_tol: float = DEFAULT_SLOPE_TOL,
 ) -> Verdict:
@@ -294,13 +294,6 @@ def width_gap_verdict(
     and the lower bound n^(-1/alpha + 1/2) for the interpolation width,
     exhibiting the square-root gap between the two scales.
     """
-    if e_linf_report is None:
-        return Verdict(
-            claim="gap conclusion unavailable",
-            premises=(e_l2_report,),
-            status=STATUS_INCONCLUSIVE,
-            detail="missing sup-norm entropy evidence",
-        )
     base = rate_transfer_verdict(e_l2_report, e_linf_report, math.inf, alpha, slope_tol)
     claim = (
         f"sup-norm Kolmogorov widths decay like n^(-1/{alpha:g}) and the sup-norm interpolation "

@@ -1,7 +1,10 @@
 """Config parsing, CLI exit codes, caching, and output determinism."""
 
+import dataclasses
 import filecmp
 import hashlib
+import importlib.util
+import itertools
 import json
 import os
 from pathlib import Path
@@ -128,6 +131,35 @@ class TestConfigParsing:
         implicit = wl.parse_config("[kernel]\nid = brownian\n")
         assert wl.parse_config("[kernel]\nid = brownian\n" + explicit).config_hash() == implicit.config_hash()
 
+    def test_resolved_presets_pinned(self):
+        # the hash covers every resolved value, defaults included: a change to
+        # any default moves one of these, and is then a deliberate edit here
+        spec = importlib.util.spec_from_file_location("workload_pass", Path(__file__).resolve().parents[1] / "benchmarks" / "workload_pass.py")
+        workload_pass = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workload_pass)
+        hashes = {name: wl.load_preset(name).config_hash() for name in wl.PRESETS}
+        hashes["design_search"] = wl.parse_config(workload_pass.config_text("design_search", workload_pass.DEFAULT_SEED)).config_hash()
+        assert hashes == {
+            "bm_gap": "05708395b8a7b5bc",
+            "bridge_gap": "70873e83f588a592",
+            "matern2d_gap": "ed406e24da44e01a",
+            "design_search": "6e26b029e52983ac",
+        }
+
+    @pytest.mark.parametrize("kid", ["bridge", "brownian", "brownian_int"])
+    def test_covariance_boxes(self, kid):
+        # a box is refused where the kernel's diagonal is negative at a corner:
+        # for these kernels, exactly off [0, 1] (bridge) or below 0
+        edges = (-1.0, -0.5, 0.0, 0.3, 1.0, 1.5)
+        for lo, hi in itertools.combinations(edges, 2):
+            covariance = 0.0 <= lo and hi <= 1.0 if kid == "bridge" else lo >= 0.0
+            text = f"[kernel]\nid = {kid}\ndomain = {lo},{hi}\n[spectrum]\nsource = nystrom\n"
+            if covariance:
+                wl.parse_config(text)
+                continue
+            with pytest.raises(ConfigError, match=rf"^field kernel.domain: kernel '{kid}' is no covariance on the box \[\({lo}, {hi}\)\]: k\(x, x\) = -"):
+                wl.parse_config(text)
+
 
 # each of these passed validation once and then ended in a traceback
 INVALID_FIELDS = {
@@ -186,6 +218,8 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         # a key "field=value" names one of several bad values of that field
         assert field.partition("=")[0] in err
+        if ":" in field:  # the kernels whose diagonal is negative on the box
+            assert "is no covariance on the box" in err
         assert "Traceback" not in err
 
     def test_unknown_kernel_exit_2(self, tmp_path, capsys):
@@ -200,6 +234,19 @@ class TestCliExitCodes:
 
     def test_no_config_no_preset_exit_2(self, capsys):
         assert main(["spectrum"]) == 2
+
+    @pytest.mark.parametrize("command", ["entropy", "campaign"])
+    def test_entropy_chain_violation_exit_1(self, tmp_path, monkeypatch, capsys, command):
+        # an entropy upper curve that rises with n breaks the chain; the entropy
+        # rows used to reach widths.csv unchecked
+        bounds = runner.diag_entropy_bounds
+        monkeypatch.setattr(runner, "diag_entropy_bounds", lambda op, n: dataclasses.replace(bounds(op, n), upper=n * n * bounds(op, n).upper))
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(small_config(tmp_path))
+        assert main([command, "--config", str(cfgfile)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation: scale e_diag_est, method volume+dyadic-grid[factor-6-unverified]: value rises from ")
+        assert not (tmp_path / "out" / "widths.csv").exists()
 
     def test_chain_violation_exit_1(self, tmp_path, monkeypatch, capsys):
         cfgfile = tmp_path / "c.ini"
@@ -561,16 +608,36 @@ class TestDesignCache:
             name = f"{entry}_{hashlib.sha256(key.encode()).hexdigest()[:20]}.npz"
             assert (tmp_path / "out" / "cache" / name).exists(), entry
 
+    def test_cpus_without_affinity(self, tmp_path, monkeypatch):
+        # macOS and Windows have no sched_getaffinity: the CPU count falls back to os.cpu_count()
+        monkeypatch.delattr(os, "sched_getaffinity")
+        run_widths(tmp_path, multistart_config(tmp_path, "out"))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["environment"]["cpus"] == os.cpu_count()
+        procs = min(4, os.cpu_count())
+        assert {r["descents"] for r in manifest["cache"] if r["entry"] == "design"} == {f"{procs} processes" if procs > 1 else "serial (one CPU)"}
+
     @pytest.mark.parametrize("cpus,descents", [(1, "serial (one CPU)"), (2, "2 processes")])
     def test_design_record_names_descents(self, tmp_path, monkeypatch, cpus, descents):
         # the record says how the cell's descents ran, on the miss that ran
-        # them and on the hit that reads them back (the tests run one thread)
+        # them and on the hit that reads them back (the tests run one thread);
+        # it is what the search that ran reports, not a second guess of it
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        searched = []
+        search = runner.optimize_interpolation_width
+
+        def recording(*args, **kwargs):
+            des, val = search(*args, **kwargs)
+            searched.append(des.descents)
+            return des, val
+
+        monkeypatch.setattr(runner, "optimize_interpolation_width", recording)
         for result in ("miss", "hit"):
             run_widths(tmp_path, multistart_config(tmp_path, "out"))
             records = json.loads((tmp_path / "out" / "manifest.json").read_text())["cache"]
             assert [(r["result"], r["descents"]) for r in records if r["entry"] == "design"] == [(result, descents)] * 2
             assert all("descents" not in r for r in records if r["entry"] != "design")
+            assert searched == [descents] * 2  # the hit runs no search
 
     def test_blas_threads_key_every_entry(self, tmp_path, monkeypatch):
         # the BLAS thread count moves the last bits of a spectrum, so an entry
@@ -650,7 +717,10 @@ class TestCampaignCommand:
         certified = next(i for i, ln in enumerate(lines) if "] d_slope:" in ln)
         gap = next(i for i, ln in enumerate(lines) if "] gap_slope:" in ln)
         assert certified < lines.index(runner.GAP_HEADING) == gap - 1
-        assert runner.GAP_HEADING in (tmp_path / "out" / "report.txt").read_text().splitlines()
+        report = (tmp_path / "out" / "report.txt").read_text().splitlines()
+        assert runner.GAP_HEADING in report
+        # one formatter prints each target line, on stdout as in report.txt
+        assert [lines[certified], lines[gap]] == [ln for ln in report if ": observed " in ln]
 
     def test_hard_target_miss_exits_1(self, tmp_path, capsys):
         text = small_config(tmp_path).replace("alpha = 1.0", "alpha = 1.0\nd_slope = -5.0,0.01")

@@ -464,6 +464,38 @@ class TestDescentBatch:
         assert len(set(solved)) == len(solved) > 0
 
 
+class TestDefaultGrids:
+    """The grids a library call leaves out are the config's defaults, from `DEFAULT_POINTS`."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_equal_the_config_defaults(self, monkeypatch, dim):
+        cfg = wl.parse_config(f"[kernel]\nid = matern32\ndim = {dim}\n")
+        kernel = cfg.kernel()
+        seen = {}
+        greedy, width = interpolation.greedy_design, interpolation.interpolation_width
+        monkeypatch.setattr(interpolation, "greedy_design", lambda k, cand, n: seen.setdefault("candidates", len(cand)) and greedy(k, cand, n))
+        monkeypatch.setattr(
+            interpolation, "interpolation_width", lambda des, quad, p, eval_grid: seen.setdefault("eval", len(eval_grid)) and width(des, quad, p, eval_grid)
+        )
+        wl.optimize_interpolation_width(kernel, wl.midpoint_rule(kernel.domain, 8), INF, 4, strategy="greedy")
+        assert seen == {"candidates": cfg.candidate_points**dim, "eval": cfg.eval_points**dim}
+        # 64 candidates per axis in 2d, where the library used to take 129
+        assert seen["candidates"] == {1: 4097, 2: 64**2}[dim]
+
+    def test_three_dimensions_pass_their_grids(self):
+        kernel = wl.make_kernel("matern32", dim=3)
+        quad = wl.midpoint_rule(kernel.domain, 4)
+        grid = kernel.domain.grid(5, endpoint=True)
+        with pytest.raises(ValueError, match="^candidates: no default grid in 3 dimensions"):
+            wl.optimize_interpolation_width(kernel, quad, INF, 2)
+        with pytest.raises(ValueError, match="^eval_grid: no default grid in 3 dimensions"):
+            wl.optimize_interpolation_width(kernel, quad, INF, 2, candidates=grid)
+        des, val = wl.optimize_interpolation_width(kernel, quad, INF, 2, candidates=grid, eval_grid=grid)
+        assert val == wl.interpolation_width(des, quad, INF, eval_grid=grid)
+        with pytest.raises(ValueError, match="^eval_grid: no default grid in 3 dimensions"):
+            wl.interpolation_width(des, quad, INF)
+
+
 class TestMultistartPool:
     """The descents of a multistart cell run on forked processes, with the serial result."""
 

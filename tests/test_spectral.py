@@ -146,6 +146,20 @@ class TestAnalyticSpectrum:
         with pytest.raises(NoAnalyticSpectrumError):
             wl.analytic_spectrum("matern32", 10)
 
+    def test_closed_form_off_its_box(self):
+        # tabulating the [0, 1] eigenfunctions on [0, 2] gave "exact" rows for
+        # another operator, with an orthonormality defect of 1.0
+        quad = wl.midpoint_rule(wl.Box((0.0,), (2.0,)), 200)
+        with pytest.raises(NoAnalyticSpectrumError, match=r"\[0, 1\] only"):
+            wl.analytic_spectrum("brownian", 10, quad)
+        assert not wl.has_analytic_spectrum("brownian", quad.box)
+        assert wl.has_analytic_spectrum("bridge", wl.unit_interval())
+        assert not wl.has_analytic_spectrum("matern32", wl.unit_interval())
+
+    def test_default_rule_is_the_config_default(self):
+        quad = wl.analytic_spectrum("brownian", 4).quad
+        assert (quad.box, quad.size) == (wl.unit_interval(), wl.parse_config("[kernel]\nid = brownian\n").get("quadrature", "points_per_axis"))
+
     def test_matches_nystrom(self, bm_nystrom, bridge_nystrom, bm_analytic, bridge_analytic):
         for nys, ana in ((bm_nystrom, bm_analytic), (bridge_nystrom, bridge_analytic)):
             rel = np.abs(nys.eigenvalues[:20] - ana.eigenvalues[:20]) / ana.eigenvalues[:20]

@@ -216,10 +216,6 @@ class TestWidthGapVerdict:
         assert v.certified
         assert "n^(-1/1 + 1/2)" in v.claim
 
-    def test_missing_linf_evidence(self):
-        v = wl.width_gap_verdict(_report(-1.0, 0.03), None, 1.0)
-        assert v.status == "inconclusive"
-
     def test_record_shape(self):
         v = wl.width_gap_verdict(_report(-1.0, 0.03), _report(-1.0, 0.03), 1.0)
         rec = v.to_record()
