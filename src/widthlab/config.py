@@ -10,6 +10,7 @@ override their run section from the command line.
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import itertools
 import math
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .entropy import MAX_ENTROPY_INDEX
 from .kernels import CATALOG_IDS, ONE_DIM_IDS, Kernel, make_kernel
 from .quadrature import DEFAULT_POINTS, Box
 from .spectral import ANALYTIC_MAX_TERMS, has_analytic_spectrum
@@ -90,52 +92,51 @@ def p_label(p: float) -> str:
     return "inf" if p == math.inf else f"{p:g}"
 
 
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(raw)
+
+
+def _items(raw: str) -> list[str]:
+    """The nonempty comma-separated entries of a list value."""
+    return [t.strip() for t in raw.split(",") if t.strip()]
+
+
+def _pair(parse, raw: str) -> tuple:
+    """Exactly two comma-separated values; any other count raises ValueError."""
+    first, second = map(parse, raw.split(","))
+    return first, second
+
+
+def _join(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+# schema kind -> (parse the stripped text, raising ValueError; format a value as text that parses back to it).
+# A plist entry needs no case of its own: float() reads inf and infinity in any case
+_KINDS = {
+    "str": (str, str),
+    "int": (int, str),
+    "float": (float, str),
+    "bool": (_parse_bool, str),
+    "intlist": (lambda raw: [int(t) for t in _items(raw.replace(";", ","))], _join),
+    "strlist": (_items, _join),
+    "plist": (lambda raw: [float(t) for t in _items(raw)], _join),
+    "intpair": (functools.partial(_pair, int), _join),
+    "floatpair": (functools.partial(_pair, float), _join),
+    "box": (lambda raw: [_pair(float, axis) for axis in raw.split(";")], lambda axes: ";".join(map(_join, axes))),
+}
+
+
 def _parse_value(kind: str, raw: str, where: str):
     raw = raw.strip()
     try:
-        if kind == "str":
-            return raw
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if kind == "intlist":
-            return [int(t) for t in raw.replace(";", ",").split(",") if t.strip()]
-        if kind == "strlist":
-            return [t.strip() for t in raw.split(",") if t.strip()]
-        if kind == "plist":
-            out = []
-            for t in raw.split(","):
-                t = t.strip()
-                if not t:
-                    continue
-                out.append(math.inf if t.lower() in ("inf", "infinity") else float(t))
-            return out
-        if kind == "intpair":
-            parts = [int(t) for t in raw.split(",")]
-            if len(parts) != 2:
-                raise ValueError(raw)
-            return (parts[0], parts[1])
-        if kind == "floatpair":
-            parts = [float(t) for t in raw.split(",")]
-            if len(parts) != 2:
-                raise ValueError(raw)
-            return (parts[0], parts[1])
-        if kind == "box":
-            axes = []
-            for axis in raw.split(";"):
-                lo, hi = (float(t) for t in axis.split(","))
-                axes.append((lo, hi))
-            return axes
+        return _KINDS[kind][0](raw)
     except ValueError as exc:
         raise ConfigError(f"cannot parse field {where} = '{raw}' as {kind}") from exc
-    raise ConfigError(f"unknown schema kind '{kind}' for field {where}")
 
 
 @dataclass
@@ -196,15 +197,8 @@ class ExperimentConfig:
         for section in self.values:
             lines.append(f"[{section}]")
             for key, val in self.values[section].items():
-                if val is None:
-                    continue
-                if _SCHEMA[section][key][0] == "box":
-                    txt = ";".join(f"{lo},{hi}" for lo, hi in val)
-                elif isinstance(val, (list, tuple)):
-                    txt = ",".join(str(v) for v in val)
-                else:
-                    txt = str(val)
-                lines.append(f"{key} = {txt}")
+                if val is not None:
+                    lines.append(f"{key} = {_KINDS[_SCHEMA[section][key][0]][1](val)}")
             lines.append("")
         return "\n".join(lines)
 
@@ -288,6 +282,9 @@ def _validate(cfg: ExperimentConfig):
         n_grid = cfg.get(section, "n_grid")
         if not n_grid or n_grid[0] < 1 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
             raise ConfigError(f"field {section}.n_grid must be a nonempty list of strictly increasing positive integers")
+    n_top = cfg.get("entropy", "n_grid")[-1]
+    if n_top > MAX_ENTROPY_INDEX:
+        raise ConfigError(f"field entropy.n_grid reaches n = {n_top}: 2^(n-1) balls is a finite double only for n <= {MAX_ENTROPY_INDEX}")
     n_max = max(cfg.get("widths", "n_grid"))
     if {"greedy", "multistart"} & set(cfg.get("widths", "strategies")) and n_max > cfg.candidate_points**cfg.dim:
         raise ConfigError(f"field widths.candidate_points_per_axis gives fewer candidates than the {n_max} points of widths.n_grid")

@@ -24,6 +24,7 @@ from .errors import BudgetError
 from .kernels import _sqdist
 
 DIAG_UPPER_FACTOR = 6.0  # pragmatic universal factor, flagged in the method label
+MAX_ENTROPY_INDEX = 1024  # the largest index n whose ball count 2^(n-1) is a finite double
 _BRUTE_MAX_BALLS = 4096
 _BRUTE_MAX_POINTS = 20000
 
@@ -120,6 +121,8 @@ def diag_entropy_bounds(op: DiagonalOperator, n: int) -> EntropyEstimate:
     """
     if n < 1:
         raise ValueError("entropy index must be >= 1")
+    if n > MAX_ENTROPY_INDEX:
+        raise ValueError(f"entropy index {n} exceeds {MAX_ENTROPY_INDEX}: 2^(n-1) overflows a double")
     s = op.sigma
     if s[0] == 0.0:
         return EntropyEstimate(n, 0.0, 0.0, "volume+dyadic-grid")

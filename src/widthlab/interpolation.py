@@ -14,15 +14,16 @@ greedy selection, and coordinate-descent refinement.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import DegenerateDesignError
-from .kernels import _DUPLICATE_TOL, _NONFINITE_GRAM, Kernel, _has_duplicate, _sqdist, gram_matrix
+from .kernels import _DUPLICATE_TOL, _NONFINITE_GRAM, Kernel, _as_points, _has_duplicate, _sqdist, gram_matrix
 from .lapack import flapack
 from .quadrature import DEFAULT_POINTS, QuadratureRule
 
@@ -56,12 +57,9 @@ class DesignSet:
 
 def design(kernel: Kernel, points) -> DesignSet:
     """Build a design, factorizing its Gram matrix (with recorded jitter)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _as_points(points, kernel.dim)
     if pts.size == 0:
-        pts = pts.reshape(0, kernel.dim)
         return DesignSet(pts, kernel, None)
-    if pts.shape[1] != kernel.dim:
-        pts = pts.reshape(-1, kernel.dim)
     L, jitter = _cholesky(gram_matrix(kernel, pts))  # gram_matrix validates distinctness and domain
     return DesignSet(pts, kernel, L, jitter=jitter)
 
@@ -96,7 +94,7 @@ def _cholesky_or_none(K: np.ndarray) -> np.ndarray | None:
 
 def power_values(des: DesignSet, points) -> np.ndarray:
     """Power function on a batch of points (vectorized quadratic form)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _as_points(points, des.kernel.dim)
     diag = des.kernel.diag(pts)
     if des.size == 0:
         return np.sqrt(np.maximum(diag, 0.0))
@@ -154,7 +152,7 @@ def greedy_design(kernel: Kernel, candidates, n: int) -> DesignSet:
     recorded before each insertion are nonincreasing. Stops early if the
     remaining power mass is at rounding level (candidate set exhausted).
     """
-    cand = np.atleast_2d(np.asarray(candidates, dtype=float))
+    cand = _as_points(candidates, kernel.dim)
     if cand.shape[0] == 0:
         raise ValueError("empty candidate grid")
     if n > cand.shape[0]:
@@ -178,8 +176,7 @@ def greedy_design(kernel: Kernel, candidates, n: int) -> DesignSet:
         V[:, k] = col
         p2 = np.maximum(p2 - col**2, 0.0)
         chosen.append(i)
-    des = design(kernel, cand[chosen])
-    return DesignSet(des.points, des.kernel, des.chol, des.jitter, np.asarray(sups))
+    return replace(design(kernel, cand[chosen]), greedy_sup_path=np.asarray(sups))
 
 
 def interpolation_width(
@@ -196,21 +193,23 @@ def interpolation_width(
     The result is the width objective at D, an upper bound on the
     infimum over designs of the same size.
     """
-    norm = _lp_norm(quad, p)
-    if p != math.inf:
-        return norm(power_values(des, quad.nodes))
-    if eval_grid is None:
-        eval_grid = _default_grid(des.kernel, "eval", "eval_grid")
-    return norm(power_values(des, eval_grid))
+    targets, norm = _objective(des.kernel, quad, p, eval_grid)
+    return norm(power_values(des, targets))
 
 
-def _lp_norm(quad: QuadratureRule, p: float) -> Callable[[np.ndarray], float]:
-    """The width objective on power values, for p in [2, inf]: their max for p = inf, else their quadrature L_p norm."""
-    if not (p == math.inf or p >= 2.0):
-        raise ValueError("p must be in [2, inf]")
+def _objective(kernel: Kernel, quad: QuadratureRule, p: float, eval_grid) -> tuple[np.ndarray, Callable[[np.ndarray], float]]:
+    """The p-width objective for p in [2, inf]: the points it reads the power function at, and its norm on those values.
+
+    Finite p reads the quadrature nodes and takes the quadrature L_p norm;
+    p = inf reads `eval_grid` (default as in `interpolation_width`) and takes the max.
+    """
     if p == math.inf:
-        return lambda vals: float(vals.max())
-    return lambda vals: float((quad.weights @ vals**p) ** (1.0 / p))
+        if eval_grid is None:
+            eval_grid = _default_grid(kernel, "eval", "eval_grid")
+        return _as_points(eval_grid, kernel.dim), lambda vals: float(vals.max())
+    if not p >= 2.0:
+        raise ValueError("p must be in [2, inf]")
+    return quad.nodes, lambda vals: float((quad.weights @ vals**p) ** (1.0 / p))
 
 
 def _default_grid(kernel: Kernel, grid: str, arg: str) -> np.ndarray:
@@ -259,17 +258,14 @@ def optimize_interpolation_width(
     worker (which may not start processes), or in a process that runs
     more than one thread (see `descent_processes`; `descents` says which). Either way
     each returns its points and value, the best is kept in start order
-    (the first of equal values wins), and `design` rebuilds it, so the
+    (the first of equal values wins), and `design` builds it, so the
     result is the same bit for bit. An error in a descent reaches the
     caller with its type and message.
     """
-    norm = _lp_norm(quad, p)
     if n < 1:
         raise ValueError("n must be >= 1")
     if candidates is None:
         candidates = _default_grid(kernel, "candidates", "candidates")
-    if p == math.inf and eval_grid is None:
-        eval_grid = _default_grid(kernel, "eval", "eval_grid")
 
     if strategy in ("uniform", "greedy"):
         des = uniform_design(kernel, n) if strategy == "uniform" else greedy_design(kernel, candidates, n)
@@ -277,9 +273,8 @@ def optimize_interpolation_width(
     if strategy != "multistart":
         raise ValueError(f"unknown strategy '{strategy}'")
 
-    # the points the objective reads, and their design-independent diagonal
-    targets = eval_grid if p == math.inf else quad.nodes
-    diag = kernel.diag(targets)
+    targets, norm = _objective(kernel, quad, p, eval_grid)
+    diag = kernel.diag(targets)  # design-independent
     starts = [uniform_design(kernel, n).points, greedy_design(kernel, candidates, n).points]
     rng = np.random.default_rng(seed)
     lo = np.asarray(kernel.domain.lo)
@@ -287,27 +282,20 @@ def optimize_interpolation_width(
     for _ in range(restarts):
         starts.append(lo + (hi - lo) * rng.random((n, kernel.dim)))
 
-    def descend(start: np.ndarray) -> tuple[np.ndarray, float]:
-        des, val = _coordinate_descent(kernel, start, targets, diag, norm)
-        return des.points, val
-
+    descend = functools.partial(_coordinate_descent, kernel, targets=targets, diag=diag, norm=norm)
     procs, serial = descent_processes(len(starts))
     if procs > 1:
         import multiprocessing
 
-        # the kernel's closures cannot be pickled: `descend` reaches the
-        # workers by fork, through the initializer's arguments
+        # the kernel's and the norm's closures cannot be pickled: `descend`
+        # reaches the workers by fork, through the initializer's arguments
         with multiprocessing.get_context("fork").Pool(procs, _inherit, (descend,)) as pool:
             results = pool.map(_call_inherited, starts)
     else:
         results = map(descend, starts)
-    best_pts, best_val = None, math.inf
-    for pts, val in results:
-        if val < best_val:
-            best_pts, best_val = pts, val
-    des = design(kernel, best_pts)
+    best_pts, best_val = min(results, key=lambda result: result[1])  # the first of equal values
     descents = f"{procs} processes" if serial is None else f"serial ({serial})"
-    return DesignSet(des.points, kernel, des.chol, des.jitter, descents=descents), best_val
+    return replace(design(kernel, best_pts), descents=descents), best_val
 
 
 def descent_processes(starts: int) -> tuple[int, str | None]:
@@ -369,8 +357,8 @@ def _call_inherited(arg):
 
 
 def _coordinate_descent(
-    kernel: Kernel, points: np.ndarray, targets: np.ndarray, diag: np.ndarray, norm, offsets: int = 8
-) -> tuple[DesignSet, float]:
+    kernel: Kernel, points: np.ndarray, targets: np.ndarray, diag: np.ndarray, norm
+) -> tuple[np.ndarray, float]:
     """Shrinking-bracket line search over each point coordinate in turn.
 
     A trial moves one coordinate of one point, and its score is the value
@@ -417,8 +405,8 @@ def _coordinate_descent(
     never increases. If it was rejected, its value v satisfied
     v >= best_then * (1 - 1e-9) >= best_now * (1 - 1e-9); if it was
     accepted, best_now <= v, and v < v * (1 - 1e-9) is false for v >= 0.
-    Skipping it changes no accept decision and no returned bit. `design`
-    builds the returned design.
+    Skipping it changes no accept decision and no returned bit. The
+    descent returns the final points and their score.
     """
     lo = np.asarray(kernel.domain.lo)
     hi = np.asarray(kernel.domain.hi)
@@ -439,7 +427,7 @@ def _coordinate_descent(
     best = math.inf if L is None else norm(_power_from_cross(L, cross, diag))
     seen = {pts.tobytes()}
     radius = span / max(2.0 * n ** (1.0 / kernel.dim), 4.0)
-    steps = np.concatenate([-np.linspace(1.0, 1.0 / offsets, offsets // 2), np.linspace(1.0 / offsets, 1.0, offsets // 2)])
+    steps = np.concatenate([-np.linspace(1.0, 1.0 / 8, 4), np.linspace(1.0 / 8, 1.0, 4)])
     sweeps = 0
     while radius > 1e-6 * span and sweeps < 200:
         sweeps += 1
@@ -499,4 +487,4 @@ def _coordinate_descent(
                 improved = True
         if not improved:
             radius *= 0.5
-    return design(kernel, pts), best
+    return pts, best

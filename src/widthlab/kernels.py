@@ -40,7 +40,7 @@ class Kernel:
     params: dict = field(default_factory=dict)
 
     def diag(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = _as_points(x, self.dim)
         return np.asarray(self.diagonal(x), dtype=float)
 
     def identifier(self) -> str:
@@ -49,7 +49,15 @@ class Kernel:
 
 
 def _as_points(x, dim: int) -> np.ndarray:
+    """Points as an (m, dim) float array: the rule by which every entry point reads a point array.
+
+    A scalar is one point; a 1-d array is m scalars in 1d, or one point
+    when its length is dim; an empty input is no point. Any other column
+    count raises DomainError. An (m, dim) float array is returned as is.
+    """
     x = np.asarray(x, dtype=float)
+    if x.size == 0:
+        return x.reshape(0, dim)
     if x.ndim == 0:
         x = x.reshape(1, 1)
     elif x.ndim == 1:

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InsufficientResolutionError, InsufficientTailError, NoAnalyticSpectrumError, TruncationError
-from .kernels import Kernel
+from .kernels import Kernel, _as_points
 from .lapack import flapack
 from .quadrature import DEFAULT_POINTS, Box, QuadratureRule, midpoint_rule, unit_interval
 
@@ -79,7 +79,7 @@ class SpectrumEstimate:
         extension e_i(x) = (1/lambda_i) sum_j w_j k(x, x_j) V[j, i],
         restricted to modes with a safely positive eigenvalue.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = _as_points(points, self.quad.nodes.shape[1])
         m = n_modes or self.n_eigs
         if self.basis is not None:
             return self.basis(pts)[:, :m]
@@ -160,7 +160,7 @@ def _brownian_eigenvalues(n: int) -> np.ndarray:
 
 
 def _brownian_basis(X: np.ndarray, n: int) -> np.ndarray:
-    t = np.atleast_2d(X)[:, 0]
+    t = X[:, 0]
     i = np.arange(1, n + 1)
     return np.sqrt(2.0) * np.sin((2.0 * i[None, :] - 1.0) * np.pi * t[:, None] / 2.0)
 
@@ -171,7 +171,7 @@ def _bridge_eigenvalues(n: int) -> np.ndarray:
 
 
 def _bridge_basis(X: np.ndarray, n: int) -> np.ndarray:
-    t = np.atleast_2d(X)[:, 0]
+    t = X[:, 0]
     i = np.arange(1, n + 1)
     return np.sqrt(2.0) * np.sin(i[None, :] * np.pi * t[:, None])
 

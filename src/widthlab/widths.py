@@ -40,7 +40,7 @@ from .asymptotics import (
 )
 from .config import p_label
 from .errors import ChainViolationError
-from .kernels import Kernel
+from .kernels import Kernel, _as_points
 from .spectral import SpectrumEstimate, tail_sum
 
 SCALE_IDS = (
@@ -214,7 +214,7 @@ def build_ellipsoid(
         grid = spectrum.quad.nodes
         V = spectrum.eigvec_node_values[:, :m]
     else:
-        grid = np.atleast_2d(np.asarray(grid, dtype=float))
+        grid = _as_points(grid, spectrum.quad.nodes.shape[1])
         V = spectrum.extend(kernel, grid, m)
     Phi = V * np.sqrt(spectrum.eigenvalues[:m])[None, :]
     return EllipsoidModel(Phi, grid)

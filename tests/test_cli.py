@@ -164,6 +164,8 @@ class TestConfigParsing:
 # each of these passed validation once and then ended in a traceback
 INVALID_FIELDS = {
     "entropy.n_grid": lambda t: t + "[entropy]\nn_grid = 0,1,2,4,8\n",
+    # 2^(n-1) overflows a double past n = 1024
+    "entropy.n_grid=1025": lambda t: t + "[entropy]\nn_grid = 1,2,4,8,16,32,64,1025\n",
     "fit.window": lambda t: t.replace("window = 2,16", "window = 100,200"),
     "fit.entropy_window": lambda t: t.replace("window = 2,16", "window = 2,16\nentropy_window = 100,200"),
     "quadrature.points_per_axis": lambda t: t.replace("points_per_axis = 400", "points_per_axis = 0"),

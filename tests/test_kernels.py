@@ -84,6 +84,38 @@ class TestGramMatrix:
                 assert eigs.min() >= -1e-10 * norm
 
 
+# every entry point that takes a point array, on the brownian kernel; `fx` looks up a fixture
+POINT_ENTRIES = {
+    "power_values": lambda fx, x: wl.power_values(wl.design(fx("bm_kernel"), [0.25, 0.5, 1.0]), x),
+    "interpolation_width": lambda fx, x: wl.interpolation_width(wl.design(fx("bm_kernel"), [0.25, 0.5, 1.0]), fx("quad_2000"), math.inf, eval_grid=x),
+    "Kernel.diag": lambda fx, x: fx("bm_kernel").diag(x),
+    "greedy_design": lambda fx, x: wl.greedy_design(fx("bm_kernel"), x, 4).points,
+    "extend-analytic": lambda fx, x: fx("bm_analytic").extend(None, x, 8),
+    "extend-nystrom": lambda fx, x: fx("bm_nystrom").extend(fx("bm_kernel"), x, 8),
+    "build_ellipsoid": lambda fx, x: wl.build_ellipsoid(fx("bm_analytic"), x, 8).feature_matrix,
+}
+
+
+class TestPointRule:
+    """Every entry point reads a point array by one rule, `kernels._as_points`."""
+
+    @pytest.mark.parametrize("entry", sorted(POINT_ENTRIES))
+    def test_scalars_are_a_column(self, request, entry):
+        # a 1-d array of m scalars in 1d is m points, as its column is
+        x = np.linspace(0.0, 1.0, 101)
+        call = POINT_ENTRIES[entry]
+        assert np.array_equal(call(request.getfixturevalue, x), call(request.getfixturevalue, x[:, None]))
+
+    def test_other_column_counts_raise(self):
+        k2 = wl.make_kernel("matern32", dim=2)
+        assert wl.design(k2, []).points.shape == (0, 2)
+        des = wl.design(k2, [[0.2, 0.3], [0.7, 0.6]])
+        with pytest.raises(DomainError, match="points have dimension 3"):
+            wl.power_values(des, [[0.1, 0.2, 0.3]])
+        with pytest.raises(DomainError, match="points have dimension 4"):
+            wl.design(k2, [[0.1, 0.2, 0.3, 0.4]])
+
+
 class TestTraceIntegral:
     def test_brownian(self, bm_kernel, quad_2000):
         assert wl.trace_integral(bm_kernel, quad_2000) == pytest.approx(0.5, abs=1e-12)
