@@ -264,14 +264,14 @@ def optimize_interpolation_width(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if candidates is None:
+    if strategy not in ("uniform", "greedy", "multistart"):
+        raise ValueError(f"unknown strategy '{strategy}'")
+    if candidates is None and strategy != "uniform":  # the uniform grid reads no candidates
         candidates = _default_grid(kernel, "candidates", "candidates")
 
     if strategy in ("uniform", "greedy"):
         des = uniform_design(kernel, n) if strategy == "uniform" else greedy_design(kernel, candidates, n)
         return des, interpolation_width(des, quad, p, eval_grid=eval_grid)
-    if strategy != "multistart":
-        raise ValueError(f"unknown strategy '{strategy}'")
 
     targets, norm = _objective(kernel, quad, p, eval_grid)
     diag = kernel.diag(targets)  # design-independent

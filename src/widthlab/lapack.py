@@ -1,7 +1,9 @@
 """scipy's f2py LAPACK wrappers, loaded by file path without importing `scipy.linalg`.
 
-`flapack` is the extension module `scipy/linalg/_flapack`, whose `dsyevd`
-and `dtrtrs` are the objects `scipy.linalg.lapack` exports. Importing the
+`flapack` is the extension module `scipy/linalg/_flapack`, whose wrappers
+are the objects `scipy.linalg.lapack` exports. widthlab calls four of them:
+`dsytrd`, `dstevd` and `dormqr` in `spectral.nystrom_spectrum` and
+`dtrtrs` in `interpolation._solve_lower`. Importing the
 package itself takes about 0.25 s, mostly numpy submodules that its array-API
 shim loads (`numpy.f2py`, `numpy.testing`), and about 20 MB. The module is
 registered as `scipy.linalg._flapack`, so a later `import scipy.linalg`

@@ -65,6 +65,7 @@ from .interpolation import (
 from .kernels import Kernel, trace_integral
 from .quadrature import QuadratureRule, midpoint_rule
 from .spectral import (
+    NYSTROM_SOLVER,
     SpectrumEstimate,
     analytic_spectrum,
     nystrom_spectrum,
@@ -290,7 +291,7 @@ def stage_spectrum(
         if source == "analytic":
             spectrum = analytic_spectrum(cfg.kernel_id, n_eigs, quad)
         else:
-            entry = _cache_path(out_dir, "spectrum", kernel, quad, manifest, f"n_eigs={n_eigs}")
+            entry = _cache_path(out_dir, "spectrum", kernel, quad, manifest, f"n_eigs={n_eigs}", f"solver={NYSTROM_SOLVER}")
             spectrum = _load_spectrum(entry, quad, manifest)
             if spectrum is None:
                 spectrum = nystrom_spectrum(kernel, quad, n_eigs)
@@ -343,7 +344,7 @@ def stage_widths(
             rows.append(WidthRow("I_Linf_lower_tail", n, KIND_LOWER, tl, "trace-tail", "inf"))
 
     with _timed(manifest, "widths.mercer_upper"):
-        key = (f"n_eigs={spectrum.n_eigs}", f"source={spectrum.source}", f"eval_points={cfg.eval_points}", f"dense_max={dense_max}")
+        key = (f"n_eigs={spectrum.n_eigs}", f"solver={NYSTROM_SOLVER}", f"source={spectrum.source}", f"eval_points={cfg.eval_points}", f"dense_max={dense_max}")
         entry = _cache_path(out_dir, "envelope", kernel, quad, manifest, *key)
         (sup2,) = _cached(entry, manifest, ("sup2",), lambda: [mercer_envelope_sup2(spectrum, kernel, eval_grid, dense_max)])
         for n in dense:

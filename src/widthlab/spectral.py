@@ -92,31 +92,64 @@ class SpectrumEstimate:
         return out
 
 
+BACK_TRANSFORM_ALIGN = 24
+BACK_TRANSFORM_MIN = 192
+NYSTROM_SOLVER = f"dsytrd+dstevd+dormqr/{BACK_TRANSFORM_ALIGN}/{BACK_TRANSFORM_MIN}"
+"""The LAPACK path of `nystrom_spectrum`, named in the spectrum cache key: another path may leave other last bits."""
+
+
+def _check_info(routine: str, info: int, n: int):
+    """Raise on a nonzero LAPACK `info`: ValueError for an illegal argument, LinAlgError for no convergence."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal {routine}")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{routine} failed to converge on {n} x {n} matrix (info {info})")
+
+
 def nystrom_spectrum(kernel: Kernel, quad: QuadratureRule, n_eigs: int) -> SpectrumEstimate:
     """Dense symmetric eigendecomposition of the discretized operator.
 
     Deterministic for fixed inputs; negative numerical eigenvalues are
     clamped to zero and counted in the `clamped` diagnostic.
 
-    The solver is LAPACK `dsyevd` on the lower triangle, run in the
-    matrix's own buffer: `A` is exactly symmetric once averaged with its
-    transpose, so the Fortran-ordered view `A.T` holds the same values, and
-    scipy's f2py wrapper (`lapack.flapack`) hands it to `dsyevd` without a
-    copy and returns the eigenvectors in it. The call is the one
-    `scipy.linalg.eigh(A.T, lower=True, driver="evd", overwrite_a=True)`
-    makes, with its checks: a non-finite matrix raises ValueError with
-    eigh's message, the workspace sizes come from `dsyevd_lwork`, and a
-    nonzero `info` raises ValueError (an illegal argument) or LinAlgError
-    (no convergence). It is also the routine, triangle and input that
-    `np.linalg.eigh(A)` runs on its own copy of `A`, but numpy and scipy
-    each link their own BLAS build, so equal results are not a property of
-    the call: with the numpy 2.4 and scipy 1.17 wheels (OpenBLAS 0.3.31
-    and 0.3.30, as `manifest.json`'s `environment` block records) the
-    eigenvalues and eigenvectors were bit-identical to numpy's on the 2000-
-    and 4096-node benchmark matrices on an x86-64 machine, and the
-    benchmark's golden gate holds every value to them. Neither numpy's
-    copy nor a separate n x n output is allocated; what is left beside `A`
-    is the `dsyevd` work array of about 2 n^2 doubles.
+    The solver runs the three steps of LAPACK `dsyevd` on the lower
+    triangle one by one, through scipy's f2py wrappers (`lapack.flapack`),
+    so that the last one transforms only the kept eigenvectors:
+
+    1. `dsytrd` reduces the matrix to a tridiagonal T = Q^T A Q in the
+       matrix's own buffer: `A` is exactly symmetric once averaged with its
+       transpose, so the Fortran-ordered view `A.T` holds the same values
+       and the wrapper takes it without a copy.
+    2. `dstevd` runs on T the divide-and-conquer `dstedc('I')` that `dsyevd`
+       runs, and returns all n eigenvalues, ascending, and T's eigenvectors Z.
+    3. `dormqr` applies Q to rows 1 to n - 1 of Z, as `dsyevd`'s `dormtr`
+       does for the lower triangle, but only to the last columns, from a
+       start s: the first kept column, moved back so that the block spans
+       at least 192 columns (`BACK_TRANSFORM_MIN`) and starts on a
+       multiple of 24 (`BACK_TRANSFORM_ALIGN`). At 4096 nodes with 260
+       eigenvalues kept that is 280 columns instead of 4096, and the solve
+       takes about 7 s instead of 12 on one x86-64 core.
+
+    Each column of Q Z depends on that column of Z alone, but its last
+    bits depend on where it falls in the tiles into which OpenBLAS splits
+    the block reflectors' level-3 products. Both numbers are measured, not
+    derived, with scipy 1.17's OpenBLAS 0.3.30 on an x86-64 (AVX-512)
+    machine, on `matern32` matrices of 100 to 4096 nodes: every block that
+    started on a multiple of 24 and spanned 192 columns or more kept
+    `dsyevd`'s bits. Unaligned starts (s = 3836 of 4096 nodes, 1740 of
+    2000), starts on a multiple of 8 or 12 only (1000 of 2000, 12 of 240)
+    and aligned blocks of up to 188 columns (at 260, 380 and 500 nodes,
+    among others) differed in the last bits. The eigenvalues always equal
+    `dsyevd`'s. With at most 192 nodes, or all n eigenvalues kept, s = 0:
+    the full back-transform.
+
+    The checks are those of `scipy.linalg.eigh(A, driver="evd")`: a
+    non-finite matrix raises ValueError with eigh's message, and a nonzero
+    `info` raises ValueError (an illegal argument) or LinAlgError (no
+    convergence), naming the routine. The peak is in `dstevd`: beside `A`,
+    Z and its work array of n^2 doubles each, 3 n^2 in all, as in `dsyevd`.
+    Z is cut to its kept columns before the Householder vectors below
+    `A`'s diagonal are copied into the contiguous block `dormqr` reads.
     """
     if n_eigs > quad.size:
         raise InsufficientResolutionError(
@@ -130,17 +163,23 @@ def nystrom_spectrum(kernel: Kernel, quad: QuadratureRule, n_eigs: int) -> Spect
     A = A + A.T
     A *= 0.5
     n = A.shape[0]
-    lwork, liwork, _ = flapack.dsyevd_lwork(n, compute_v=1, lower=1)
-    lam_all, U, info = flapack.dsyevd(
-        np.asarray_chkfinite(A.T), compute_v=1, lower=1, lwork=int(lwork), liwork=int(liwork), overwrite_a=1
-    )
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of internal dsyevd")
-    if info > 0:
-        raise np.linalg.LinAlgError(f"dsyevd failed to converge on {n} x {n} matrix (info {info})")
+    lwork, _ = flapack.dsytrd_lwork(n, lower=1)
+    c, d, e, tau, info = flapack.dsytrd(np.asarray_chkfinite(A.T), lower=1, lwork=int(lwork), overwrite_a=1)
+    _check_info("dsytrd", info, n)
+    lam_all, Z, info = flapack.dstevd(d, e if n > 1 else np.zeros(1))  # the wrapper wants an off-diagonal even at n = 1
+    _check_info("dstevd", info, n)
     order = np.argsort(lam_all)[::-1][:n_eigs]
+    s = max(0, min(order.min(), n - BACK_TRANSFORM_MIN)) // BACK_TRANSFORM_ALIGN * BACK_TRANSFORM_ALIGN
+    U = Z[:, s:].copy(order="F")
+    del Z  # n^2 doubles, freed before the reflectors are copied
+    if n > 1:
+        H = np.asfortranarray(c[1:, : n - 1])  # the Householder vectors, once; the wrapper copies a strided view on each call
+        _, work, _ = flapack.dormqr("L", "N", H, tau, U[1:], -1)  # the workspace query
+        QZ, _, info = flapack.dormqr("L", "N", H, tau, U[1:], int(work[0]))
+        _check_info("dormqr", info, n)
+        U[1:] = QZ
     lam = lam_all[order]
-    U = U[:, order]
+    U = U[:, order - s]
     clamped = int(np.sum(lam < 0))
     lam = np.maximum(lam, 0.0)
     V = U / sw[:, None]

@@ -602,13 +602,24 @@ class TestDesignCache:
         run_widths(tmp_path, multistart_config(tmp_path, "out"))
         rule = "midpoint^1x100|m=100|mass=0.99999999999999989|lo=0|hi=1"
         tail = f"numpy_blas_threads=1|scipy_blas_threads=1|version={wl.__version__}"
+        solver = "solver=dsytrd+dstevd+dormqr/24/192"
         raw = {
-            "spectrum": f"matern32(ell=0.29999999999999999)|{rule}|n_eigs=30|{tail}",
-            "envelope": f"matern32(ell=0.29999999999999999)|{rule}|n_eigs=30|source=nystrom|eval_points=129|dense_max=16|{tail}",
+            "spectrum": f"matern32(ell=0.29999999999999999)|{rule}|n_eigs=30|{solver}|{tail}",
+            "envelope": f"matern32(ell=0.29999999999999999)|{rule}|n_eigs=30|{solver}|source=nystrom|eval_points=129|dense_max=16|{tail}",
         }
         for entry, key in raw.items():
             name = f"{entry}_{hashlib.sha256(key.encode()).hexdigest()[:20]}.npz"
             assert (tmp_path / "out" / "cache" / name).exists(), entry
+
+    def test_spectrum_record_names_solver(self, tmp_path):
+        # an entry written by another eigensolver path is not read back as this
+        # one's result, and the record names the path on a hit as on a miss
+        for result in ("miss", "hit"):
+            run_widths(tmp_path, multistart_config(tmp_path, "out"))
+            records = json.loads((tmp_path / "out" / "manifest.json").read_text())["cache"]
+            spectra = [r for r in records if r["entry"] == "spectrum"]
+            assert [r["result"] for r in spectra] == [result]
+            assert f"|n_eigs=30|solver={wl.spectral.NYSTROM_SOLVER}|" in spectra[0]["key"]
 
     def test_cpus_without_affinity(self, tmp_path, monkeypatch):
         # macOS and Windows have no sched_getaffinity: the CPU count falls back to os.cpu_count()

@@ -494,6 +494,15 @@ class TestDefaultGrids:
         with pytest.raises(ValueError, match="^eval_grid: no default grid in 3 dimensions"):
             wl.interpolation_width(des, quad, INF)
 
+    def test_uniform_reads_no_candidates(self):
+        # the uniform strategy needs no candidate grid, so it runs in 3d without one
+        kernel = wl.make_kernel("matern32", dim=3)
+        quad = wl.midpoint_rule(kernel.domain, 4)
+        grid = kernel.domain.grid(5, endpoint=True)
+        des, val = wl.optimize_interpolation_width(kernel, quad, 2.0, 8, strategy="uniform", eval_grid=grid)
+        assert val == wl.interpolation_width(wl.uniform_design(kernel, 8), quad, 2.0, eval_grid=grid)
+        np.testing.assert_array_equal(des.points, wl.uniform_design(kernel, 8).points)
+
 
 class TestMultistartPool:
     """The descents of a multistart cell run on forked processes, with the serial result."""

@@ -18,7 +18,8 @@ CHECK_SHARED = """
 flapack = sys.modules["scipy.linalg._flapack"]
 assert widthlab.lapack.flapack is flapack
 assert widthlab.spectral.flapack is flapack and widthlab.interpolation.flapack is flapack
-assert scipy.linalg.lapack.dtrtrs is flapack.dtrtrs and scipy.linalg.lapack.dsyevd is flapack.dsyevd
+for name in ("dsytrd", "dstevd", "dormqr", "dtrtrs"):
+    assert getattr(scipy.linalg.lapack, name) is getattr(flapack, name), name
 A = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
 w, V = scipy.linalg.eigh(A)
 assert np.allclose(A @ V, V * w)

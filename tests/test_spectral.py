@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import widthlab as wl
 from widthlab.errors import InsufficientResolutionError, InsufficientTailError, NoAnalyticSpectrumError
+from widthlab.lapack import flapack
 from widthlab.spectral import ClampedTailWarning
 
 
@@ -21,6 +23,16 @@ def bm_lambda(i):
 
 def bridge_lambda(i):
     return 1.0 / (math.pi**2 * i**2)
+
+
+def dsyevd_spectrum(kernel, quad, n_eigs):
+    """Eigenvalues and node values of the Nystrom matrix from the full dsyevd, in nystrom_spectrum's order and signs."""
+    sw = np.sqrt(quad.weights)
+    A = kernel.pairwise(quad.nodes, quad.nodes) * sw[:, None] * sw
+    lam, U = scipy.linalg.eigh((A + A.T) * 0.5, driver="evd")
+    order = np.argsort(lam)[::-1][:n_eigs]
+    V = U[:, order] / sw[:, None]
+    return np.maximum(lam[order], 0.0), V * np.where(V[0] < 0, -1.0, 1.0)
 
 
 class TestQuadrature:
@@ -77,8 +89,9 @@ class TestNystrom:
 
     def test_eigensolver_memory(self):
         # the eigensolver works in the matrix's own buffer: beside the n x n
-        # matrix only the dsyevd work array of about 2 n^2 doubles is left
-        # (5.2 n^2 when numpy's eigh copied the matrix and returned a new one)
+        # matrix only dstevd's eigenvectors and work array, n^2 doubles each,
+        # are left (5.2 n^2 when numpy's eigh copied the matrix and returned
+        # a new one)
         n = 1536
         code = (
             "import resource, widthlab as wl\n"
@@ -95,9 +108,35 @@ class TestNystrom:
         growth = int(out.stdout) * (1 if sys.platform == "darwin" else 1024)  # ru_maxrss is in KiB on Linux
         assert growth < 4 * n * n * 8
 
+    @pytest.mark.parametrize(
+        "dim,points,n_eigs,columns",
+        [(1, 2000, 260, 272), (1, 240, 80, 192), (2, 16, 80, 208), (1, 256, 256, 256), (1, 100, 4, 100)],
+    )
+    def test_back_transform_keeps_dsyevd_bits(self, monkeypatch, dim, points, n_eigs, columns):
+        # only the last columns are back-transformed, in a block at least 192
+        # wide that starts on a multiple of 24 (all of them on a small matrix
+        # or with every eigenvalue kept), and the kept ones have the full
+        # dsyevd's bits; the first case is the design_search matrix, and the
+        # golden gate holds the 4096-node matern2d_gap one to them
+        kernel = wl.make_kernel("matern32", dim=dim)
+        quad = wl.midpoint_rule(kernel.domain, points)
+        widths = []
+        dormqr = flapack.dormqr
+
+        def recording(side, trans, a, tau, c, lwork, **kwargs):
+            widths.append(c.shape[1])
+            return dormqr(side, trans, a, tau, c, lwork, **kwargs)
+
+        monkeypatch.setattr(flapack, "dormqr", recording)
+        got = wl.nystrom_spectrum(kernel, quad, n_eigs)
+        assert widths == [columns, columns]  # the workspace query and the call
+        lam, V = dsyevd_spectrum(kernel, quad, n_eigs)
+        np.testing.assert_array_equal(got.eigenvalues, lam)
+        np.testing.assert_array_equal(got.eigvec_node_values, V)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_matrix_raises(self, bm_kernel, bad):
-        # the finiteness check that scipy.linalg.eigh made before dsyevd
+        # the finiteness check that scipy.linalg.eigh makes before dsyevd
         def pairwise(a, b):
             K = bm_kernel.pairwise(a, b)
             K[3, 5] = bad
