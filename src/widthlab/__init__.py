@@ -45,9 +45,7 @@ from .interpolation import (
     uniform_design,
 )
 from .widths import (
-    EllipsoidModel,
     WidthRow,
-    build_ellipsoid,
     interp_linf_lower_tail,
     l2_widths,
     linf_kolmogorov_lower,

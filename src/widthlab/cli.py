@@ -124,6 +124,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"budget exceeded: out of memory ({exc!r}); a Nystrom spectrum of n nodes holds about 3 n^2 doubles: lower quadrature.points_per_axis", file=sys.stderr)
+        return 3
     except ChainViolationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1

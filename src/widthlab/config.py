@@ -286,7 +286,7 @@ def _validate(cfg: ExperimentConfig):
     if n_top > MAX_ENTROPY_INDEX:
         raise ConfigError(f"field entropy.n_grid reaches n = {n_top}: 2^(n-1) balls is a finite double only for n <= {MAX_ENTROPY_INDEX}")
     n_max = max(cfg.get("widths", "n_grid"))
-    if {"greedy", "multistart"} & set(cfg.get("widths", "strategies")) and n_max > cfg.candidate_points**cfg.dim:
+    if n_max > cfg.candidate_points**cfg.dim:
         raise ConfigError(f"field widths.candidate_points_per_axis gives fewer candidates than the {n_max} points of widths.n_grid")
     p_values = cfg.get("widths", "p_values")
     for p in p_values:

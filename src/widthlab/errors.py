@@ -1,7 +1,7 @@
 """Exception hierarchy for widthlab.
 
 Exit-code mapping used by the CLI: invariant violations map to 1,
-configuration problems to 2, resource budgets to 3.
+configuration problems to 2, resource budgets and a MemoryError to 3.
 """
 
 

@@ -5,14 +5,15 @@ Every run is driven by an ExperimentConfig, writes CSV artifacts with
 acceptance diffs), and records every file it writes in a manifest. The
 width and entropy stages record each value once, as a `WidthRow`; the
 chain check and the fits read those rows, and widths.csv adds the kernel
-id and the seed to each when it is written. The
-visible spectrum, an eigenvalue CSV and a `.npy` of eigenfunction node
-values, is written once per call. `cache/` holds three kinds of binary
-entry, each keyed by the kernel, the quadrature rule and its box, the
-fields below, the BLAS thread counts of numpy and scipy (which move the last
-bits of a spectrum) and the package version. A `spectrum_<key>.npz` holds a
-Nystrom spectrum, keyed by `n_eigs`; analytic spectra are recomputed on
-every run. An `envelope_<key>.npz` holds the squared sup-norm Mercer
+id and the seed to each when it is written. The visible spectrum is an
+eigenvalue CSV and a `.npy` of eigenfunction node values, for a Nystrom
+spectrum a hard link to its cache entry's. `cache/` holds three kinds of
+binary entry, each keyed by the kernel, the quadrature rule and its box,
+the fields below, the BLAS thread counts of numpy and scipy (which move the
+last bits of a spectrum) and the package version. A `spectrum_<key>.npz`
+holds a Nystrom spectrum and the CRC-32 of its node values, which are the
+entry's `.npy`, keyed by `n_eigs`; analytic spectra are recomputed on every
+run. An `envelope_<key>.npz` holds the squared sup-norm Mercer
 envelope for n = 0..`dense_max`, for either source, keyed by `n_eigs`, the
 resolved spectrum source, the evaluation points per axis and `dense_max`.
 A `design_<key>.npz` holds the points and value of one multistart cell,
@@ -38,7 +39,8 @@ import platform
 import time
 import warnings
 import zipfile
-from contextlib import contextmanager
+import zlib
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
@@ -227,33 +229,50 @@ def _cache_path(
     return _CacheEntry(entry, out_dir / "cache" / f"{entry}_{hashlib.sha256(raw.encode()).hexdigest()[:20]}.npz", raw)
 
 
-def _read_cache(entry: _CacheEntry, manifest: RunManifest, *names: str) -> list[np.ndarray] | None:
-    """The named arrays of a cache entry; None when it is absent or unreadable.
+def _read_cache(entry: _CacheEntry, manifest: RunManifest, *names: str, npy: bool = False) -> list[np.ndarray] | None:
+    """The named arrays of a cache entry, then with `npy` the array in its `.npy`; None when it is absent or unreadable.
 
     An unreadable entry is a miss: the caller recomputes and overwrites it,
-    and the manifest names the file. Every lookup is recorded in
+    and the manifest names the file. A `.npy` whose bytes miss the CRC-32 in
+    the npz is unreadable. Every lookup is recorded in
     `manifest.cache`, whose hits the saved manifest counts as `cache_hits`.
     """
-    arrays, result = None, "miss"
-    if entry.path.exists():
+    arrays, result, path = None, "miss", entry.path
+    if path.exists():
         try:
-            with np.load(entry.path) as cached:
+            with np.load(path) as cached:
                 arrays = [cached[name] for name in names]
+                crc = cached["npy_crc32"] if npy else None
+            if npy:
+                path = path.with_suffix(".npy")
+                arrays.append(np.load(path))
+                if zlib.crc32(arrays[-1].ravel(order="K")) != crc:
+                    raise ValueError("CRC-32 mismatch")
             result = "hit"
         except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-            manifest.warn(f"cache entry {entry.path} unreadable ({type(exc).__name__}): recomputed")
-            result = "unreadable"
+            manifest.warn(f"cache entry {path} unreadable ({type(exc).__name__}): recomputed")
+            arrays, result = None, "unreadable"
     manifest.cache.append({"entry": entry.kind, "file": entry.path.name, "key": entry.key, "result": result})
     return arrays
 
 
-def _write_cache(path: Path, **arrays: np.ndarray):
-    """Write under a temporary name first, so a reader never sees a partial file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+@contextmanager
+def _replacing(path: Path):
+    """A temporary name for a new file that then replaces `path`, so no reader sees it partial and the old file is never written into."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "wb") as fh:
-        np.savez(fh, **arrays)
+    yield tmp
     os.replace(tmp, path)
+
+
+def _write_cache(path: Path, npy: np.ndarray | None = None, **arrays: np.ndarray):
+    """The npz of an entry and, given `npy`, first the entry's `.npy`, whose CRC-32 the npz holds."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if npy is not None:
+        with _replacing(path.with_suffix(".npy")) as tmp, open(tmp, "wb") as fh:
+            np.save(fh, npy)
+        arrays["npy_crc32"] = zlib.crc32(npy.ravel(order="K"))
+    with _replacing(path) as tmp, open(tmp, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def _cached(entry: _CacheEntry, manifest: RunManifest, names: tuple[str, ...], compute: Callable[[], list]) -> list:
@@ -266,20 +285,30 @@ def _cached(entry: _CacheEntry, manifest: RunManifest, names: tuple[str, ...], c
 
 
 def _load_spectrum(entry: _CacheEntry, quad: QuadratureRule, manifest: RunManifest) -> SpectrumEstimate | None:
-    cached = _read_cache(entry, manifest, "eigenvalues", "node_values", "clamped")
+    cached = _read_cache(entry, manifest, "eigenvalues", "clamped", npy=True)
     if cached is None:
         return None
-    eigenvalues, node_values, clamped = cached
+    eigenvalues, clamped, node_values = cached
     return SpectrumEstimate(eigenvalues, node_values, quad, clamped=int(clamped))
 
 
-def _save_spectrum(path_base: Path, spectrum: SpectrumEstimate, meta: str, manifest: RunManifest):
-    """The visible `spectrum_<id>.csv` (meta, eigenvalues) and `spectrum_<id>_vectors.npy` (node values)."""
+def _save_spectrum(path_base: Path, spectrum: SpectrumEstimate, meta: str, manifest: RunManifest, cached: Path | None):
+    """The visible `spectrum_<id>.csv` (meta, eigenvalues) and `spectrum_<id>_vectors.npy` (node values).
+
+    The node values are a hard link to `cached`, the `.npy` of a cache entry, where there is one and the file system links.
+    """
     rows = [f"{i + 1},{fmt(v)}" for i, v in enumerate(spectrum.eigenvalues)]
     write_csv(path_base.with_suffix(".csv"), f"# {meta}\nindex,eigenvalue", rows, manifest)
     vectors = path_base.with_name(path_base.name + "_vectors.npy")
-    np.save(vectors, spectrum.eigvec_node_values)
     manifest.files.append(str(vectors))
+    if cached is not None:
+        if vectors.exists() and os.path.samefile(cached, vectors):
+            return
+        with suppress(OSError), _replacing(vectors) as tmp:  # without hard links, the file is written below
+            os.link(cached, tmp)
+            return
+    with _replacing(vectors) as tmp, open(tmp, "wb") as fh:
+        np.save(fh, spectrum.eigvec_node_values)
 
 
 def stage_spectrum(
@@ -289,19 +318,18 @@ def stage_spectrum(
     source = cfg.get("spectrum", "source")
     with _timed(manifest, "spectrum"):
         if source == "analytic":
-            spectrum = analytic_spectrum(cfg.kernel_id, n_eigs, quad)
+            spectrum, cached = analytic_spectrum(cfg.kernel_id, n_eigs, quad), None
         else:
             entry = _cache_path(out_dir, "spectrum", kernel, quad, manifest, f"n_eigs={n_eigs}", f"solver={NYSTROM_SOLVER}")
             spectrum = _load_spectrum(entry, quad, manifest)
             if spectrum is None:
                 spectrum = nystrom_spectrum(kernel, quad, n_eigs)
-                _write_cache(
-                    entry.path, eigenvalues=spectrum.eigenvalues, node_values=spectrum.eigvec_node_values, clamped=spectrum.clamped
-                )
+                _write_cache(entry.path, spectrum.eigvec_node_values, eigenvalues=spectrum.eigenvalues, clamped=spectrum.clamped)
+            cached = entry.path.with_suffix(".npy")
         if spectrum.clamped:
             manifest.warn(f"nystrom: {spectrum.clamped} negative eigenvalues clamped to zero")
         meta = f"widthlab-spectrum kernel={kernel.identifier()} quad={quad.signature()} source={source}"
-        _save_spectrum(out_dir / f"spectrum_{cfg.kernel_id}", spectrum, meta, manifest)
+        _save_spectrum(out_dir / f"spectrum_{cfg.kernel_id}", spectrum, meta, manifest, cached)
     return spectrum
 
 

@@ -40,7 +40,7 @@ from .asymptotics import (
 )
 from .config import p_label
 from .errors import ChainViolationError
-from .kernels import Kernel, _as_points
+from .kernels import Kernel
 from .spectral import SpectrumEstimate, tail_sum
 
 SCALE_IDS = (
@@ -185,39 +185,6 @@ def mercer_envelope_sup2(spectrum: SpectrumEstimate, kernel: Kernel, grid: np.nd
         env2 = np.maximum(kernel.diag(blk)[:, None] - heads, 0.0)
         np.maximum(best, env2.max(axis=0), out=best)
     return best
-
-
-# ---------------------------------------------------------------------------
-# discrete ellipsoid model
-
-
-@dataclass(frozen=True)
-class EllipsoidModel:
-    """Feature matrix Phi with rows (sqrt(lambda_i) e_i(x_j))_i at grid points.
-
-    The image of the unit ball under the embedding is discretized as
-    {Phi c : |c|_2 <= 1}; row norms are bounded by the kernel diagonal.
-    """
-
-    feature_matrix: np.ndarray
-    grid: np.ndarray
-
-
-def build_ellipsoid(
-    spectrum: SpectrumEstimate,
-    grid: np.ndarray | None = None,
-    n_terms: int | None = None,
-    kernel: Kernel | None = None,
-) -> EllipsoidModel:
-    m = n_terms or spectrum.n_eigs
-    if grid is None:
-        grid = spectrum.quad.nodes
-        V = spectrum.eigvec_node_values[:, :m]
-    else:
-        grid = _as_points(grid, spectrum.quad.nodes.shape[1])
-        V = spectrum.extend(kernel, grid, m)
-    Phi = V * np.sqrt(spectrum.eigenvalues[:m])[None, :]
-    return EllipsoidModel(Phi, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import dataclasses
 import filecmp
 import hashlib
 import importlib.util
+import io
 import itertools
 import json
 import os
@@ -224,6 +225,16 @@ class TestCliExitCodes:
             assert "is no covariance on the box" in err
         assert "Traceback" not in err
 
+    def test_greedy_candidates_exit_2(self, tmp_path, capsys):
+        # `widthlab greedy` reads the candidate grid whatever widths.strategies holds; this config used to end in a ValueError
+        cfgfile = tmp_path / "bad.ini"
+        text = small_config(tmp_path).replace("candidate_points_per_axis = 1025", "candidate_points_per_axis = 5")
+        cfgfile.write_text(text.replace("strategies = uniform,greedy", "strategies = uniform").replace("n_grid = 2,4,8,16", "n_grid = 4,8"))
+        assert main(["greedy", "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert "widths.candidate_points_per_axis" in err
+        assert "Traceback" not in err
+
     def test_unknown_kernel_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[kernel]\nid = septic_spline\n")
@@ -272,6 +283,19 @@ class TestCliExitCodes:
             lambda cfg, out_dir=None: (_ for _ in ()).throw(BudgetError("too big")),
         )
         assert main(["spectrum", "--config", str(cfgfile)]) == 3
+
+    def test_out_of_memory_exit_3(self, tmp_path, monkeypatch, capsys):
+        def no_memory(kernel, quad, n_eigs):
+            raise MemoryError("Unable to allocate 128. GiB")
+
+        monkeypatch.setattr(runner, "nystrom_spectrum", no_memory)
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(small_config(tmp_path).replace("source = analytic", "source = nystrom"))
+        assert main(["spectrum", "--config", str(cfgfile)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("budget exceeded: out of memory (MemoryError('Unable to allocate 128. GiB'))")
+        assert "quadrature.points_per_axis" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "text,named", [("{not json", "not valid JSON"), ('{"config_hash": "abc"}', "files")], ids=["not_json", "no_files"]
@@ -414,6 +438,85 @@ class TestSpectrumCommand:
             saved = np.load(out / "spectrum_brownian_vectors.npy")
             assert (saved.dtype, saved.shape) == (fresh.eigvec_node_values.dtype, fresh.eigvec_node_values.shape)
             assert saved.tobytes() == fresh.eigvec_node_values.tobytes()
+
+
+def spectrum_call(tmp_path, name="out", source="nystrom"):
+    """`widthlab spectrum` on brownian from `<name>.ini`; the visible node values and the manifest."""
+    cfgfile = tmp_path / f"{name}.ini"
+    cfgfile.write_text(small_config(tmp_path, name).replace("source = analytic", f"source = {source}"))
+    assert main(["spectrum", "--config", str(cfgfile)]) == 0
+    return tmp_path / name / "spectrum_brownian_vectors.npy", json.loads((tmp_path / name / "manifest.json").read_text())
+
+
+class TestNodeValuesWrittenOnce:
+    """A Nystrom spectrum's node values are one file in the cache; the visible `_vectors.npy` is a hard link to it."""
+
+    def test_cold_links_warm_writes_nothing(self, tmp_path):
+        visible, _ = spectrum_call(tmp_path)
+        [npy] = (tmp_path / "out" / "cache").glob("*.npy")
+        assert os.path.samefile(visible, npy) and visible.stat().st_nlink == 2
+        before = visible.stat()
+        _, manifest = spectrum_call(tmp_path)
+        assert manifest["cache_hits"] == 1
+        # a new link would change the inode's ctime, a write its mtime
+        after = visible.stat()
+        assert (after.st_ino, after.st_mtime_ns, after.st_ctime_ns) == (before.st_ino, before.st_mtime_ns, before.st_ctime_ns)
+        assert list((tmp_path / "out" / "cache").glob("*.npy")) == [npy]
+        # the bytes are those `np.save` writes for a fresh solve
+        fresh = run_spectrum_only(wl.parse_config(small_config(tmp_path, "fresh").replace("source = analytic", "source = nystrom")))
+        buf = io.BytesIO()
+        np.save(buf, fresh.eigvec_node_values)
+        assert visible.read_bytes() == buf.getvalue()
+
+    def test_nothing_writes_through_the_link(self, tmp_path):
+        spectrum_call(tmp_path)
+        [npy] = (tmp_path / "out" / "cache").glob("*.npy")
+        cached = npy.read_bytes()
+        visible, _ = spectrum_call(tmp_path, source="analytic")
+        assert visible.read_bytes() != cached and npy.read_bytes() == cached
+        visible, manifest = spectrum_call(tmp_path)
+        assert npy.read_bytes() == cached and os.path.samefile(visible, npy)
+        assert manifest["cache_hits"] == 1 and manifest["warnings"] == []
+
+    @pytest.mark.parametrize("fault", ["truncated", "flipped", "missing"])
+    def test_faulty_node_values_are_a_miss(self, tmp_path, fault):
+        spectrum_call(tmp_path, "fresh")
+        spectrum_call(tmp_path)
+        [npy] = (tmp_path / "out" / "cache").glob("*.npy")
+        data = npy.read_bytes()
+        if fault == "missing":
+            npy.unlink()
+        else:
+            # an edit in place, which reaches the visible file too, through the link
+            with open(npy, "r+b") as fh:
+                if fault == "truncated":
+                    fh.truncate(len(data) // 2)
+                else:
+                    fh.seek(len(data) - 3)
+                    fh.write(bytes([data[-3] ^ 1]))
+        visible, manifest = spectrum_call(tmp_path)
+        assert [w for w in manifest["warnings"] if "unreadable" in w] == [
+            f"cache entry {npy} unreadable ({'FileNotFoundError' if fault == 'missing' else 'ValueError'}): recomputed"
+        ]
+        assert [r["result"] for r in manifest["cache"]] == ["unreadable"]
+        for name in ("spectrum_brownian.csv", "spectrum_brownian_vectors.npy"):
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+        assert npy.read_bytes() == data and os.path.samefile(visible, npy)
+        _, manifest = spectrum_call(tmp_path)
+        assert manifest["cache_hits"] == 1 and manifest["warnings"] == []
+
+    def test_link_fallback_writes_the_file(self, tmp_path, monkeypatch):
+        linked, _ = spectrum_call(tmp_path, "linked")
+
+        def no_links(src, dst):
+            raise OSError("hard links not supported")
+
+        monkeypatch.setattr(os, "link", no_links)
+        visible, _ = spectrum_call(tmp_path)
+        assert visible.read_bytes() == linked.read_bytes()
+        assert visible.stat().st_nlink == 1
+        _, manifest = spectrum_call(tmp_path)
+        assert manifest["cache_hits"] == 1 and visible.read_bytes() == linked.read_bytes()
 
 
 def spectrum_lambda1(out_dir, kernel_id="brownian"):

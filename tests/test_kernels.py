@@ -92,7 +92,6 @@ POINT_ENTRIES = {
     "greedy_design": lambda fx, x: wl.greedy_design(fx("bm_kernel"), x, 4).points,
     "extend-analytic": lambda fx, x: fx("bm_analytic").extend(None, x, 8),
     "extend-nystrom": lambda fx, x: fx("bm_nystrom").extend(fx("bm_kernel"), x, 8),
-    "build_ellipsoid": lambda fx, x: wl.build_ellipsoid(fx("bm_analytic"), x, 8).feature_matrix,
 }
 
 

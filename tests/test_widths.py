@@ -1,4 +1,4 @@
-"""Width bounds, the ellipsoid model, curve invariants, verdict rules."""
+"""Width bounds, curve invariants, verdict rules."""
 
 import math
 
@@ -93,18 +93,6 @@ class TestMercerProjectionUpper:
         spectrum, _, env = envelope
         for n in range(8):
             assert env[n] <= math.sqrt(2.0 * wl.tail_sum(spectrum, n)) + 1e-9, n
-
-
-@pytest.fixture(scope="module")
-def bm_model(bm_kernel):
-    spectrum = wl.analytic_spectrum("brownian", 200)
-    grid = bm_kernel.domain.grid(512)
-    return wl.build_ellipsoid(spectrum, grid=grid)
-
-
-class TestEllipsoidModel:
-    def test_shape(self, bm_model):
-        assert bm_model.feature_matrix.shape == (512, 200)
 
 
 class TestWidthRow:
