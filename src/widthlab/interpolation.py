@@ -291,6 +291,7 @@ def optimize_interpolation_width(
         # reaches the workers by fork, through the initializer's arguments
         with multiprocessing.get_context("fork").Pool(procs, _inherit, (descend,)) as pool:
             results = pool.map(_call_inherited, starts)
+        _await_one_thread()
     else:
         results = map(descend, starts)
     best_pts, best_val = min(results, key=lambda result: result[1])  # the first of equal values
@@ -341,6 +342,22 @@ def _thread_count() -> int | None:
         return len(os.listdir("/proc/self/task"))
     except OSError:
         return None
+
+
+def _await_one_thread():
+    """Wait, for at most a second, until this process runs one thread again.
+
+    The pool's `with` block joins its handler threads, but the operating
+    system may list them (`/proc/self/task`) for some milliseconds more.
+    A multistart cell that started then would find more than one thread
+    and run its descents serially, so the cell that ran the pool leaves
+    the process with the one thread it found.
+    """
+    import time
+
+    deadline = time.monotonic() + 1.0
+    while _thread_count() not in (None, 1) and time.monotonic() < deadline:
+        time.sleep(0.001)
 
 
 _inherited: Callable | None = None  # set in a forked pool worker only

@@ -28,8 +28,16 @@ class Kernel:
 
     `pairwise(A, B)` returns the matrix k(a_i, b_j) for point arrays of
     shape (m, d) and (n, d), as a fresh array that the caller owns and
-    may overwrite in place. `diagonal(X)` returns k(x_i, x_i) for the rows
-    of X; every constructor supplies it in closed form.
+    may overwrite in place; a catalog kernel fills it in row blocks of at
+    most `BLOCK_ENTRIES` entries. `diagonal(X)` returns k(x_i, x_i) for
+    the rows of X; every constructor supplies it in closed form.
+
+    `entrywise` says that each value depends on its own pair of points
+    alone, bit for bit: `pairwise(A[I], B[J])` equals `pairwise(A, B)[I, J]`,
+    so a large matrix may be built block by block. It holds for the
+    catalog's elementwise kernels. It does not hold for a kernel computed
+    through a matrix product, such as `spectral.power_kernel`, whose last
+    bits depend on the product's shape.
     """
 
     name: str
@@ -38,6 +46,7 @@ class Kernel:
     pairwise: Callable[[np.ndarray, np.ndarray], np.ndarray]
     diagonal: Callable[[np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
+    entrywise: bool = False
 
     def diag(self, x: np.ndarray) -> np.ndarray:
         x = _as_points(x, self.dim)
@@ -115,28 +124,65 @@ def trace_integral(kernel: Kernel, quad: QuadratureRule) -> float:
 # catalog
 
 
-def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+BLOCK_ENTRIES = 16384
+"""Entries of one row block of a catalog kernel's `pairwise`: 128 KB of doubles, which stay in cache through the kernel's elementwise passes."""
+
+
+def _row_blocks(fill: Callable[[np.ndarray, np.ndarray, np.ndarray], None]) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The `pairwise` of an elementwise kernel, evaluated in row blocks.
+
+    `fill(a, b, out)` writes k(a_i, b_j) into `out` in place. It runs on
+    consecutive row blocks of a of at most `BLOCK_ENTRIES` entries (one
+    row at least), each block a view of one preallocated result. Every
+    entry goes through the same operations on the same floats as in one
+    whole-matrix pass, so the values are bit-identical, and a 4096-column
+    matrix is not streamed through memory once per operation.
+    """
+
+    def pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        out = np.empty((a.shape[0], b.shape[0]))
+        rows = max(1, BLOCK_ENTRIES // max(1, b.shape[0]))
+        for i in range(0, a.shape[0], rows):
+            fill(a[i : i + rows], b, out[i : i + rows])
+        return out
+
+    return pairwise
+
+
+def _sqdist(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean distances between the rows of a (m, d) and b (n, d).
 
     The squared axis differences are summed into one (m, n) buffer in axis
     order, the order numpy's sum over the (m, n, d) broadcast tensor uses,
-    so the values are bit-identical without that tensor. The caller owns
-    the returned array.
+    so the values are bit-identical without that tensor. They go into
+    `out` when given, else into a new array that the caller owns.
     """
-    out = np.subtract.outer(a[:, 0], b[:, 0])
+    out = np.subtract(a[:, :1], b[:, 0], out=out)
     out *= out
     for k in range(1, a.shape[1]):
-        diff = np.subtract.outer(a[:, k], b[:, k])
+        diff = np.subtract(a[:, k : k + 1], b[:, k])
         diff *= diff
         out += diff
     return out
+
+
+def _stationary(values: Callable[[np.ndarray], None]) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The row-blocked `pairwise` of a kernel of the distance: `values` turns a block of squared distances into kernel values in place."""
+
+    def fill(a, b, out):
+        values(_sqdist(a, b, out))
+
+    return _row_blocks(fill)
 
 
 def make_kernel(kernel_id: str, dim: int = 1, domain: Box | None = None, length_scale: float = 0.3) -> Kernel:
     """Build a catalog kernel by string id.
 
     Ids: brownian, bridge, brownian_int (once-integrated Brownian motion),
-    matern12, matern32, gaussian. The first three are 1d only.
+    matern12, matern32, gaussian. The first three are 1d only. Each one's
+    `pairwise` runs in row blocks (`_row_blocks`), in place on the block
+    and in the operation order of the closed form, so that every value is
+    bit-identical to the plain broadcast expression.
     """
     kid = kernel_id.strip().lower()
     if kid in ONE_DIM_IDS:
@@ -146,30 +192,34 @@ def make_kernel(kernel_id: str, dim: int = 1, domain: Box | None = None, length_
 
         if kid == "brownian":
 
-            def pw(a, b):
-                return np.minimum(a[:, 0][:, None], b[:, 0][None, :])
+            def fill(a, b, out):
+                np.minimum(a, b[:, 0], out=out)
 
-            return Kernel(kid, 1, box, pw, diagonal=lambda x: x[:, 0].copy())
+            return Kernel(kid, 1, box, _row_blocks(fill), diagonal=lambda x: x[:, 0].copy(), entrywise=True)
 
         if kid == "bridge":
 
-            def pw(a, b):
-                s = a[:, 0][:, None]
-                t = b[:, 0][None, :]
-                return np.minimum(s, t) - s * t
+            # min(s, t) - s t
+            def fill(a, b, out):
+                t = b[:, 0]
+                np.minimum(a, t, out=out)
+                out -= a * t
 
-            return Kernel(kid, 1, box, pw, diagonal=lambda x: x[:, 0] - x[:, 0] ** 2)
+            return Kernel(kid, 1, box, _row_blocks(fill), diagonal=lambda x: x[:, 0] - x[:, 0] ** 2, entrywise=True)
 
         # covariance of the integrated Brownian motion:
         # k(s, t) = m^2 M / 2 - m^3 / 6 with m = min, M = max
-        def pw(a, b):
-            s = a[:, 0][:, None]
-            t = b[:, 0][None, :]
-            lo = np.minimum(s, t)
-            hi = np.maximum(s, t)
-            return lo * lo * hi / 2.0 - lo**3 / 6.0
+        def fill(a, b, out):
+            t = b[:, 0]
+            lo = np.minimum(a, t)
+            np.multiply(lo, lo, out=out)
+            out *= np.maximum(a, t)
+            out /= 2.0
+            lo **= 3
+            lo /= 6.0
+            out -= lo
 
-        return Kernel(kid, 1, box, pw, diagonal=lambda x: x[:, 0] ** 3 / 3.0)
+        return Kernel(kid, 1, box, _row_blocks(fill), diagonal=lambda x: x[:, 0] ** 3 / 3.0, entrywise=True)
 
     box = domain or Box((0.0,) * dim, (1.0,) * dim)
     if box.dim != dim:
@@ -182,22 +232,19 @@ def make_kernel(kernel_id: str, dim: int = 1, domain: Box | None = None, length_
 
     if kid == "matern12":
 
-        # in place on the distance buffer, keeping the operation order of
-        # exp(-sqrt(d2) / ell) so that every value stays bit-identical
-        def pw(a, b, ell=length_scale):
-            r = _sqdist(a, b)
+        # exp(-sqrt(d2) / ell)
+        def values(r, ell=length_scale):
             np.sqrt(r, out=r)
             np.negative(r, out=r)
             r /= ell
-            return np.exp(r, out=r)
+            np.exp(r, out=r)
 
-        return Kernel(kid, dim, box, pw, diagonal=ones, params=params)
+        return Kernel(kid, dim, box, _stationary(values), diagonal=ones, params=params, entrywise=True)
 
     if kid == "matern32":
 
-        # in place, keeping the order of r = sqrt(3 d2) / ell; (1 + r) exp(-r)
-        def pw(a, b, ell=length_scale):
-            r = _sqdist(a, b)
+        # r = sqrt(3 d2) / ell; (1 + r) exp(-r)
+        def values(r, ell=length_scale):
             r *= 3.0
             np.sqrt(r, out=r)
             r /= ell
@@ -205,20 +252,18 @@ def make_kernel(kernel_id: str, dim: int = 1, domain: Box | None = None, length_
             np.exp(e, out=e)
             r += 1.0
             r *= e
-            return r
 
-        return Kernel(kid, dim, box, pw, diagonal=ones, params=params)
+        return Kernel(kid, dim, box, _stationary(values), diagonal=ones, params=params, entrywise=True)
 
     if kid == "gaussian":
 
-        # in place, keeping the order of exp(-d2 / (2 ell^2))
-        def pw(a, b, ell=length_scale):
-            r = _sqdist(a, b)
+        # exp(-d2 / (2 ell^2))
+        def values(r, ell=length_scale):
             np.negative(r, out=r)
             r /= 2.0 * ell * ell
-            return np.exp(r, out=r)
+            np.exp(r, out=r)
 
-        return Kernel(kid, dim, box, pw, diagonal=ones, params=params)
+        return Kernel(kid, dim, box, _stationary(values), diagonal=ones, params=params, entrywise=True)
 
     raise ConfigError(f"unknown kernel id '{kid}' (field kernel.id)")
 

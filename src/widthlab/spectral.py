@@ -106,6 +106,52 @@ def _check_info(routine: str, info: int, n: int):
         raise np.linalg.LinAlgError(f"{routine} failed to converge on {n} x {n} matrix (info {info})")
 
 
+NYSTROM_TILE = 256
+"""Rows and columns of one tile of the Nystrom matrix build: a tile pair is 1 MB, which stays in cache."""
+
+
+def _nystrom_matrix(kernel: Kernel, nodes: np.ndarray, sw: np.ndarray) -> np.ndarray:
+    """S = (A + A^T) / 2 for A = W^{1/2} K W^{1/2}, as the lower triangle of the Fortran-ordered buffer `dsytrd` reads.
+
+    A[i, j] = (k(x_i, x_j) * sw_i) * sw_j is built tile pair by tile pair.
+    For tiles I >= J of `NYSTROM_TILE` nodes, K[I, J] and K[J, I] are both
+    evaluated and scaled, A[J, I] is added to the transpose of A[I, J] and
+    halved, and the block is checked for finiteness and stored. These are
+    the whole-matrix expression's operations, entry by entry, so S keeps
+    its bits, while a pair of tiles stays in cache where the whole matrix
+    took about ten passes through memory. Neither K nor A is taken to be
+    symmetric: non-uniform weights make A asymmetric. S is exactly
+    symmetric, so a non-finite entry shows in the stored triangle; it
+    raises the ValueError of `np.asarray_chkfinite`. A kernel that is not
+    `entrywise` is evaluated as one tile, because its values on a tile
+    need not be those on the whole matrix. The strict upper triangle
+    stays zero.
+    """
+    n = nodes.shape[0]
+    t = NYSTROM_TILE if kernel.entrywise else max(n, 1)
+    # C-ordered, S's lower triangle kept in its upper one: the transpose is the Fortran-ordered matrix
+    out = np.zeros((n, n))
+
+    def scaled(rows: slice, cols: slice) -> np.ndarray:
+        A = kernel.pairwise(nodes[rows], nodes[cols])
+        A *= sw[rows, None]
+        A *= sw[cols]
+        return A
+
+    for i in range(0, n, t):
+        I = slice(i, i + t)
+        for j in range(0, i + 1, t):
+            J = slice(j, j + t)
+            a_ij = scaled(I, J)
+            a_ji = a_ij if i == j else scaled(J, I)
+            s_ji = out[J, I]
+            np.add(a_ji, a_ij.T, out=s_ji)
+            s_ji *= 0.5
+            if not np.isfinite(s_ji).all():
+                raise ValueError("array must not contain infs or NaNs")
+    return out.T
+
+
 def nystrom_spectrum(kernel: Kernel, quad: QuadratureRule, n_eigs: int) -> SpectrumEstimate:
     """Dense symmetric eigendecomposition of the discretized operator.
 
@@ -117,9 +163,9 @@ def nystrom_spectrum(kernel: Kernel, quad: QuadratureRule, n_eigs: int) -> Spect
     so that the last one transforms only the kept eigenvectors:
 
     1. `dsytrd` reduces the matrix to a tridiagonal T = Q^T A Q in the
-       matrix's own buffer: `A` is exactly symmetric once averaged with its
-       transpose, so the Fortran-ordered view `A.T` holds the same values
-       and the wrapper takes it without a copy.
+       matrix's own buffer. `_nystrom_matrix` builds the lower triangle of
+       the symmetrized matrix tile pair by tile pair, straight into a
+       Fortran-ordered buffer, which the wrapper takes without a copy.
     2. `dstevd` runs on T the divide-and-conquer `dstedc('I')` that `dsyevd`
        runs, and returns all n eigenvalues, ascending, and T's eigenvectors Z.
     3. `dormqr` applies Q to rows 1 to n - 1 of Z, as `dsyevd`'s `dormtr`
@@ -144,7 +190,8 @@ def nystrom_spectrum(kernel: Kernel, quad: QuadratureRule, n_eigs: int) -> Spect
     the full back-transform.
 
     The checks are those of `scipy.linalg.eigh(A, driver="evd")`: a
-    non-finite matrix raises ValueError with eigh's message, and a nonzero
+    non-finite matrix raises ValueError with eigh's message (each tile is
+    checked as it is stored), and a nonzero
     `info` raises ValueError (an illegal argument) or LinAlgError (no
     convergence), naming the routine. The peak is in `dstevd`: beside `A`,
     Z and its work array of n^2 doubles each, 3 n^2 in all, as in `dsyevd`.
@@ -155,16 +202,11 @@ def nystrom_spectrum(kernel: Kernel, quad: QuadratureRule, n_eigs: int) -> Spect
         raise InsufficientResolutionError(
             f"requested {n_eigs} eigenvalues from a {quad.size}-node rule"
         )
-    # W^{1/2} K W^{1/2}, scaled in place on the kernel matrix
     sw = np.sqrt(quad.weights)
-    A = kernel.pairwise(quad.nodes, quad.nodes)
-    A *= sw[:, None]
-    A *= sw
-    A = A + A.T
-    A *= 0.5
+    A = _nystrom_matrix(kernel, quad.nodes, sw)
     n = A.shape[0]
     lwork, _ = flapack.dsytrd_lwork(n, lower=1)
-    c, d, e, tau, info = flapack.dsytrd(np.asarray_chkfinite(A.T), lower=1, lwork=int(lwork), overwrite_a=1)
+    c, d, e, tau, info = flapack.dsytrd(A, lower=1, lwork=int(lwork), overwrite_a=1)
     _check_info("dsytrd", info, n)
     lam_all, Z, info = flapack.dstevd(d, e if n > 1 else np.zeros(1))  # the wrapper wants an off-diagonal even at n = 1
     _check_info("dstevd", info, n)

@@ -12,11 +12,13 @@ import importlib.util
 import math
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import widthlab as wl
+from widthlab import runner
 from widthlab.runner import run_campaign
 
 INF = math.inf
@@ -208,13 +210,35 @@ def test_criterion_12_determinism(tmp_path_factory):
               ", ".join(f"{k}: {'same' if v else 'DIFFERS'}" for k, v in same.items()))
 
 
-@pytest.mark.parametrize("preset,campaign", [("bm_gap", "bm_campaign"), ("matern2d_gap", "matern2d_campaign")])
+def benchmark_module(name: str):
+    """A module of the benchmark, loaded by file path, without putting `benchmarks` on the import path."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "benchmarks" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def design_search_run(tmp_path_factory):
+    # the design_search workload, the one 1d Nystrom spectrum the goldens
+    # hold: its config at the goldens' seed, through the four run_*_only calls
+    workload_pass = benchmark_module("workload_pass")
+    cfg = wl.parse_config(workload_pass.config_text("design_search", workload_pass.DEFAULT_SEED))
+    out_dir = tmp_path_factory.mktemp("design_search")
+    t0 = time.perf_counter()
+    for name in workload_pass.CALLS["design_search"]:
+        getattr(runner, name)(cfg, out_dir)
+    return SimpleNamespace(out_dir=out_dir), time.perf_counter() - t0
+
+
+@pytest.mark.parametrize(
+    "preset,campaign",
+    [("bm_gap", "bm_campaign"), ("matern2d_gap", "matern2d_campaign"), ("design_search", "design_search_run")],
+)
 def test_value_columns_match_golden(preset, campaign, request):
     # widths.csv (but its seed column), slopes.csv and verdicts.json against
     # the benchmark's golden run at its seed, through the benchmark's own gate
-    spec = importlib.util.spec_from_file_location("golden_gate", ROOT / "benchmarks" / "golden_gate.py")
-    golden_gate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(golden_gate)
+    golden_gate = benchmark_module("golden_gate")
     result, _ = request.getfixturevalue(campaign)
     _, problems = golden_gate.check(result.out_dir, ROOT / "benchmarks" / "goldens" / preset, 1234)
     assert problems == []

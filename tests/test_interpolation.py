@@ -5,6 +5,7 @@ import dataclasses
 import importlib.util
 import math
 import multiprocessing
+import multiprocessing.pool
 import os
 import time
 from pathlib import Path
@@ -564,6 +565,42 @@ class TestMultistartPool:
         ref_points, ref_val = self.small_cell()
         assert np.array_equal(points, ref_points)
         assert val == ref_val
+
+    def test_back_to_back_cells_keep_their_processes(self, cpus):
+        # the pool's handler threads are listed for a moment after its block;
+        # a cell waits for them to go, so the next cell finds one thread
+        cpus(2)
+        kernel = wl.make_kernel("matern32")
+        quad = wl.midpoint_rule(kernel.domain, 24)
+        candidates = kernel.domain.grid(17, endpoint=True)
+        for _ in range(20):
+            descents = []
+            for _ in range(2):
+                des, _ = wl.optimize_interpolation_width(kernel, quad, 2.0, 2, strategy="multistart", candidates=candidates)
+                assert interpolation._thread_count() in (None, 1)
+                descents.append(des.descents)
+            assert descents == ["2 processes"] * 2
+
+    def test_waits_for_the_pool_threads_to_go(self, cpus, monkeypatch):
+        # the same, made deterministic: the joined handler threads stay
+        # listed for the next three reads of the thread count
+        cpus(2)
+        lingering = []
+        exit_pool = multiprocessing.pool.Pool.__exit__
+
+        def exit_and_linger(pool, *exc):
+            lingering.extend([3, 3, 2])
+            return exit_pool(pool, *exc)
+
+        count = interpolation._thread_count
+        monkeypatch.setattr(multiprocessing.pool.Pool, "__exit__", exit_and_linger)
+        monkeypatch.setattr(interpolation, "_thread_count", lambda: lingering.pop(0) if lingering else count())
+        kernel = wl.make_kernel("matern32")
+        quad = wl.midpoint_rule(kernel.domain, 24)
+        for _ in range(2):
+            des, _ = wl.optimize_interpolation_width(kernel, quad, 2.0, 2, strategy="multistart", candidates=kernel.domain.grid(17, endpoint=True))
+            assert des.descents == "2 processes"
+            assert lingering == []
 
     def test_worker_error_reaches_caller(self, cpus):
         # the uniform start's last point, 1, has an infinite kernel value at

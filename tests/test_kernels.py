@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import widthlab as wl
+from widthlab import kernels
 from widthlab.errors import DegenerateDesignError, DomainError, TruncationError
 
 
@@ -226,11 +227,23 @@ def _ref_matern32(a, b, ell):
     return (1.0 + r) * np.exp(-r)
 
 
+def _ref_brownian_int(a, b, ell):
+    lo = np.minimum(a[:, 0][:, None], b[:, 0][None, :])
+    hi = np.maximum(a[:, 0][:, None], b[:, 0][None, :])
+    return lo * lo * hi / 2.0 - lo**3 / 6.0
+
+
+# the 1d kernels take no length scale
 _REF_PAIRWISE = {
+    "brownian": lambda a, b, ell: np.minimum(a[:, 0][:, None], b[:, 0][None, :]),
+    "bridge": lambda a, b, ell: np.minimum(a[:, 0][:, None], b[:, 0][None, :]) - a[:, 0][:, None] * b[:, 0][None, :],
+    "brownian_int": _ref_brownian_int,
     "matern12": lambda a, b, ell: np.exp(-np.sqrt(_ref_sqdist(a, b)) / ell),
     "matern32": _ref_matern32,
     "gaussian": lambda a, b, ell: np.exp(-_ref_sqdist(a, b) / (2.0 * ell * ell)),
 }
+# every catalog kernel in 1d, the stationary ones in 2d too
+_REF_CASES = [(kid, 1) for kid in sorted(_REF_PAIRWISE)] + [(kid, 2) for kid in sorted(_REF_PAIRWISE) if kid not in kernels.ONE_DIM_IDS]
 
 
 def _point_sets(rng, dim):
@@ -250,8 +263,7 @@ class TestBitExactKernelLayer:
         for x, y in ((a, b), (b, a), (a[:1], b), (a, b[5:6]), (np.asfortranarray(a), b)):
             assert np.array_equal(_sqdist(x, y), _ref_sqdist(x, y))
 
-    @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("kid", sorted(_REF_PAIRWISE))
+    @pytest.mark.parametrize("kid,dim", _REF_CASES)
     def test_pairwise_matches_reference(self, rng, kid, dim):
         a, b = _point_sets(rng, dim)
         for ell in (0.3, 0.05, 2.0):
@@ -259,6 +271,31 @@ class TestBitExactKernelLayer:
             ref = _REF_PAIRWISE[kid](a, b, ell)
             assert np.array_equal(k.pairwise(a, b), ref)
             assert np.array_equal(k.pairwise(b, a), _REF_PAIRWISE[kid](b, a, ell))
+
+    @pytest.mark.parametrize("kid,dim", _REF_CASES)
+    def test_row_blocks_match_reference(self, rng, kid, dim):
+        # a row block holds BLOCK_ENTRIES // len(b) rows of a; each row count
+        # around it, and a b of one row, whose block is BLOCK_ENTRIES rows
+        _, b = _point_sets(rng, dim)
+        k = wl.make_kernel(kid, dim=dim, length_scale=0.2)
+        for cols in (b, b[7:8]):
+            block = kernels.BLOCK_ENTRIES // cols.shape[0]
+            for rows in (0, 1, block - 1, block, block + 1, 2 * block + 3):
+                a = rng.random((rows, dim))
+                got = k.pairwise(a, cols)
+                assert got.shape == (rows, cols.shape[0])
+                assert np.array_equal(got, _REF_PAIRWISE[kid](a, cols, 0.2)), rows
+
+    @pytest.mark.parametrize("kid", wl.CATALOG_IDS)
+    def test_pairwise_returns_a_fresh_array(self, rng, kid):
+        # the caller owns the result: writing into it changes no later call
+        k = wl.make_kernel(kid)
+        a, b = _point_sets(rng, 1)
+        first = k.pairwise(a, b)
+        first[:] = np.nan
+        second = k.pairwise(a, b)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(second, _REF_PAIRWISE[kid](a, b, 0.3))
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_nystrom_and_extend_match_reference(self, rng, dim):

@@ -12,9 +12,13 @@ import pytest
 import scipy.linalg
 
 import widthlab as wl
+from widthlab import spectral
 from widthlab.errors import InsufficientResolutionError, InsufficientTailError, NoAnalyticSpectrumError
 from widthlab.lapack import flapack
 from widthlab.spectral import ClampedTailWarning
+
+
+TILE = spectral.NYSTROM_TILE  # nodes per tile of the Nystrom matrix build
 
 
 def bm_lambda(i):
@@ -136,15 +140,21 @@ class TestNystrom:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_matrix_raises(self, bm_kernel, bad):
-        # the finiteness check that scipy.linalg.eigh makes before dsyevd
-        def pairwise(a, b):
-            K = bm_kernel.pairwise(a, b)
-            K[3, 5] = bad
-            return K
+        # the finiteness check that scipy.linalg.eigh makes before dsyevd, on
+        # one entry k(x_r, x_c): in the first tile, in an off-diagonal tile
+        # pair on either side of the diagonal, and in a later diagonal tile
+        for nodes, r, c in ((16, 3, 5), (TILE + 100, TILE + 50, 20), (TILE + 100, 20, TILE + 50), (TILE + 100, TILE + 50, TILE + 30)):
+            quad = wl.midpoint_rule(bm_kernel.domain, nodes)
+            x, y = quad.nodes[r, 0], quad.nodes[c, 0]
 
-        kernel = dataclasses.replace(bm_kernel, pairwise=pairwise)
-        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-            wl.nystrom_spectrum(kernel, wl.midpoint_rule(kernel.domain, 16), 4)
+            def pairwise(a, b):
+                K = bm_kernel.pairwise(a, b)
+                K[np.ix_(a[:, 0] == x, b[:, 0] == y)] = bad
+                return K
+
+            kernel = dataclasses.replace(bm_kernel, pairwise=pairwise)
+            with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+                wl.nystrom_spectrum(kernel, quad, 4)
 
     def test_insufficient_resolution(self, bm_kernel):
         q = wl.midpoint_rule(bm_kernel.domain, 10)
@@ -162,6 +172,66 @@ class TestNystrom:
             keep = lam2 > 1e-12 * lam2[0]
             rel = np.abs(lam1[keep] - lam2[keep]) / lam2[keep]
             assert rel.max() < 5e-3, f"{kid}: {rel.max()}"
+
+
+def _bridge_power_kernel():
+    base = wl.analytic_spectrum("bridge", 100, wl.midpoint_rule(wl.unit_interval(), 300))
+    return wl.power_kernel(wl.PowerKernelSpec(base, gamma=1.5, n_terms=100))
+
+
+def _uneven_rule(rng, size):
+    """A rule on [0, 1] with random nodes and non-uniform weights."""
+    nodes = np.sort(rng.random(size))[:, None]
+    weights = rng.random(size) + 0.5
+    return wl.QuadratureRule(nodes, weights / weights.sum(), box=wl.unit_interval())
+
+
+# kernel and rule of each case: non-uniform weights make A asymmetric, and a
+# power kernel's values need not be symmetric either; the build takes neither to be
+BUILD_CASES = {
+    "matern12-uneven-weights": lambda rng: (wl.make_kernel("matern12"), _uneven_rule(rng, TILE + 44)),
+    "brownian_int-uneven-weights": lambda rng: (wl.make_kernel("brownian_int"), _uneven_rule(rng, TILE + 44)),
+    "matern32-2d": lambda rng: (wl.make_kernel("matern32", dim=2, length_scale=0.4), wl.midpoint_rule(wl.Box((0.0, 0.0), (1.0, 1.0)), 17)),
+    "power-kernel": lambda rng: (_bridge_power_kernel(), wl.midpoint_rule(wl.unit_interval(), TILE + 44)),
+}
+
+
+class TestTilePairBuild:
+    """nystrom_spectrum hands dsytrd the lower triangle of the whole-matrix expression, bit for bit."""
+
+    @staticmethod
+    def assert_handed_whole_matrix(monkeypatch, kernel, quad):
+        handed = []
+        dsytrd = flapack.dsytrd
+
+        def recording(a, *args, **kwargs):
+            handed.append((np.array(a), a.flags.f_contiguous))  # a copy: dsytrd overwrites a
+            return dsytrd(a, *args, **kwargs)
+
+        monkeypatch.setattr(flapack, "dsytrd", recording)
+        wl.nystrom_spectrum(kernel, quad, 1)
+        [(got, fortran)] = handed
+        assert fortran  # the wrapper takes the buffer without a copy
+        sw = np.sqrt(quad.weights)
+        A = kernel.pairwise(quad.nodes, quad.nodes)
+        A *= sw[:, None]
+        A *= sw
+        assert np.array_equal(np.tril(got), np.tril(0.5 * (A + A.T)))
+
+    @pytest.mark.parametrize("nodes", [1, 17, TILE - 1, TILE + 1, TILE + 44, 2 * TILE + 1])
+    def test_node_counts_off_the_tile(self, monkeypatch, nodes):
+        kernel = wl.make_kernel("matern32")
+        self.assert_handed_whole_matrix(monkeypatch, kernel, wl.midpoint_rule(kernel.domain, nodes))
+
+    @pytest.mark.parametrize("case", sorted(BUILD_CASES))
+    def test_kernels_and_rules(self, monkeypatch, rng, case):
+        self.assert_handed_whole_matrix(monkeypatch, *BUILD_CASES[case](rng))
+
+    def test_only_catalog_kernels_are_tiled(self):
+        # a power kernel's values come from a matrix product, whose last bits
+        # depend on its shape, so its matrix is evaluated as one tile
+        assert all(wl.make_kernel(kid).entrywise for kid in wl.CATALOG_IDS)
+        assert not _bridge_power_kernel().entrywise
 
 
 class TestAnalyticSpectrum:
