@@ -42,8 +42,9 @@ def _resolve_config(args) -> ExperimentConfig:
 
 
 def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", help="path to a config file")
-    sub.add_argument("--preset", choices=sorted(PRESETS), help="built-in campaign preset")
+    source = sub.add_mutually_exclusive_group()
+    source.add_argument("--config", help="path to a config file")
+    source.add_argument("--preset", choices=sorted(PRESETS), help="built-in campaign preset")
     sub.add_argument("--out", help="output directory (overrides run.out_dir)")
     sub.add_argument("--seed", type=int, help="seed override (overrides run.seed)")
 

@@ -24,6 +24,13 @@ warning; `manifest.cache` records every lookup. Width cells run one after
 another; a multistart cell's descents may run in parallel processes, but
 their results are reduced in start order, so outputs are byte-deterministic
 for a fixed config and seed.
+
+Each `run_*` entry point is one `with _call(cfg, out_dir)` block, whose call
+record (config, output directory, fresh manifest, kernel, quadrature rule)
+every stage and writer takes first: it keys the cache entries and writes the
+artifacts, and the manifest is saved once, when the block ends without an
+error. An OSError inside the block is a BudgetError on a full disk or quota,
+else a ConfigError naming `run.out_dir` and the failing path.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from .version import __version__
 from .asymptotics import RateSeries, SlopeReport, Verdict, fit_loglog, gap_report
 from .config import ExperimentConfig, p_label
 from .entropy import CarlReport, DiagonalOperator, carl_check, diag_entropy_bounds
-from .errors import ConfigError
+from .errors import BudgetError, ConfigError
 from .interpolation import (
     MULTISTART_RESTARTS,
     DesignSet,
@@ -91,27 +98,6 @@ from .widths import (
 def fmt(x: float) -> str:
     """17 significant digits; round-trips float64 exactly."""
     return f"{x:.17g}"
-
-
-def write_artifact(path: Path, chunks: Iterable[str], manifest: RunManifest):
-    """Write one artifact with newline line endings and list it in the manifest.
-
-    Chunks are written as they come, so a large CSV is never joined into
-    one string in memory.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.writelines(chunks)
-    manifest.files.append(str(path))
-
-
-def write_csv(path: Path, header: str, rows: list[str], manifest: RunManifest):
-    write_artifact(path, (line + "\n" for line in [header, *rows]), manifest)
-
-
-def _write_design(path: Path, des: DesignSet, manifest: RunManifest):
-    header = ",".join(f"x{i + 1}" for i in range(des.kernel.dim))
-    write_csv(path, header, [",".join(fmt(c) for c in pt) for pt in des.points], manifest)
 
 
 # the thread-count query of the OpenBLAS that numpy and scipy each bundle: (library file pattern, symbol)
@@ -185,7 +171,7 @@ def _timed(manifest: RunManifest, stage: str):
 
 
 # ---------------------------------------------------------------------------
-# configured objects
+# configured objects and the call context
 
 
 def kernel_from_config(cfg: ExperimentConfig) -> Kernel:
@@ -196,22 +182,6 @@ def quad_from_config(cfg: ExperimentConfig, kernel: Kernel) -> QuadratureRule:
     return midpoint_rule(kernel.domain, cfg.get("quadrature", "points_per_axis"))
 
 
-def _setup(cfg: ExperimentConfig, out_dir: str | Path | None) -> tuple[Path, RunManifest, Kernel, QuadratureRule]:
-    """Output directory, a fresh manifest, the kernel and the quadrature of one call."""
-    out = Path(out_dir if out_dir is not None else cfg.get("run", "out_dir"))
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"field run.out_dir = {out}: cannot create the output directory ({exc})") from exc
-    manifest = RunManifest(config_hash=cfg.config_hash(), preset=cfg.preset_name)
-    kernel = kernel_from_config(cfg)
-    return out, manifest, kernel, quad_from_config(cfg, kernel)
-
-
-# ---------------------------------------------------------------------------
-# spectrum stage with disk cache
-
-
 class _CacheEntry(NamedTuple):
     """One `cache/<kind>_<hash>.npz` file and the raw key string it hashes."""
 
@@ -220,13 +190,57 @@ class _CacheEntry(NamedTuple):
     key: str
 
 
-def _cache_path(
-    out_dir: Path, entry: str, kernel: Kernel, quad: QuadratureRule, manifest: RunManifest, *fields: str
-) -> _CacheEntry:
-    """`cache/<entry>_<key>.npz`, keyed by the kernel, the quadrature rule and its box, `fields`, the BLAS threads and the version."""
-    blas = [f"{lib}_blas_threads={manifest.environment[lib]['blas_threads']}" for lib in _BLAS_QUERIES]
-    raw = "|".join((kernel.identifier(), quad.signature(), *fields, *blas, f"version={__version__}"))
-    return _CacheEntry(entry, out_dir / "cache" / f"{entry}_{hashlib.sha256(raw.encode()).hexdigest()[:20]}.npz", raw)
+class _Call(NamedTuple):
+    """One entry-point call: its config, output directory, fresh manifest, kernel and quadrature rule."""
+
+    cfg: ExperimentConfig
+    out: Path
+    manifest: RunManifest
+    kernel: Kernel
+    quad: QuadratureRule
+
+    def entry(self, kind: str, *fields: str) -> _CacheEntry:
+        """`cache/<kind>_<key>.npz`, keyed by the kernel, the quadrature rule and its box, `fields`, the BLAS threads and the version."""
+        blas = [f"{lib}_blas_threads={self.manifest.environment[lib]['blas_threads']}" for lib in _BLAS_QUERIES]
+        raw = "|".join((self.kernel.identifier(), self.quad.signature(), *fields, *blas, f"version={__version__}"))
+        return _CacheEntry(kind, self.out / "cache" / f"{kind}_{hashlib.sha256(raw.encode()).hexdigest()[:20]}.npz", raw)
+
+    def write(self, name: str, chunks: Iterable[str]):
+        """Write the artifact `name` of the output directory chunk by chunk, with newline line endings, and list it in the manifest."""
+        path = self.out / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="\n") as fh:
+            fh.writelines(chunks)
+        self.manifest.files.append(str(path))
+
+    def csv(self, name: str, header: str, rows: list[str]):
+        self.write(name, (line + "\n" for line in [header, *rows]))
+
+
+@contextmanager
+def _call(cfg: ExperimentConfig, out_dir: str | Path | None):
+    """The `_Call` of one entry point; its manifest is saved when the block ends without an error."""
+    out = Path(out_dir if out_dir is not None else cfg.get("run", "out_dir"))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        manifest = RunManifest(config_hash=cfg.config_hash(), preset=cfg.preset_name)
+        kernel = kernel_from_config(cfg)
+        yield _Call(cfg, out, manifest, kernel, quad_from_config(cfg, kernel))
+        manifest.save(out / "manifest.json")
+    except OSError as exc:
+        import errno  # read on this failure path only
+        if exc.errno in (errno.ENOSPC, errno.EDQUOT):
+            raise BudgetError(f"field run.out_dir = {out}: no space left for the output ({exc})") from exc
+        raise ConfigError(f"field run.out_dir = {out}: cannot write the output ({exc})") from exc
+
+
+def _write_design(call: _Call, strategy: str, n: int, des: DesignSet):
+    header = ",".join(f"x{i + 1}" for i in range(des.kernel.dim))
+    call.csv(f"designs/design_{call.cfg.kernel_id}_{strategy}_n{n}.csv", header, [",".join(fmt(c) for c in pt) for pt in des.points])
+
+
+# ---------------------------------------------------------------------------
+# spectrum stage with disk cache
 
 
 def _read_cache(entry: _CacheEntry, manifest: RunManifest, *names: str, npy: bool = False) -> list[np.ndarray] | None:
@@ -284,23 +298,23 @@ def _cached(entry: _CacheEntry, manifest: RunManifest, names: tuple[str, ...], c
     return arrays
 
 
-def _load_spectrum(entry: _CacheEntry, quad: QuadratureRule, manifest: RunManifest) -> SpectrumEstimate | None:
-    cached = _read_cache(entry, manifest, "eigenvalues", "clamped", npy=True)
+def _load_spectrum(call: _Call, entry: _CacheEntry) -> SpectrumEstimate | None:
+    cached = _read_cache(entry, call.manifest, "eigenvalues", "clamped", npy=True)
     if cached is None:
         return None
     eigenvalues, clamped, node_values = cached
-    return SpectrumEstimate(eigenvalues, node_values, quad, clamped=int(clamped))
+    return SpectrumEstimate(eigenvalues, node_values, call.quad, clamped=int(clamped))
 
 
-def _save_spectrum(path_base: Path, spectrum: SpectrumEstimate, meta: str, manifest: RunManifest, cached: Path | None):
+def _save_spectrum(call: _Call, spectrum: SpectrumEstimate, meta: str, cached: Path | None):
     """The visible `spectrum_<id>.csv` (meta, eigenvalues) and `spectrum_<id>_vectors.npy` (node values).
 
     The node values are a hard link to `cached`, the `.npy` of a cache entry, where there is one and the file system links.
     """
     rows = [f"{i + 1},{fmt(v)}" for i, v in enumerate(spectrum.eigenvalues)]
-    write_csv(path_base.with_suffix(".csv"), f"# {meta}\nindex,eigenvalue", rows, manifest)
-    vectors = path_base.with_name(path_base.name + "_vectors.npy")
-    manifest.files.append(str(vectors))
+    call.csv(f"spectrum_{call.cfg.kernel_id}.csv", f"# {meta}\nindex,eigenvalue", rows)
+    vectors = call.out / f"spectrum_{call.cfg.kernel_id}_vectors.npy"
+    call.manifest.files.append(str(vectors))
     if cached is not None:
         if vectors.exists() and os.path.samefile(cached, vectors):
             return
@@ -311,17 +325,16 @@ def _save_spectrum(path_base: Path, spectrum: SpectrumEstimate, meta: str, manif
         np.save(fh, spectrum.eigvec_node_values)
 
 
-def stage_spectrum(
-    cfg: ExperimentConfig, kernel: Kernel, quad: QuadratureRule, out_dir: Path, manifest: RunManifest
-) -> SpectrumEstimate:
+def stage_spectrum(call: _Call) -> SpectrumEstimate:
+    cfg, kernel, quad, manifest = call.cfg, call.kernel, call.quad, call.manifest
     n_eigs = cfg.get("spectrum", "n_eigs")
     source = cfg.get("spectrum", "source")
     with _timed(manifest, "spectrum"):
         if source == "analytic":
             spectrum, cached = analytic_spectrum(cfg.kernel_id, n_eigs, quad), None
         else:
-            entry = _cache_path(out_dir, "spectrum", kernel, quad, manifest, f"n_eigs={n_eigs}", f"solver={NYSTROM_SOLVER}")
-            spectrum = _load_spectrum(entry, quad, manifest)
+            entry = call.entry("spectrum", f"n_eigs={n_eigs}", f"solver={NYSTROM_SOLVER}")
+            spectrum = _load_spectrum(call, entry)
             if spectrum is None:
                 spectrum = nystrom_spectrum(kernel, quad, n_eigs)
                 _write_cache(entry.path, spectrum.eigvec_node_values, eigenvalues=spectrum.eigenvalues, clamped=spectrum.clamped)
@@ -329,7 +342,7 @@ def stage_spectrum(
         if spectrum.clamped:
             manifest.warn(f"nystrom: {spectrum.clamped} negative eigenvalues clamped to zero")
         meta = f"widthlab-spectrum kernel={kernel.identifier()} quad={quad.signature()} source={source}"
-        _save_spectrum(out_dir / f"spectrum_{cfg.kernel_id}", spectrum, meta, manifest, cached)
+        _save_spectrum(call, spectrum, meta, cached)
     return spectrum
 
 
@@ -337,14 +350,8 @@ def stage_spectrum(
 # width stage
 
 
-def stage_widths(
-    cfg: ExperimentConfig,
-    kernel: Kernel,
-    quad: QuadratureRule,
-    spectrum: SpectrumEstimate,
-    out_dir: Path,
-    manifest: RunManifest,
-) -> list[WidthRow]:
+def stage_widths(call: _Call, spectrum: SpectrumEstimate) -> list[WidthRow]:
+    cfg, kernel, quad, manifest = call.cfg, call.kernel, call.quad, call.manifest
     n_grid = cfg.get("widths", "n_grid")
     dense_max = cfg.dense_max
     p_values = cfg.get("widths", "p_values")
@@ -373,8 +380,7 @@ def stage_widths(
 
     with _timed(manifest, "widths.mercer_upper"):
         key = (f"n_eigs={spectrum.n_eigs}", f"solver={NYSTROM_SOLVER}", f"source={spectrum.source}", f"eval_points={cfg.eval_points}", f"dense_max={dense_max}")
-        entry = _cache_path(out_dir, "envelope", kernel, quad, manifest, *key)
-        (sup2,) = _cached(entry, manifest, ("sup2",), lambda: [mercer_envelope_sup2(spectrum, kernel, eval_grid, dense_max)])
+        (sup2,) = _cached(call.entry("envelope", *key), manifest, ("sup2",), lambda: [mercer_envelope_sup2(spectrum, kernel, eval_grid, dense_max)])
         for n in dense:
             rows.append(WidthRow("a_Lp_upper", n, KIND_UPPER, math.sqrt(sup2[n]), "mercer-projection", "inf"))
 
@@ -403,7 +409,7 @@ def stage_widths(
     with _timed(manifest, "widths.interpolation"):
         for strategy, p, n in cells:
             if strategy == "multistart":
-                des, val = _multistart_cell(cfg, kernel, quad, p, n, candidates, eval_grid, out_dir, manifest)
+                des, val = _multistart_cell(call, p, n, candidates, eval_grid)
             else:
                 des = designs[(strategy, n)]
                 val = interpolation_width(des, quad, p, eval_grid=eval_grid)
@@ -412,22 +418,12 @@ def stage_widths(
                 manifest.warn(f"design ({strategy}, n={n}): Cholesky jitter {des.jitter:.3e} applied")
 
     for (strategy, n), des in sorted(designs.items()):
-        _write_design(out_dir / "designs" / f"design_{cfg.kernel_id}_{strategy}_n{n}.csv", des, manifest)
+        _write_design(call, strategy, n, des)
     validate_chain(rows)
     return rows
 
 
-def _multistart_cell(
-    cfg: ExperimentConfig,
-    kernel: Kernel,
-    quad: QuadratureRule,
-    p: float,
-    n: int,
-    candidates: np.ndarray,
-    eval_grid: np.ndarray,
-    out_dir: Path,
-    manifest: RunManifest,
-) -> tuple[DesignSet, float]:
+def _multistart_cell(call: _Call, p: float, n: int, candidates: np.ndarray, eval_grid: np.ndarray) -> tuple[DesignSet, float]:
     """The multistart design search of one (p, n) cell, through `cache/design_<key>.npz`.
 
     The search depends only on what the key holds. p is written with 17
@@ -437,27 +433,16 @@ def _multistart_cell(
     ran, the search's `DesignSet.descents`, and the lookup's
     `manifest.cache` record carries it as `descents`, on a hit as on a miss.
     """
-    seed = cfg.get("run", "seed")
-    entry = _cache_path(
-        out_dir,
-        "design",
-        kernel,
-        quad,
-        manifest,
-        f"p={fmt(p)}",
-        f"n={n}",
-        f"seed={seed}",
-        f"restarts={MULTISTART_RESTARTS}",
-        f"candidate_points={cfg.candidate_points}",
-        f"eval_points={cfg.eval_points}",
-    )
+    cfg, kernel, seed = call.cfg, call.kernel, call.cfg.get("run", "seed")
+    fields = (f"p={fmt(p)}", f"n={n}", f"seed={seed}", f"restarts={MULTISTART_RESTARTS}")
+    entry = call.entry("design", *fields, f"candidate_points={cfg.candidate_points}", f"eval_points={cfg.eval_points}")
 
     def search() -> list:
-        des, val = optimize_interpolation_width(kernel, quad, p, n, strategy="multistart", candidates=candidates, eval_grid=eval_grid, seed=seed)
+        des, val = optimize_interpolation_width(kernel, call.quad, p, n, strategy="multistart", candidates=candidates, eval_grid=eval_grid, seed=seed)
         return [des.points, val, des.descents]
 
-    points, value, descents = _cached(entry, manifest, ("points", "value", "descents"), search)
-    manifest.cache[-1]["descents"] = str(descents)  # the record of this lookup
+    points, value, descents = _cached(entry, call.manifest, ("points", "value", "descents"), search)
+    call.manifest.cache[-1]["descents"] = str(descents)  # the record of this lookup
     return make_design(kernel, points), float(value)
 
 
@@ -473,7 +458,8 @@ class EntropyStage:
     carl_reports: dict[float, CarlReport]
 
 
-def stage_entropy(cfg: ExperimentConfig, spectrum: SpectrumEstimate, manifest: RunManifest) -> EntropyStage:
+def stage_entropy(call: _Call, spectrum: SpectrumEstimate) -> EntropyStage:
+    cfg, manifest = call.cfg, call.manifest
     sigma = np.sqrt(spectrum.eigenvalues)
     op = DiagonalOperator(sigma)
     n_grid = cfg.get("entropy", "n_grid")
@@ -537,11 +523,12 @@ def _on_greedy_grid(series: RateSeries, ns: np.ndarray, top: int) -> RateSeries:
     return RateSeries(ns, np.array([series.at(int(n)) for n in ns]), series.label)
 
 
-def stage_fits(cfg: ExperimentConfig, spectrum: SpectrumEstimate, rows: list[WidthRow], manifest: RunManifest) -> FitStage:
+def stage_fits(call: _Call, spectrum: SpectrumEstimate, rows: list[WidthRow]) -> FitStage:
+    cfg = call.cfg
     window = cfg.get("fit", "window")
     reports: dict[str, SlopeReport] = {}
     gaps: dict[str, SlopeReport] = {}
-    with _timed(manifest, "fits"):
+    with _timed(call.manifest, "fits"):
         d_series = rate_series(rows, "d_L2", "d-L2[sqrt-eigentail]")
         reports["d_L2"] = fit_loglog(d_series, window=window)
         a_series = rate_series(rows, "a_L2", "a-L2[sqrt-eigentail]")
@@ -605,7 +592,8 @@ _TARGET_LABELS = (
 )
 
 
-def _eval_targets(cfg: ExperimentConfig, fits: FitStage, manifest: RunManifest) -> list[TargetResult]:
+def _eval_targets(call: _Call, fits: FitStage) -> list[TargetResult]:
+    cfg, manifest = call.cfg, call.manifest
     miss = "exploratory-miss" if cfg.get("targets", "exploratory") else "target-miss"
     slopes = fits.slopes
     out: list[TargetResult] = []
@@ -629,7 +617,7 @@ def _eval_targets(cfg: ExperimentConfig, fits: FitStage, manifest: RunManifest) 
     return out
 
 
-def _write_width_rows(out_dir: Path, cfg: ExperimentConfig, rows: list[WidthRow], manifest: RunManifest):
+def _write_width_rows(call: _Call, rows: list[WidthRow]):
     """Write width rows with the config's kernel id and seed, replacing any existing rows of the same scales.
 
     Single-stage commands share one widths.csv per output directory, so
@@ -640,9 +628,9 @@ def _write_width_rows(out_dir: Path, cfg: ExperimentConfig, rows: list[WidthRow]
     manifest warning.
     """
     header = "scale_id,n,kind,value,method,kernel_id,p,seed"
-    kid, seed = cfg.kernel_id, cfg.get("run", "seed")
+    kid, seed, manifest = call.cfg.kernel_id, call.cfg.get("run", "seed"), call.manifest
     txt_rows = [f"{r.scale_id},{r.n},{r.kind},{fmt(r.value)},{r.method},{kid},{r.p},{seed}" for r in rows]
-    path, stamp = out_dir / "widths.csv", out_dir / "widths_config.txt"
+    path, stamp = call.out / "widths.csv", call.out / "widths_config.txt"
     new_scales = {r.scale_id for r in rows}
     kept: list[str] = []
     if path.exists():
@@ -653,17 +641,17 @@ def _write_width_rows(out_dir: Path, cfg: ExperimentConfig, rows: list[WidthRow]
     if kept and written_by != manifest.config_hash:
         manifest.warn(f"{path}: dropped {len(kept)} rows of another config (hash {written_by}, this config {manifest.config_hash})")
         kept = []
-    write_csv(path, header, kept + txt_rows, manifest)
-    write_artifact(stamp, [manifest.config_hash + "\n"], manifest)
+    call.csv(path.name, header, kept + txt_rows)
+    call.write(stamp.name, [manifest.config_hash + "\n"])
 
 
-def _write_slopes(out_dir: Path, fits: FitStage, targets: list[TargetResult], manifest: RunManifest):
+def _write_slopes(call: _Call, fits: FitStage, targets: list[TargetResult]):
     status = {t.label: t.status for t in targets}
     rows = [
         f"{lbl},{fmt(rep.slope)},{fmt(rep.stderr)},{rep.window[0]},{rep.window[1]},{status.get(lbl, 'fit')}"
         for lbl, rep in fits.slopes.items()
     ]
-    write_csv(out_dir / "slopes.csv", "label,slope,stderr,window_lo,window_hi,status", rows, manifest)
+    call.csv("slopes.csv", "label,slope,stderr,window_lo,window_hi,status", rows)
 
 
 def target_line(t: TargetResult) -> str:
@@ -684,14 +672,8 @@ def gap_apart(targets: list[TargetResult]) -> tuple[list[TargetResult], list[Tar
     return [t for t in targets if t not in gap], gap
 
 
-def _write_report(
-    out_dir: Path,
-    cfg: ExperimentConfig,
-    targets: list[TargetResult],
-    verdicts: list[Verdict],
-    entropy_stage: EntropyStage,
-    manifest: RunManifest,
-):
+def _write_report(call: _Call, targets: list[TargetResult], verdicts: list[Verdict], entropy_stage: EntropyStage):
+    cfg, manifest = call.cfg, call.manifest
     lines = []
     lines.append(f"widthlab campaign report (preset: {cfg.preset_name or 'custom'}, config {manifest.config_hash})")
     lines.append("")
@@ -723,15 +705,15 @@ def _write_report(
         lines.append("warnings:")
         for w in manifest.warnings:
             lines.append(f"  - {w}")
-    write_artifact(out_dir / "report.txt", ["\n".join(lines) + "\n"], manifest)
-    write_artifact(out_dir / "verdicts.json", [json.dumps([v.to_record() for v in verdicts], indent=2) + "\n"], manifest)
+    call.write("report.txt", ["\n".join(lines) + "\n"])
+    call.write("verdicts.json", [json.dumps([v.to_record() for v in verdicts], indent=2) + "\n"])
 
 
-def _verdicts(cfg: ExperimentConfig, entropy_stage: EntropyStage) -> list[Verdict]:
-    alpha = cfg.get("targets", "alpha")
+def _verdicts(call: _Call, entropy_stage: EntropyStage) -> list[Verdict]:
+    alpha = call.cfg.get("targets", "alpha")
     if alpha is None:
         return []
-    slope_tol = cfg.get("fit", "slope_tol")
+    slope_tol = call.cfg.get("fit", "slope_tol")
     e_l2, e_linf = entropy_stage.e_l2_report, entropy_stage.e_linf_report
     return [
         rate_transfer_verdict(e_l2, e_linf, math.inf, alpha, slope_tol),
@@ -741,56 +723,47 @@ def _verdicts(cfg: ExperimentConfig, entropy_stage: EntropyStage) -> list[Verdic
 
 def run_campaign(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> CampaignResult:
     """Run the full pipeline for one config and write all artifacts."""
-    out, manifest, kernel, quad = _setup(cfg, out_dir)
-    spectrum = stage_spectrum(cfg, kernel, quad, out, manifest)
-    width_rows = stage_widths(cfg, kernel, quad, spectrum, out, manifest)
-    entropy_stage = stage_entropy(cfg, spectrum, manifest)
-    fits = stage_fits(cfg, spectrum, width_rows, manifest)
-    verdicts = _verdicts(cfg, entropy_stage)
-    targets = _eval_targets(cfg, fits, manifest)
-    _write_width_rows(out, cfg, width_rows + entropy_stage.rows, manifest)
-    _write_slopes(out, fits, targets, manifest)
-    _write_report(out, cfg, targets, verdicts, entropy_stage, manifest)
-    write_artifact(out / "config_resolved.txt", [cfg.dump()], manifest)
-    manifest.save(out / "manifest.json")
-    return CampaignResult(out, manifest, targets, verdicts, fits, entropy_stage, width_rows)
+    with _call(cfg, out_dir) as call:
+        spectrum = stage_spectrum(call)
+        width_rows = stage_widths(call, spectrum)
+        entropy_stage = stage_entropy(call, spectrum)
+        fits = stage_fits(call, spectrum, width_rows)
+        verdicts = _verdicts(call, entropy_stage)
+        targets = _eval_targets(call, fits)
+        _write_width_rows(call, width_rows + entropy_stage.rows)
+        _write_slopes(call, fits, targets)
+        _write_report(call, targets, verdicts, entropy_stage)
+        call.write("config_resolved.txt", [cfg.dump()])
+    return CampaignResult(call.out, call.manifest, targets, verdicts, fits, entropy_stage, width_rows)
 
 
 # lighter entry points used by the CLI subcommands ---------------------------
 
 
 def run_spectrum_only(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> SpectrumEstimate:
-    out, manifest, kernel, quad = _setup(cfg, out_dir)
-    spectrum = stage_spectrum(cfg, kernel, quad, out, manifest)
-    manifest.save(out / "manifest.json")
-    return spectrum
+    with _call(cfg, out_dir) as call:
+        return stage_spectrum(call)
 
 
 def run_widths_only(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> list[WidthRow]:
-    out, manifest, kernel, quad = _setup(cfg, out_dir)
-    spectrum = stage_spectrum(cfg, kernel, quad, out, manifest)
-    rows = stage_widths(cfg, kernel, quad, spectrum, out, manifest)
-    _write_width_rows(out, cfg, rows, manifest)
-    manifest.save(out / "manifest.json")
+    with _call(cfg, out_dir) as call:
+        rows = stage_widths(call, stage_spectrum(call))
+        _write_width_rows(call, rows)
     return rows
 
 
 def run_greedy_only(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> DesignSet:
-    out, manifest, kernel, _ = _setup(cfg, out_dir)
-    n_max = max(cfg.get("widths", "n_grid"))
-    des = greedy_design(kernel, kernel.domain.grid(cfg.candidate_points, endpoint=True), n_max)
-    _write_design(out / "designs" / f"design_{cfg.kernel_id}_greedy_n{n_max}.csv", des, manifest)
-    if des.greedy_sup_path is not None:
-        sup_rows = [f"{i},{fmt(v)}" for i, v in enumerate(des.greedy_sup_path)]
-        write_csv(out / "designs" / f"greedy_sup_{cfg.kernel_id}.csv", "step,sup_power", sup_rows, manifest)
-    manifest.save(out / "manifest.json")
+    with _call(cfg, out_dir) as call:
+        n_max = max(cfg.get("widths", "n_grid"))
+        des = greedy_design(call.kernel, call.kernel.domain.grid(cfg.candidate_points, endpoint=True), n_max)
+        _write_design(call, "greedy", n_max, des)
+        if des.greedy_sup_path is not None:
+            call.csv(f"designs/greedy_sup_{cfg.kernel_id}.csv", "step,sup_power", [f"{i},{fmt(v)}" for i, v in enumerate(des.greedy_sup_path)])
     return des
 
 
 def run_entropy_only(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> EntropyStage:
-    out, manifest, kernel, quad = _setup(cfg, out_dir)
-    spectrum = stage_spectrum(cfg, kernel, quad, out, manifest)
-    stage = stage_entropy(cfg, spectrum, manifest)
-    _write_width_rows(out, cfg, stage.rows, manifest)
-    manifest.save(out / "manifest.json")
+    with _call(cfg, out_dir) as call:
+        stage = stage_entropy(call, stage_spectrum(call))
+        _write_width_rows(call, stage.rows)
     return stage

@@ -69,6 +69,10 @@ def test_traced_widths_pass_counts_every_layer(tmp_path):
         "spectral.nystrom_calls",
         "widths.bounds_calls",
         "interpolation.power_points",
+        "runner.spectrum_load_calls",
+        "runner.spectrum_save_calls",
+        "interpolation.design_calls",
+        "interpolation.greedy_calls",
     ):
         assert counts.get(key, 0) > 0, key
 

@@ -1,6 +1,7 @@
 """Config parsing, CLI exit codes, caching, and output determinism."""
 
 import dataclasses
+import errno
 import filecmp
 import hashlib
 import importlib.util
@@ -54,6 +55,17 @@ out_dir = PLACEHOLDER
 
 def small_config(tmp_path, name="out"):
     return SMALL_CONFIG.replace("PLACEHOLDER", str(tmp_path / name))
+
+
+def assert_manifest_lists_written(out: Path):
+    """The manifest of `out` lists every artifact written there once; the cache is not an artifact."""
+    listed = json.loads((out / "manifest.json").read_text())["files"]
+    assert all(Path(f).exists() for f in listed)
+    assert len(set(listed)) == len(listed)
+    written = {
+        str(p) for p in out.rglob("*") if p.is_file() and p.name != "manifest.json" and "cache" not in p.relative_to(out).parts
+    }
+    assert written == set(listed)
 
 
 # a Nystrom config whose widths and entropy rows share one widths.csv
@@ -332,6 +344,49 @@ class TestCliExitCodes:
             err = capsys.readouterr().err
             assert "run.out_dir" in err and str(taken) in err
             assert "Traceback" not in err
+
+    # each ended in a raw FileExistsError or IsADirectoryError
+    @pytest.mark.parametrize("blocker", ["cache", "designs", "widths.csv"])
+    def test_blocked_output_path_exit_2(self, tmp_path, capsys, blocker):
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(small_config(tmp_path))
+        blocked = tmp_path / "out" / blocker
+        blocked.parent.mkdir()
+        if blocker == "widths.csv":
+            blocked.mkdir()
+        else:
+            blocked.write_text("")
+        assert main(["widths", "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert "run.out_dir" in err and str(blocked) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_full_disk_exit_3(self, tmp_path, monkeypatch, capsys):
+        def full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(runner, "_write_cache", full)
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(small_config(tmp_path))
+        assert main(["widths", "--config", str(cfgfile)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"budget exceeded: field run.out_dir = {tmp_path / 'out'}: ")
+        assert os.strerror(errno.ENOSPC) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_preset_with_config_exit_2(self, tmp_path, capsys):
+        # the preset used to win and the config file was ignored
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(small_config(tmp_path).replace("id = brownian", "id = bridge"))
+        with pytest.raises(SystemExit) as exited:
+            main(["spectrum", "--preset", "bm_gap", "--config", str(cfgfile), "--out", str(tmp_path / "preset")])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: widthlab spectrum")
+        assert "argument --config: not allowed with argument --preset" in err
+        assert not (tmp_path / "preset").exists() and not (tmp_path / "out").exists()
 
     # each passed validation and then ended in exit 1 with no field named
     @pytest.mark.parametrize(
@@ -810,17 +865,18 @@ class TestCampaignCommand:
         out = tmp_path / "out"
         for f in ("widths.csv", "slopes.csv", "report.txt", "verdicts.json", "manifest.json"):
             assert (out / f).exists(), f
-        # the manifest lists every artifact once; the cache is not an artifact
-        listed = json.loads((out / "manifest.json").read_text())["files"]
-        assert all(Path(f).exists() for f in listed)
-        assert len(set(listed)) == len(listed)
-        written = {
-            str(p) for p in out.rglob("*") if p.is_file() and p.name != "manifest.json" and "cache" not in p.relative_to(out).parts
-        }
-        assert written == set(listed)
+        assert_manifest_lists_written(out)
         assert main(["report", "--out", str(out)]) == 0
         text = capsys.readouterr().out
         assert "verdicts" in text
+
+    @pytest.mark.parametrize("source", ["analytic", "nystrom"])
+    @pytest.mark.parametrize("command", ["spectrum", "widths", "greedy", "entropy"])
+    def test_stage_command_manifest_lists_written(self, tmp_path, command, source):
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(small_config(tmp_path) if source == "analytic" else MATERN_TEXT)
+        assert main([command, "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
+        assert_manifest_lists_written(tmp_path / "out")
 
     def test_gap_target_printed_apart(self, tmp_path, capsys):
         # the gap target is no certificate: stdout lists it after the certified
