@@ -7,7 +7,7 @@ Computes and compares, for a catalog of kernels on boxes:
   greedy, and refined designs,
 - certified lower bounds for Kolmogorov and interpolation widths in sup
   norm, and a linear upper bound from the spectral projection,
-- entropy-number brackets for diagonal operators and point clouds,
+- entropy-number brackets for diagonal operators,
 - log-log rate fits, gap reports between width scales, and
   rate-transfer verdicts that keep rule-based conclusions separate from
   numeric certificates.
@@ -24,15 +24,12 @@ from .kernels import (
     trace_integral,
 )
 from .spectral import (
-    PowerKernelSpec,
     SpectrumEstimate,
     analytic_eigenvalues,
     analytic_spectrum,
     analytic_trace,
     has_analytic_spectrum,
     nystrom_spectrum,
-    power_kernel,
-    power_kernel_eval,
     tail_sum,
 )
 from .interpolation import (
@@ -59,7 +56,6 @@ from .entropy import (
     CarlReport,
     DiagonalOperator,
     EntropyEstimate,
-    brute_cover_entropy,
     carl_check,
     carl_constant,
     diag_entropy_bounds,

@@ -1,11 +1,10 @@
-"""Entropy-number estimates for diagonal operators and point clouds.
+"""Entropy-number estimates for diagonal operators.
 
 The n-th dyadic entropy number of an operator is the smallest radius at
 which 2^(n-1) balls cover the image of the unit ball. General operators
-are out of reach numerically; the estimators here cover the two cases
-the lab needs as evidence and as oracles: diagonal operators between
-sequence spaces (ellipsoids in l2) and small point clouds in R^d with
-d <= 3, where brute force is honest.
+are out of reach numerically; the estimators here cover the case the lab
+needs as evidence: diagonal operators between sequence spaces
+(ellipsoids in l2).
 
 The Carl check evaluates the weighted sup-seminorm inequality
 sup_{k<=n} k^{1/p} e_k <= C_p sup_{k<=n} k^{1/p} s_k with the explicit
@@ -20,13 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError
-from .kernels import _sqdist
-
 DIAG_UPPER_FACTOR = 6.0  # pragmatic universal factor, flagged in the method label
 MAX_ENTROPY_INDEX = 1024  # the largest index n whose ball count 2^(n-1) is a finite double
-_BRUTE_MAX_BALLS = 4096
-_BRUTE_MAX_POINTS = 20000
 
 
 @dataclass(frozen=True)
@@ -130,107 +124,6 @@ def diag_entropy_bounds(op: DiagonalOperator, n: int) -> EntropyEstimate:
     upper = min(DIAG_UPPER_FACTOR * lower, _dyadic_grid_upper(s, n))
     upper = max(upper, lower)  # the factor-6 guess must not undercut the certified lower
     return EntropyEstimate(n, lower, upper, "volume+dyadic-grid[factor-6-unverified]")
-
-
-# ---------------------------------------------------------------------------
-# point clouds
-
-
-def _cluster_center(points: np.ndarray, iters: int = 32) -> tuple[np.ndarray, float]:
-    """Approximate min-enclosing-ball center: centroid plus farthest-point walk."""
-    best_c = points.mean(axis=0)
-    best_r = float(np.sqrt(_sqdist(points, best_c[None, :]).max()))
-    c = best_c.copy()
-    for t in range(1, iters + 1):
-        d2 = _sqdist(points, c[None, :])[:, 0]
-        j = int(np.argmax(d2))
-        r = math.sqrt(float(d2[j]))
-        if r < best_r:
-            best_c, best_r = c.copy(), r
-        c = c + (points[j] - c) / (t + 1.0)
-    return best_c, best_r
-
-
-def _kcenter_radius(points: np.ndarray, centers: np.ndarray) -> float:
-    d2 = _sqdist(points, centers)
-    return float(np.sqrt(d2.min(axis=1).max()))
-
-
-def brute_cover_entropy(points: np.ndarray, n: int, seed: int = 0) -> EntropyEstimate:
-    """Bracket e_n of a finite point cloud in R^d, d <= 3, by brute force.
-
-    Upper bound: greedy k-center seeding with 2^(n-1) centers followed by
-    assign/recenter rounds, cluster centers refined toward min enclosing
-    balls (centers need not be data points). Lower bound: farthest-point
-    packing; 2^(n-1) + 1 points pairwise eps-separated force e_n >= eps/2.
-    Deterministic for a fixed seed.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m, d = pts.shape
-    if d > 3:
-        raise BudgetError(f"point clouds are limited to dimension 3, got {d}")
-    if m > _BRUTE_MAX_POINTS:
-        raise BudgetError(f"point cloud size {m} exceeds {_BRUTE_MAX_POINTS}")
-    balls = 2 ** (n - 1)
-    if balls > _BRUTE_MAX_BALLS:
-        raise BudgetError(f"2^(n-1) = {balls} balls exceeds the budget {_BRUTE_MAX_BALLS}")
-
-    # ---- packing lower bound: greedy farthest-point separation
-    lower = 0.0
-    if m > balls:
-        first = 0
-        sel = [first]
-        mind2 = _sqdist(pts, pts[first : first + 1])[:, 0]
-        insertion = math.inf
-        for _ in range(balls):
-            j = int(np.argmax(mind2))
-            insertion = math.sqrt(float(mind2[j]))
-            sel.append(j)
-            mind2 = np.minimum(mind2, _sqdist(pts, pts[j : j + 1])[:, 0])
-        lower = insertion / 2.0
-
-    # ---- covering upper bound
-    if balls >= m:
-        # one center per point covers exactly
-        return EntropyEstimate(n, 0.0, 0.0, "kcenter+packing")
-
-    def lloyd_minimax(centers: np.ndarray, rounds: int = 60) -> float:
-        best = _kcenter_radius(pts, centers)
-        cur = centers.copy()
-        for _ in range(rounds):
-            assign = np.argmin(_sqdist(pts, cur), axis=1)
-            moved = False
-            for c in range(cur.shape[0]):
-                members = pts[assign == c]
-                if members.size == 0:
-                    continue
-                center, _ = _cluster_center(members)
-                if not np.allclose(center, cur[c]):
-                    moved = True
-                cur[c] = center
-            r = _kcenter_radius(pts, cur)
-            if r < best:
-                best = r
-            if not moved:
-                break
-        return best
-
-    # greedy k-center seeds (2-approximation), then seeded random restarts
-    rng = np.random.default_rng(seed)
-    uppers = []
-    greedy_centers_idx = [0]
-    mind2 = _sqdist(pts, pts[:1])[:, 0]
-    for _ in range(balls - 1):
-        j = int(np.argmax(mind2))
-        greedy_centers_idx.append(j)
-        mind2 = np.minimum(mind2, _sqdist(pts, pts[j : j + 1])[:, 0])
-    uppers.append(lloyd_minimax(pts[greedy_centers_idx].copy()))
-    for _ in range(3):
-        idx = rng.choice(m, size=balls, replace=False)
-        uppers.append(lloyd_minimax(pts[idx].copy()))
-    upper = float(min(uppers))
-    upper = max(upper, lower)
-    return EntropyEstimate(n, lower, upper, "kcenter+packing")
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,6 @@ class DegenerateDesignError(WidthLabError):
     """Duplicate design points, or a Gram matrix that stays singular after jitter."""
 
 
-class TruncationError(WidthLabError):
-    """More expansion terms requested than the underlying eigensystem provides."""
-
-
 class InsufficientResolutionError(WidthLabError):
     """Quadrature too small for the requested number of eigenvalues."""
 
@@ -46,4 +42,4 @@ class ConfigError(WidthLabError):
 
 
 class BudgetError(WidthLabError):
-    """A brute-force oracle was asked to exceed its hard resource budget."""
+    """A resource budget was exceeded: the output's disk or quota is full (exit 3)."""

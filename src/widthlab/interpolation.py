@@ -405,11 +405,10 @@ def _coordinate_descent(
       point i.
 
     Why each check of `gram_matrix` still holds:
-    - Every catalog kernel's `pairwise` is elementwise and exactly
-      symmetric, so each new row and each entry of the kept Gram matrix is
-      bit-identical to a full evaluation, and `0.5 * (K + K.T)` is an exact
-      no-op; for a matrix-product kernel such as `power_kernel` the scores
-      agree to rounding.
+    - Every kernel's `pairwise` is elementwise (the `Kernel` contract) and
+      every catalog kernel's is exactly symmetric, so each new row and each
+      entry of the kept Gram matrix is bit-identical to a full evaluation,
+      and `0.5 * (K + K.T)` is an exact no-op.
     - `_sqdist` is elementwise too, so the distinctness test sees the
       same numbers as the full one.
     - The start runs the full `gram_matrix` check, so a start outside the

@@ -4,8 +4,7 @@ A kernel here is a symmetric positive-semidefinite function on an
 axis-aligned box, evaluated in vectorized form through `pairwise`. The
 catalog covers the classical Gaussian-process kernels whose associated
 function spaces are norm-equivalent to Sobolev spaces of known order, plus
-the Gaussian kernel as an infinitely smooth reference point. Power
-kernels are built from an eigensystem, so they live in `spectral`.
+the Gaussian kernel as an infinitely smooth reference point.
 """
 
 from __future__ import annotations
@@ -32,12 +31,11 @@ class Kernel:
     most `BLOCK_ENTRIES` entries. `diagonal(X)` returns k(x_i, x_i) for
     the rows of X; every constructor supplies it in closed form.
 
-    `entrywise` says that each value depends on its own pair of points
-    alone, bit for bit: `pairwise(A[I], B[J])` equals `pairwise(A, B)[I, J]`,
-    so a large matrix may be built block by block. It holds for the
-    catalog's elementwise kernels. It does not hold for a kernel computed
-    through a matrix product, such as `spectral.power_kernel`, whose last
-    bits depend on the product's shape.
+    Each value depends on its own pair of points alone, bit for bit:
+    `pairwise(A[I], B[J])` equals `pairwise(A, B)[I, J]`. The tile build of
+    the Nystrom matrix and the coordinate descent's column updates rely on
+    this contract, which a kernel computed through a matrix product would
+    break, since its last bits depend on the product's shape.
     """
 
     name: str
@@ -46,7 +44,6 @@ class Kernel:
     pairwise: Callable[[np.ndarray, np.ndarray], np.ndarray]
     diagonal: Callable[[np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
-    entrywise: bool = False
 
     def diag(self, x: np.ndarray) -> np.ndarray:
         x = _as_points(x, self.dim)
@@ -195,7 +192,7 @@ def make_kernel(kernel_id: str, dim: int = 1, domain: Box | None = None, length_
             def fill(a, b, out):
                 np.minimum(a, b[:, 0], out=out)
 
-            return Kernel(kid, 1, box, _row_blocks(fill), diagonal=lambda x: x[:, 0].copy(), entrywise=True)
+            return Kernel(kid, 1, box, _row_blocks(fill), diagonal=lambda x: x[:, 0].copy())
 
         if kid == "bridge":
 
@@ -205,7 +202,7 @@ def make_kernel(kernel_id: str, dim: int = 1, domain: Box | None = None, length_
                 np.minimum(a, t, out=out)
                 out -= a * t
 
-            return Kernel(kid, 1, box, _row_blocks(fill), diagonal=lambda x: x[:, 0] - x[:, 0] ** 2, entrywise=True)
+            return Kernel(kid, 1, box, _row_blocks(fill), diagonal=lambda x: x[:, 0] - x[:, 0] ** 2)
 
         # covariance of the integrated Brownian motion:
         # k(s, t) = m^2 M / 2 - m^3 / 6 with m = min, M = max
@@ -219,7 +216,7 @@ def make_kernel(kernel_id: str, dim: int = 1, domain: Box | None = None, length_
             lo /= 6.0
             out -= lo
 
-        return Kernel(kid, 1, box, _row_blocks(fill), diagonal=lambda x: x[:, 0] ** 3 / 3.0, entrywise=True)
+        return Kernel(kid, 1, box, _row_blocks(fill), diagonal=lambda x: x[:, 0] ** 3 / 3.0)
 
     box = domain or Box((0.0,) * dim, (1.0,) * dim)
     if box.dim != dim:
@@ -239,7 +236,7 @@ def make_kernel(kernel_id: str, dim: int = 1, domain: Box | None = None, length_
             r /= ell
             np.exp(r, out=r)
 
-        return Kernel(kid, dim, box, _stationary(values), diagonal=ones, params=params, entrywise=True)
+        return Kernel(kid, dim, box, _stationary(values), diagonal=ones, params=params)
 
     if kid == "matern32":
 
@@ -253,7 +250,7 @@ def make_kernel(kernel_id: str, dim: int = 1, domain: Box | None = None, length_
             r += 1.0
             r *= e
 
-        return Kernel(kid, dim, box, _stationary(values), diagonal=ones, params=params, entrywise=True)
+        return Kernel(kid, dim, box, _stationary(values), diagonal=ones, params=params)
 
     if kid == "gaussian":
 
@@ -263,7 +260,7 @@ def make_kernel(kernel_id: str, dim: int = 1, domain: Box | None = None, length_
             r /= 2.0 * ell * ell
             np.exp(r, out=r)
 
-        return Kernel(kid, dim, box, _stationary(values), diagonal=ones, params=params, entrywise=True)
+        return Kernel(kid, dim, box, _stationary(values), diagonal=ones, params=params)
 
     raise ConfigError(f"unknown kernel id '{kid}' (field kernel.id)")
 

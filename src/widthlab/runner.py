@@ -206,10 +206,13 @@ class _Call(NamedTuple):
         return _CacheEntry(kind, self.out / "cache" / f"{kind}_{hashlib.sha256(raw.encode()).hexdigest()[:20]}.npz", raw)
 
     def write(self, name: str, chunks: Iterable[str]):
-        """Write the artifact `name` of the output directory chunk by chunk, with newline line endings, and list it in the manifest."""
+        """Write the artifact `name` of the output directory chunk by chunk, with newline line endings, and list it in the manifest.
+
+        The chunks go to a temporary file that then replaces the artifact, so a failure midway leaves the previous one whole.
+        """
         path = self.out / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="\n") as fh:
+        with _replacing(path) as tmp, open(tmp, "w", newline="\n") as fh:
             fh.writelines(chunks)
         self.manifest.files.append(str(path))
 
@@ -272,10 +275,17 @@ def _read_cache(entry: _CacheEntry, manifest: RunManifest, *names: str, npy: boo
 
 @contextmanager
 def _replacing(path: Path):
-    """A temporary name for a new file that then replaces `path`, so no reader sees it partial and the old file is never written into."""
+    """A temporary name for a new file that then replaces `path`, so no reader sees it partial and the old file is never written into.
+
+    When the block or the replacement fails, the temporary file is removed and the error re-raised.
+    """
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    yield tmp
-    os.replace(tmp, path)
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_cache(path: Path, npy: np.ndarray | None = None, **arrays: np.ndarray):

@@ -6,12 +6,7 @@ matrix W^{1/2} K W^{1/2} has the Nystrom eigenvalue estimates, and the
 de-symmetrized eigenvectors give weight-orthonormal eigenfunction values
 at the nodes. Closed-form reference spectra are registered for the
 Brownian motion and Brownian bridge kernels. A `SpectrumEstimate` is the
-one eigensystem type: the width bounds read it, and so do power kernels.
-
-Power kernels raise every eigenvalue of a spectrum to a fixed exponent
-gamma while keeping the eigenfunctions, which realizes the scale of spaces
-interpolating between L2 and the native space of the base kernel (and
-extrapolating beyond it for gamma > 1).
+one eigensystem type: the width bounds read it.
 """
 
 from __future__ import annotations
@@ -22,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InsufficientResolutionError, InsufficientTailError, NoAnalyticSpectrumError, TruncationError
+from .errors import InsufficientResolutionError, InsufficientTailError, NoAnalyticSpectrumError
 from .kernels import Kernel, _as_points
 from .lapack import flapack
 from .quadrature import DEFAULT_POINTS, Box, QuadratureRule, midpoint_rule, unit_interval
@@ -116,19 +111,17 @@ def _nystrom_matrix(kernel: Kernel, nodes: np.ndarray, sw: np.ndarray) -> np.nda
     A[i, j] = (k(x_i, x_j) * sw_i) * sw_j is built tile pair by tile pair.
     For tiles I >= J of `NYSTROM_TILE` nodes, K[I, J] and K[J, I] are both
     evaluated and scaled, A[J, I] is added to the transpose of A[I, J] and
-    halved, and the block is checked for finiteness and stored. These are
-    the whole-matrix expression's operations, entry by entry, so S keeps
+    halved, and the block is checked for finiteness and stored. A tile of
+    K holds the whole matrix's values (the `Kernel` contract), and these
+    are the whole-matrix expression's operations, entry by entry, so S keeps
     its bits, while a pair of tiles stays in cache where the whole matrix
     took about ten passes through memory. Neither K nor A is taken to be
     symmetric: non-uniform weights make A asymmetric. S is exactly
     symmetric, so a non-finite entry shows in the stored triangle; it
-    raises the ValueError of `np.asarray_chkfinite`. A kernel that is not
-    `entrywise` is evaluated as one tile, because its values on a tile
-    need not be those on the whole matrix. The strict upper triangle
-    stays zero.
+    raises the ValueError of `np.asarray_chkfinite`. The strict upper
+    triangle stays zero.
     """
-    n = nodes.shape[0]
-    t = NYSTROM_TILE if kernel.entrywise else max(n, 1)
+    n, t = nodes.shape[0], NYSTROM_TILE
     # C-ordered, S's lower triangle kept in its upper one: the transpose is the Fortran-ordered matrix
     out = np.zeros((n, n))
 
@@ -342,59 +335,3 @@ def tail_sum(spectrum: SpectrumEstimate, n: int, trace: float | None = None) -> 
         value = 0.0
     return value
 
-
-# ---------------------------------------------------------------------------
-# power kernels
-
-
-@dataclass(frozen=True)
-class PowerKernelSpec:
-    """Eigenvalue power gamma > 0 applied to the first n_terms modes of a spectrum.
-
-    The modes come from `base.extend`: the closed form of an analytic base,
-    or the Nystrom extension formula, which needs the base's `kernel`.
-    """
-
-    base: SpectrumEstimate
-    gamma: float
-    n_terms: int
-    kernel: Kernel | None = None
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.n_terms < 1 or self.n_terms > self.base.n_eigs:
-            raise TruncationError(f"requested {self.n_terms} terms, spectrum provides {self.base.n_eigs}")
-        if self.base.basis is None and self.kernel is None:
-            raise ValueError("a Nystrom base needs the kernel for the extension formula")
-
-    def powered_eigenvalues(self) -> np.ndarray:
-        return self.base.eigenvalues[: self.n_terms] ** self.gamma
-
-    def trace(self) -> float:
-        return float(self.powered_eigenvalues().sum())
-
-
-def power_kernel_eval(spec: PowerKernelSpec, x, x2) -> float:
-    """Evaluate sum_i lambda_i^gamma e_i(x) e_i(x2) over the truncation."""
-    lam_g = spec.powered_eigenvalues()
-    va = spec.base.extend(spec.kernel, x, spec.n_terms)[0]
-    vb = spec.base.extend(spec.kernel, x2, spec.n_terms)[0]
-    return float(np.sum(lam_g * va * vb))
-
-
-def power_kernel(spec: PowerKernelSpec, name: str | None = None, domain: Box | None = None) -> Kernel:
-    """Wrap a power-kernel spec as a Kernel usable by the rest of the lab."""
-    lam_g = spec.powered_eigenvalues()
-    box = domain or spec.base.quad.box
-
-    def pw(a, b):
-        va = spec.base.extend(spec.kernel, a, spec.n_terms)
-        vb = spec.base.extend(spec.kernel, b, spec.n_terms)
-        return (va * lam_g[None, :]) @ vb.T
-
-    def diag(x):
-        return (spec.base.extend(spec.kernel, x, spec.n_terms) ** 2) @ lam_g
-
-    label = name or f"power(gamma={spec.gamma:g},N={spec.n_terms})"
-    return Kernel(label, box.dim, box, pw, diagonal=diag, params={"gamma": spec.gamma, "n_terms": spec.n_terms})

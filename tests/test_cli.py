@@ -574,6 +574,36 @@ class TestNodeValuesWrittenOnce:
         assert manifest["cache_hits"] == 1 and visible.read_bytes() == linked.read_bytes()
 
 
+class TestWritesReplace:
+    """Cache entries and artifacts are written to a temporary file that replaces the old one; a failure leaves no temporary file."""
+
+    def test_failed_cache_write_leaves_no_temporary(self, tmp_path, capsys):
+        spectrum_call(tmp_path)
+        [npz] = (tmp_path / "out" / "cache").glob("spectrum_*.npz")
+        npz.unlink()
+        npz.mkdir()  # the npz can no longer replace it
+        assert main(["spectrum", "--config", str(tmp_path / "out.ini")]) == 2
+        err = capsys.readouterr().err
+        assert "run.out_dir" in err and str(npz) in err
+        assert "Traceback" not in err
+        assert list((tmp_path / "out" / "cache").glob("*.tmp")) == []
+
+    def test_failed_artifact_write_keeps_the_previous_file(self, tmp_path):
+        spectrum_call(tmp_path)
+        csv = tmp_path / "out" / "spectrum_brownian.csv"
+        before = csv.read_bytes()
+
+        def chunks():
+            yield "# partial\n"
+            raise RuntimeError("failed midway")
+
+        cfg = wl.parse_config((tmp_path / "out.ini").read_text())
+        with pytest.raises(RuntimeError, match="failed midway"), runner._call(cfg, None) as call:
+            call.write(csv.name, chunks())
+        assert csv.read_bytes() == before
+        assert list((tmp_path / "out").rglob("*.tmp")) == []
+
+
 def spectrum_lambda1(out_dir, kernel_id="brownian"):
     return float((out_dir / f"spectrum_{kernel_id}.csv").read_text().splitlines()[2].split(",")[1])
 

@@ -1,4 +1,4 @@
-"""Diagonal-operator entropy brackets, brute-force covering, Carl check."""
+"""Diagonal-operator entropy brackets and the Carl check."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import widthlab as wl
-from widthlab.errors import BudgetError
 
 
 class TestDiagEntropyBounds:
@@ -52,48 +51,6 @@ class TestDiagEntropyBounds:
     def test_rejects_increasing_sigma(self):
         with pytest.raises(ValueError):
             wl.DiagonalOperator(np.array([0.1, 0.5]))
-
-
-class TestBruteCoverEntropy:
-    def test_single_point(self):
-        est = wl.brute_cover_entropy(np.zeros((1, 2)), 3)
-        assert est.upper == 0.0
-
-    def test_two_points_distance_two(self):
-        pts = np.array([[0.0], [2.0]])
-        est = wl.brute_cover_entropy(pts, 1)
-        assert est.lower == pytest.approx(1.0, abs=1e-12)  # packing forces e_1 >= 1
-        assert est.upper == pytest.approx(1.0, abs=1e-9)  # ball centered at the midpoint
-
-    def test_unit_segment_four_balls(self):
-        pts = np.linspace(0.0, 1.0, 1001)[:, None]
-        est = wl.brute_cover_entropy(pts, 3)
-        assert est.lower == pytest.approx(0.125, abs=2e-3)
-        assert est.upper <= 0.13
-
-    def test_bracket_consistency_2d(self, rng):
-        pts = rng.random((400, 2))
-        for n in (1, 2, 4):
-            est = wl.brute_cover_entropy(pts, n)
-            assert est.lower <= est.upper
-
-    def test_deterministic(self, rng):
-        pts = rng.random((200, 2))
-        a = wl.brute_cover_entropy(pts, 3, seed=5)
-        b = wl.brute_cover_entropy(pts, 3, seed=5)
-        assert (a.lower, a.upper) == (b.lower, b.upper)
-
-    def test_budget_balls(self):
-        with pytest.raises(BudgetError):
-            wl.brute_cover_entropy(np.zeros((10, 1)), 14)  # 2^13 > 4096
-
-    def test_budget_points(self):
-        with pytest.raises(BudgetError):
-            wl.brute_cover_entropy(np.zeros((20001, 1)), 2)
-
-    def test_budget_dimension(self):
-        with pytest.raises(BudgetError):
-            wl.brute_cover_entropy(np.zeros((10, 4)), 2)
 
 
 class TestCarlCheck:

@@ -1,4 +1,4 @@
-"""Kernel catalog, Gram matrices, traces, and power kernels."""
+"""Kernel catalog, Gram matrices, traces, and Mercer expansions."""
 
 import math
 import os
@@ -11,7 +11,7 @@ import pytest
 
 import widthlab as wl
 from widthlab import kernels
-from widthlab.errors import DegenerateDesignError, DomainError, TruncationError
+from widthlab.errors import DegenerateDesignError, DomainError
 
 
 class TestEvalKernel:
@@ -61,7 +61,7 @@ class TestGramMatrix:
         K = wl.gram_matrix(bm_kernel, [1.0])
         np.testing.assert_array_equal(K, [[1.0]])
 
-    def test_two_points_entrywise(self, bm_kernel):
+    def test_two_points_elementwise(self, bm_kernel):
         K = wl.gram_matrix(bm_kernel, [0.5, 1.0])
         np.testing.assert_array_equal(K, [[0.5, 0.5], [0.5, 1.0]])
 
@@ -129,86 +129,19 @@ class TestTraceIntegral:
         assert wl.trace_integral(k, q) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.fixture(scope="module")
-def bridge_expansion(bridge_analytic):
-    return bridge_analytic
-
-
-class TestPowerKernel:
-
-    def test_gamma_one_reproduces_bridge(self, bridge_expansion, bridge_kernel):
-        spec = wl.PowerKernelSpec(bridge_expansion, gamma=1.0, n_terms=200)
-        tail = 1.0 / 6.0 - sum(1.0 / (math.pi**2 * i**2) for i in range(1, 201))
-        val = wl.power_kernel_eval(spec, 0.5, 0.5)
-        assert abs(val - 0.25) <= 2.0 * tail
-
-    def test_gamma_one_25_pairs(self, bridge_expansion, bridge_kernel, rng):
-        spec = wl.PowerKernelSpec(bridge_expansion, gamma=1.0, n_terms=200)
-        tail = 1.0 / 6.0 - sum(1.0 / (math.pi**2 * i**2) for i in range(1, 201))
-        pts = rng.random((25, 2))
-        for s, t in pts:
-            val = wl.power_kernel_eval(spec, s, t)
-            exact = wl.eval_kernel(bridge_kernel, s, t)
-            assert abs(val - exact) <= 2.0 * tail
-
-    def test_gamma_one_nystrom_reproduces_brownian(self, bm_nystrom, bm_kernel):
-        # a Nystrom base evaluates its modes through the extension formula, so it needs the kernel
-        with pytest.raises(ValueError, match="kernel"):
-            wl.PowerKernelSpec(bm_nystrom, gamma=1.0, n_terms=200)
-        spec = wl.PowerKernelSpec(bm_nystrom, gamma=1.0, n_terms=200, kernel=bm_kernel)
-        tail = wl.tail_sum(bm_nystrom, 200, trace=wl.analytic_trace("brownian"))
-        for s, t in np.random.default_rng(42).random((25, 2)):
-            for y in (s, t):
-                assert abs(wl.power_kernel_eval(spec, s, y) - wl.eval_kernel(bm_kernel, s, y)) <= 2.0 * tail
-
-    def test_eigenfunction_zero_node(self, bridge_expansion):
-        # e_2(t) = sqrt(2) sin(2 pi t) vanishes at t = 0.5: no second-mode term
-        spec_full = wl.PowerKernelSpec(bridge_expansion, gamma=1.0, n_terms=2)
-        spec_one = wl.PowerKernelSpec(bridge_expansion, gamma=1.0, n_terms=1)
-        assert wl.power_kernel_eval(spec_full, 0.5, 0.5) == pytest.approx(
-            wl.power_kernel_eval(spec_one, 0.5, 0.5), abs=1e-14
-        )
-
-    def test_gamma_two_brownian_trace(self, bm_analytic):
-        exp = wl.analytic_spectrum("brownian", 500)
-        spec = wl.PowerKernelSpec(exp, gamma=2.0, n_terms=500)
-        # sum over odd integers of 16/(j^4 pi^4) = 1/6
-        assert spec.trace() == pytest.approx(1.0 / 6.0, abs=1e-6)
-
-    def test_truncated_trace_monotone_and_bounded(self, bm_analytic, bm_kernel, quad_2000):
-        exp = bm_analytic
-        traces = [wl.PowerKernelSpec(exp, 1.0, n).trace() for n in (10, 50, 100, 260)]
-        assert all(b >= a for a, b in zip(traces, traces[1:]))
-        assert traces[-1] <= wl.trace_integral(bm_kernel, quad_2000) + 1e-12
-
-    def test_gamma_one_error_nonincreasing_in_terms(self, bridge_expansion, bridge_kernel):
-        x = np.array([0.3])
-        exact = wl.eval_kernel(bridge_kernel, 0.3, 0.3)
-        errs = []
-        for n in (10, 40, 160):
-            spec = wl.PowerKernelSpec(bridge_expansion, 1.0, n)
-            errs.append(abs(wl.power_kernel_eval(spec, x, x) - exact))
-        assert errs[0] >= errs[1] >= errs[2] - 1e-15
-
-    def test_invalid_gamma(self, bridge_expansion):
-        with pytest.raises(ValueError):
-            wl.PowerKernelSpec(bridge_expansion, gamma=0.0, n_terms=10)
-
-    def test_truncation_error(self, bridge_expansion):
-        with pytest.raises(TruncationError):
-            wl.PowerKernelSpec(bridge_expansion, gamma=1.0, n_terms=10_000)
-
-    def test_power_kernel_as_kernel(self, bridge_expansion):
-        spec = wl.PowerKernelSpec(bridge_expansion, gamma=1.5, n_terms=50)
-        k = wl.power_kernel(spec)
-        assert wl.eval_kernel(k, 0.3, 0.7) == pytest.approx(wl.power_kernel_eval(spec, 0.3, 0.7), abs=1e-14)
-        K = wl.gram_matrix(k, [0.2, 0.4, 0.9])
-        assert np.linalg.eigvalsh(K).min() >= -1e-12
-
-
 class TestMercerExpansion:
     def test_orthonormality(self, bm_analytic):
         assert bm_analytic.orthonormality_defect() < 1e-8
+
+    def test_nystrom_reproduces_brownian(self, bm_nystrom, bm_kernel):
+        # sum_{i <= 200} lambda_i e_i(s) e_i(y), the modes through the Nystrom extension formula
+        tail = wl.tail_sum(bm_nystrom, 200, trace=wl.analytic_trace("brownian"))
+        lam = bm_nystrom.eigenvalues[:200]
+        for s, t in np.random.default_rng(42).random((25, 2)):
+            es = bm_nystrom.extend(bm_kernel, s, 200)[0]
+            for y in (s, t):
+                value = float(np.sum(lam * es * bm_nystrom.extend(bm_kernel, y, 200)[0]))
+                assert abs(value - wl.eval_kernel(bm_kernel, s, y)) <= 2.0 * tail
 
     def test_rejects_increasing_eigenvalues(self, bm_analytic):
         lam = np.array([0.1, 0.5])

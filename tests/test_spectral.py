@@ -174,11 +174,6 @@ class TestNystrom:
             assert rel.max() < 5e-3, f"{kid}: {rel.max()}"
 
 
-def _bridge_power_kernel():
-    base = wl.analytic_spectrum("bridge", 100, wl.midpoint_rule(wl.unit_interval(), 300))
-    return wl.power_kernel(wl.PowerKernelSpec(base, gamma=1.5, n_terms=100))
-
-
 def _uneven_rule(rng, size):
     """A rule on [0, 1] with random nodes and non-uniform weights."""
     nodes = np.sort(rng.random(size))[:, None]
@@ -186,13 +181,15 @@ def _uneven_rule(rng, size):
     return wl.QuadratureRule(nodes, weights / weights.sum(), box=wl.unit_interval())
 
 
-# kernel and rule of each case: non-uniform weights make A asymmetric, and a
-# power kernel's values need not be symmetric either; the build takes neither to be
+# kernel and rule of each case, named by the kernel id first: non-uniform
+# weights make A asymmetric, and the build does not take it to be symmetric
 BUILD_CASES = {
-    "matern12-uneven-weights": lambda rng: (wl.make_kernel("matern12"), _uneven_rule(rng, TILE + 44)),
+    "brownian-uneven-weights": lambda rng: (wl.make_kernel("brownian"), _uneven_rule(rng, TILE + 44)),
+    "bridge-uneven-weights": lambda rng: (wl.make_kernel("bridge"), _uneven_rule(rng, TILE + 44)),
     "brownian_int-uneven-weights": lambda rng: (wl.make_kernel("brownian_int"), _uneven_rule(rng, TILE + 44)),
+    "matern12-uneven-weights": lambda rng: (wl.make_kernel("matern12"), _uneven_rule(rng, TILE + 44)),
     "matern32-2d": lambda rng: (wl.make_kernel("matern32", dim=2, length_scale=0.4), wl.midpoint_rule(wl.Box((0.0, 0.0), (1.0, 1.0)), 17)),
-    "power-kernel": lambda rng: (_bridge_power_kernel(), wl.midpoint_rule(wl.unit_interval(), TILE + 44)),
+    "gaussian-3d": lambda rng: (wl.make_kernel("gaussian", dim=3, length_scale=0.5), wl.midpoint_rule(wl.Box((0.0,) * 3, (1.0,) * 3), 7)),
 }
 
 
@@ -227,11 +224,9 @@ class TestTilePairBuild:
     def test_kernels_and_rules(self, monkeypatch, rng, case):
         self.assert_handed_whole_matrix(monkeypatch, *BUILD_CASES[case](rng))
 
-    def test_only_catalog_kernels_are_tiled(self):
-        # a power kernel's values come from a matrix product, whose last bits
-        # depend on its shape, so its matrix is evaluated as one tile
-        assert all(wl.make_kernel(kid).entrywise for kid in wl.CATALOG_IDS)
-        assert not _bridge_power_kernel().entrywise
+    def test_cases_cover_the_catalog(self):
+        # every kernel is built tile by tile, so every catalog kernel needs a case
+        assert {case.split("-")[0] for case in BUILD_CASES} == set(wl.CATALOG_IDS)
 
 
 class TestAnalyticSpectrum:
