@@ -6,24 +6,24 @@ acceptance diffs), and records every file it writes in a manifest. The
 width and entropy stages record each value once, as a `WidthRow`; the
 chain check and the fits read those rows, and widths.csv adds the kernel
 id and the seed to each when it is written. The visible spectrum is an
-eigenvalue CSV and a `.npy` of eigenfunction node values, for a Nystrom
-spectrum a hard link to its cache entry's. `cache/` holds three kinds of
-binary entry, each keyed by the kernel, the quadrature rule and its box,
-the fields below, the BLAS thread counts of numpy and scipy (which move the
-last bits of a spectrum) and the package version. A `spectrum_<key>.npz`
-holds a Nystrom spectrum and the CRC-32 of its node values, which are the
-entry's `.npy`, keyed by `n_eigs`; analytic spectra are recomputed on every
-run. An `envelope_<key>.npz` holds the squared sup-norm Mercer
-envelope for n = 0..`dense_max`, for either source, keyed by `n_eigs`, the
-resolved spectrum source, the evaluation points per axis and `dense_max`.
-A `design_<key>.npz` holds the points and value of one multistart cell,
-and how its descents ran, keyed by p (17 digits), n, the seed, the number
-of random restarts and the candidate and evaluation points per axis. An
-entry that cannot be read is recomputed and overwritten, with a manifest
-warning; `manifest.cache` records every lookup. Width cells run one after
-another; a multistart cell's descents may run in parallel processes, but
-their results are reduced in start order, so outputs are byte-deterministic
-for a fixed config and seed.
+eigenvalue CSV and a `.npy` of eigenfunction node values, a hard link to
+its cache entry's. `cache/` holds three kinds of binary entry, each keyed
+by the kernel, the quadrature rule and its box, the fields below, the BLAS
+thread counts of numpy and scipy (which move the last bits of a spectrum)
+and the package version. A `spectrum_<key>.npz` holds a spectrum and the
+CRC-32 of its node values, which are the entry's `.npy`, keyed by `n_eigs`
+and, for a Nystrom spectrum, the eigensolver path, for an analytic one the
+source; a hit never tabulates the closed form. An `envelope_<key>.npz`
+holds the squared sup-norm Mercer envelope for n = 0..`dense_max`, for
+either source, keyed by `n_eigs`, the resolved spectrum source, the
+evaluation points per axis and `dense_max`. A `design_<key>.npz` holds the
+points and value of one width cell (strategy, p, n), keyed as `_cell`
+says; a multistart entry also holds how its descents ran. An entry that
+cannot be read is recomputed and overwritten, with a manifest warning;
+`manifest.cache` records every lookup. Width cells run one after another;
+a multistart cell's descents may run in parallel processes, but their
+results are reduced in start order, so outputs are byte-deterministic for
+a fixed config and seed.
 
 Each `run_*` entry point is one `with _call(cfg, out_dir)` block, whose call
 record (config, output directory, fresh manifest, kernel, quadrature rule)
@@ -68,6 +68,7 @@ from .interpolation import (
     interpolation_width,
     optimize_interpolation_width,
     _cpu_count,
+    _objective,
     _thread_count,
     uniform_design,
 )
@@ -154,10 +155,10 @@ class RunManifest:
         self.warnings.append(message)
 
     def save(self, path: Path):
-        """The fields, and `cache_hits`: the hits among the `cache` records."""
+        """The fields, and `cache_hits`: the hits among the `cache` records; a new file replaces the old one whole."""
         path.parent.mkdir(parents=True, exist_ok=True)
         record = {**asdict(self), "cache_hits": sum(r["result"] == "hit" for r in self.cache)}
-        with open(path, "w", newline="\n") as fh:
+        with _replacing(path) as tmp, open(tmp, "w", newline="\n") as fh:
             json.dump(record, fh, indent=2)
             fh.write("\n")
 
@@ -309,28 +310,30 @@ def _cached(entry: _CacheEntry, manifest: RunManifest, names: tuple[str, ...], c
 
 
 def _load_spectrum(call: _Call, entry: _CacheEntry) -> SpectrumEstimate | None:
+    """The spectrum of a cache entry; an analytic one gets its closed form back, with the cached node values."""
     cached = _read_cache(entry, call.manifest, "eigenvalues", "clamped", npy=True)
     if cached is None:
         return None
     eigenvalues, clamped, node_values = cached
+    if call.cfg.get("spectrum", "source") == "analytic":
+        return analytic_spectrum(call.cfg.kernel_id, eigenvalues.size, call.quad, node_values)
     return SpectrumEstimate(eigenvalues, node_values, call.quad, clamped=int(clamped))
 
 
-def _save_spectrum(call: _Call, spectrum: SpectrumEstimate, meta: str, cached: Path | None):
+def _save_spectrum(call: _Call, spectrum: SpectrumEstimate, meta: str, cached: Path):
     """The visible `spectrum_<id>.csv` (meta, eigenvalues) and `spectrum_<id>_vectors.npy` (node values).
 
-    The node values are a hard link to `cached`, the `.npy` of a cache entry, where there is one and the file system links.
+    The node values are a hard link to `cached`, the `.npy` of the spectrum's cache entry, where the file system links.
     """
     rows = [f"{i + 1},{fmt(v)}" for i, v in enumerate(spectrum.eigenvalues)]
     call.csv(f"spectrum_{call.cfg.kernel_id}.csv", f"# {meta}\nindex,eigenvalue", rows)
     vectors = call.out / f"spectrum_{call.cfg.kernel_id}_vectors.npy"
     call.manifest.files.append(str(vectors))
-    if cached is not None:
-        if vectors.exists() and os.path.samefile(cached, vectors):
-            return
-        with suppress(OSError), _replacing(vectors) as tmp:  # without hard links, the file is written below
-            os.link(cached, tmp)
-            return
+    if vectors.exists() and os.path.samefile(cached, vectors):
+        return
+    with suppress(OSError), _replacing(vectors) as tmp:  # without hard links, the file is written below
+        os.link(cached, tmp)
+        return
     with _replacing(vectors) as tmp, open(tmp, "wb") as fh:
         np.save(fh, spectrum.eigvec_node_values)
 
@@ -340,19 +343,19 @@ def stage_spectrum(call: _Call) -> SpectrumEstimate:
     n_eigs = cfg.get("spectrum", "n_eigs")
     source = cfg.get("spectrum", "source")
     with _timed(manifest, "spectrum"):
-        if source == "analytic":
-            spectrum, cached = analytic_spectrum(cfg.kernel_id, n_eigs, quad), None
-        else:
-            entry = call.entry("spectrum", f"n_eigs={n_eigs}", f"solver={NYSTROM_SOLVER}")
-            spectrum = _load_spectrum(call, entry)
-            if spectrum is None:
+        # a Nystrom entry names its eigensolver, an analytic one its source
+        entry = call.entry("spectrum", f"n_eigs={n_eigs}", f"solver={NYSTROM_SOLVER}" if source == "nystrom" else f"source={source}")
+        spectrum = _load_spectrum(call, entry)
+        if spectrum is None:
+            if source == "analytic":
+                spectrum = analytic_spectrum(cfg.kernel_id, n_eigs, quad)
+            else:
                 spectrum = nystrom_spectrum(kernel, quad, n_eigs)
-                _write_cache(entry.path, spectrum.eigvec_node_values, eigenvalues=spectrum.eigenvalues, clamped=spectrum.clamped)
-            cached = entry.path.with_suffix(".npy")
+            _write_cache(entry.path, spectrum.eigvec_node_values, eigenvalues=spectrum.eigenvalues, clamped=spectrum.clamped)
         if spectrum.clamped:
             manifest.warn(f"nystrom: {spectrum.clamped} negative eigenvalues clamped to zero")
         meta = f"widthlab-spectrum kernel={kernel.identifier()} quad={quad.signature()} source={source}"
-        _save_spectrum(call, spectrum, meta, cached)
+        _save_spectrum(call, spectrum, meta, entry.path.with_suffix(".npy"))
     return spectrum
 
 
@@ -394,66 +397,80 @@ def stage_widths(call: _Call, spectrum: SpectrumEstimate) -> list[WidthRow]:
         for n in dense:
             rows.append(WidthRow("a_Lp_upper", n, KIND_UPPER, math.sqrt(sup2[n]), "mercer-projection", "inf"))
 
-    designs: dict[tuple[str, int], DesignSet] = {}
-    with _timed(manifest, "widths.designs"):
-        if "greedy" in strategies:
-            full = greedy_design(kernel, candidates, max(n_grid))
-            for n in n_grid:
-                designs[("greedy", n)] = (
-                    full if n == full.size else make_design(kernel, full.points[:n])
-                )
-        if "uniform" in strategies:
-            for n in n_grid:
-                designs[("uniform", n)] = uniform_design(kernel, n)
-
-    # n = 0 boundary convention: empty design, power function sqrt(k(x, x))
-    empty = make_design(kernel, np.empty((0, kernel.dim)))
+    # n = 0 boundary convention: the empty design, whose power function is sqrt(k(x, x))
     for p in p_values:
-        v0 = interpolation_width(empty, quad, p, eval_grid=eval_grid)
-        rows.append(WidthRow("I_Lp_upper", 0, KIND_UPPER, v0, "empty", p_label(p)))
+        targets, norm = _objective(kernel, quad, p, eval_grid)
+        rows.append(WidthRow("I_Lp_upper", 0, KIND_UPPER, norm(np.sqrt(np.maximum(kernel.diag(targets), 0.0))), "empty", p_label(p)))
 
     if cfg.get("run", "workers") > 1:
         manifest.warn(f"run.workers = {cfg.get('run', 'workers')} ignored: a multistart cell runs its descents on up to one process per CPU")
+    greedy: DesignSet | None = None  # the greedy design of max(n_grid) points, made on the first greedy miss
+
+    def search(strategy: str, p: float, n: int) -> tuple[DesignSet, float]:
+        nonlocal greedy
+        if strategy == "multistart":
+            seed = cfg.get("run", "seed")
+            return optimize_interpolation_width(kernel, quad, p, n, strategy="multistart", candidates=candidates, eval_grid=eval_grid, seed=seed)
+        if strategy == "uniform":
+            des = uniform_design(kernel, n)
+        else:
+            if greedy is None:
+                greedy = greedy_design(kernel, candidates, max(n_grid))
+            des = greedy if n == greedy.size else make_design(kernel, greedy.points[:n])
+        return des, interpolation_width(des, quad, p, eval_grid=eval_grid)
+
+    designs: dict[tuple[str, int], DesignSet] = {}
     # widths.csv keeps its rows in (strategy, p label, n) order
     cells = sorted(itertools.product(strategies, p_values, n_grid), key=lambda c: (c[0], p_label(c[1]), c[2]))
     with _timed(manifest, "widths.interpolation"):
         for strategy, p, n in cells:
-            if strategy == "multistart":
-                des, val = _multistart_cell(call, p, n, candidates, eval_grid)
-            else:
-                des = designs[(strategy, n)]
-                val = interpolation_width(des, quad, p, eval_grid=eval_grid)
+            des, val = _cell(call, strategy, p, n, search)
             rows.append(WidthRow("I_Lp_upper", n, KIND_UPPER, val, strategy, p_label(p)))
             if des.jitter:
                 manifest.warn(f"design ({strategy}, n={n}): Cholesky jitter {des.jitter:.3e} applied")
+            if strategy != "multistart":
+                designs[(strategy, n)] = des
 
-    for (strategy, n), des in sorted(designs.items()):
-        _write_design(call, strategy, n, des)
+    with _timed(manifest, "widths.designs"):
+        for (strategy, n), des in sorted(designs.items()):
+            _write_design(call, strategy, n, des)
     validate_chain(rows)
     return rows
 
 
-def _multistart_cell(call: _Call, p: float, n: int, candidates: np.ndarray, eval_grid: np.ndarray) -> tuple[DesignSet, float]:
-    """The multistart design search of one (p, n) cell, through `cache/design_<key>.npz`.
+def _cell(call: _Call, strategy: str, p: float, n: int, search: Callable[[str, float, int], tuple[DesignSet, float]]) -> tuple[DesignSet, float]:
+    """The design and value of one (strategy, p, n) width cell, through `cache/design_<key>.npz`; `search` makes them on a miss.
 
-    The search depends only on what the key holds. p is written with 17
-    digits, since its label would merge 2 and 2.0000001. A hit rebuilds the
-    design from its points, as the search itself does, so hit and miss
-    return the same design. The entry also holds how the cell's descents
-    ran, the search's `DesignSet.descents`, and the lookup's
-    `manifest.cache` record carries it as `descents`, on a hit as on a miss.
+    The key holds what the cell reads: the strategy, p (17 digits, since
+    its label would merge 2 and 2.0000001), n and the candidate and
+    evaluation points per axis; for a greedy cell also max(`widths.n_grid`),
+    since its design is a prefix of the greedy design of that many points;
+    for a multistart cell also the seed and the number of random restarts.
+    A hit rebuilds the design from its points, as the search itself does, so
+    hit and miss return the same design, bit for bit. A multistart entry
+    also holds how the cell's descents ran, the search's
+    `DesignSet.descents`, and the lookup's `manifest.cache` record carries
+    it as `descents`, on a hit as on a miss.
     """
-    cfg, kernel, seed = call.cfg, call.kernel, call.cfg.get("run", "seed")
-    fields = (f"p={fmt(p)}", f"n={n}", f"seed={seed}", f"restarts={MULTISTART_RESTARTS}")
+    cfg = call.cfg
+    fields = [f"strategy={strategy}", f"p={fmt(p)}", f"n={n}"]
+    if strategy == "greedy":
+        fields.append(f"n_max={max(cfg.get('widths', 'n_grid'))}")
+    names = ("points", "value")
+    if strategy == "multistart":
+        fields += [f"seed={cfg.get('run', 'seed')}", f"restarts={MULTISTART_RESTARTS}"]
+        names += ("descents",)
     entry = call.entry("design", *fields, f"candidate_points={cfg.candidate_points}", f"eval_points={cfg.eval_points}")
-
-    def search() -> list:
-        des, val = optimize_interpolation_width(kernel, call.quad, p, n, strategy="multistart", candidates=candidates, eval_grid=eval_grid, seed=seed)
-        return [des.points, val, des.descents]
-
-    points, value, descents = _cached(entry, call.manifest, ("points", "value", "descents"), search)
-    call.manifest.cache[-1]["descents"] = str(descents)  # the record of this lookup
-    return make_design(kernel, points), float(value)
+    arrays = _read_cache(entry, call.manifest, *names)
+    if arrays is None:
+        des, val = search(strategy, p, n)
+        arrays = [des.points, val, des.descents][: len(names)]
+        _write_cache(entry.path, **dict(zip(names, arrays)))
+    else:
+        des = make_design(call.kernel, arrays[0])
+    if strategy == "multistart":
+        call.manifest.cache[-1]["descents"] = str(arrays[2])  # the record of this lookup
+    return des, float(arrays[1])
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,8 @@ class SpectrumEstimate:
     V^T diag(w) V = I up to ORTHONORMALITY_TOL. `trace` is the exact
     operator trace when known (analytic spectra), else None. `extend`
     evaluates eigenfunctions at arbitrary points, through the closed-form
-    `basis` when one is registered and the Nystrom extension formula
-    otherwise.
+    `basis` (points, modes) when one is registered and the Nystrom
+    extension formula otherwise.
     """
 
     eigenvalues: np.ndarray
@@ -47,7 +47,7 @@ class SpectrumEstimate:
     source: str = "nystrom"
     clamped: int = 0
     trace: float | None = None
-    basis: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
+    basis: Callable[..., np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=float)
@@ -70,14 +70,15 @@ class SpectrumEstimate:
     def extend(self, kernel: Kernel | None, points: np.ndarray, n_modes: int | None = None) -> np.ndarray:
         """Eigenfunction values at arbitrary points.
 
-        Uses the closed form when registered, otherwise the Nystrom
-        extension e_i(x) = (1/lambda_i) sum_j w_j k(x, x_j) V[j, i],
-        restricted to modes with a safely positive eigenvalue.
+        Uses the closed form when registered, evaluated for the first
+        `n_modes` modes only, otherwise the Nystrom extension
+        e_i(x) = (1/lambda_i) sum_j w_j k(x, x_j) V[j, i], restricted to
+        modes with a safely positive eigenvalue.
         """
         pts = _as_points(points, self.quad.nodes.shape[1])
         m = n_modes or self.n_eigs
         if self.basis is not None:
-            return self.basis(pts)[:, :m]
+            return self.basis(pts, min(m, self.n_eigs))
         lam = self.eigenvalues[:m]
         cut = lam > 1e-14 * max(lam[0], 1.0)
         Kxn = kernel.pairwise(pts, self.quad.nodes)
@@ -266,12 +267,16 @@ def _registered(kernel_id: str) -> tuple[Callable, Callable, float]:
     return entry
 
 
-def analytic_spectrum(kernel_id: str, n_eigs: int, quad: QuadratureRule | None = None) -> SpectrumEstimate:
+def analytic_spectrum(
+    kernel_id: str, n_eigs: int, quad: QuadratureRule | None = None, node_values: np.ndarray | None = None
+) -> SpectrumEstimate:
     """Exact eigensystem for kernels with a registered closed form.
 
     The returned estimate carries the exact trace and an analytic basis
-    evaluator; node values are tabulated on `quad` (default: the midpoint
-    rule on the unit interval with the 1-d `DEFAULT_POINTS["quadrature"]`).
+    evaluator `basis(X, n=n_eigs)` of the first n modes; node values are
+    tabulated on `quad` (default: the midpoint rule on the unit interval
+    with the 1-d `DEFAULT_POINTS["quadrature"]`), unless `node_values`
+    holds them already, as a cache entry does.
     A rule on another box raises NoAnalyticSpectrumError: the closed forms
     hold on the unit interval only.
     """
@@ -283,10 +288,10 @@ def analytic_spectrum(kernel_id: str, n_eigs: int, quad: QuadratureRule | None =
         raise NoAnalyticSpectrumError(f"the closed form of kernel id '{kernel_id}' holds on [0, 1] only, and the rule covers {quad.box}")
     lam = lam_fn(n_eigs)
 
-    def basis(X: np.ndarray) -> np.ndarray:
-        return basis_fn(X, n_eigs)
+    def basis(X: np.ndarray, n: int = n_eigs) -> np.ndarray:
+        return basis_fn(X, n)
 
-    V = basis(quad.nodes)
+    V = basis(quad.nodes) if node_values is None else node_values
     return SpectrumEstimate(lam, V, quad, source="analytic", trace=trace, basis=basis)
 
 

@@ -218,16 +218,20 @@ def benchmark_module(name: str):
     return module
 
 
-@pytest.fixture(scope="module")
-def design_search_run(tmp_path_factory):
+def run_design_search(out_dir):
     # the design_search workload, the one 1d Nystrom spectrum the goldens
     # hold: its config at the goldens' seed, through the four run_*_only calls
     workload_pass = benchmark_module("workload_pass")
     cfg = wl.parse_config(workload_pass.config_text("design_search", workload_pass.DEFAULT_SEED))
-    out_dir = tmp_path_factory.mktemp("design_search")
-    t0 = time.perf_counter()
     for name in workload_pass.CALLS["design_search"]:
         getattr(runner, name)(cfg, out_dir)
+
+
+@pytest.fixture(scope="module")
+def design_search_run(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("design_search")
+    t0 = time.perf_counter()
+    run_design_search(out_dir)
     return SimpleNamespace(out_dir=out_dir), time.perf_counter() - t0
 
 
@@ -239,6 +243,15 @@ def test_value_columns_match_golden(preset, campaign, request):
     # widths.csv (but its seed column), slopes.csv and verdicts.json against
     # the benchmark's golden run at its seed, through the benchmark's own gate
     golden_gate = benchmark_module("golden_gate")
+    golden = ROOT / "benchmarks" / "goldens" / preset
     result, _ = request.getfixturevalue(campaign)
-    _, problems = golden_gate.check(result.out_dir, ROOT / "benchmarks" / "goldens" / preset, 1234)
+    cold, problems = golden_gate.check(result.out_dir, golden, 1234)
+    assert problems == []
+    # a warm pass into the same directory reads every entry the cold one wrote
+    if preset == "design_search":
+        run_design_search(result.out_dir)
+    else:
+        warm = run_campaign(wl.load_preset(preset), out_dir=result.out_dir)
+        assert [r["result"] for r in warm.manifest.cache] == ["hit"] * len(warm.manifest.cache)
+    _, problems = golden_gate.check(result.out_dir, golden, 1234, reference=cold)
     assert problems == []

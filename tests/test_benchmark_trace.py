@@ -131,8 +131,9 @@ def test_design_search_pass_reads_every_manifest_field(tmp_path):
         lines = out.stdout.splitlines()
         assert len(lines) == 1, out.stdout
         records.append(json.loads(lines[0]))
-    # cold: the widths and entropy calls hit the spectrum entry; warm: every lookup hits
-    assert [record["cache_hits"] for record in records] == [2, 5]
+    # cold: the widths and entropy calls hit the spectrum entry; warm: every lookup hits,
+    # the three width cells' (uniform, greedy, multistart) included
+    assert [record["cache_hits"] for record in records] == [2, 7]
     # only run_campaign times the fits stage
     stages = set(layer_trace.STAGES.values()) - {"fits"}
     for record in records:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import widthlab as wl
-from widthlab import runner
+from widthlab import interpolation, runner
 from widthlab.cli import main
 from widthlab.config import _validate
 from widthlab.errors import ChainViolationError, ConfigError
@@ -476,8 +476,8 @@ class TestSpectrumCommand:
         assert first == pytest.approx(0.405285, abs=1e-5)
 
     def test_cache_hit_identical_bytes(self, tmp_path):
-        # only Nystrom spectra are cached; analytic ones are recomputed
-        for source, hits in (("nystrom", 1), ("analytic", 0)):
+        # both sources are cached: the second call hits
+        for source, hits in (("nystrom", 1), ("analytic", 1)):
             cfgfile = tmp_path / f"{source}.ini"
             cfgfile.write_text(small_config(tmp_path, source).replace("source = analytic", f"source = {source}"))
             out = tmp_path / source
@@ -603,6 +603,21 @@ class TestWritesReplace:
         assert csv.read_bytes() == before
         assert list((tmp_path / "out").rglob("*.tmp")) == []
 
+    def test_failed_manifest_write_keeps_the_previous_one(self, tmp_path, monkeypatch, capsys):
+        spectrum_call(tmp_path)
+        manifest = tmp_path / "out" / "manifest.json"
+        before = manifest.read_bytes()
+
+        def full_disk(obj, fh, **kwargs):
+            fh.write('{\n  "config_hash": ')
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(json, "dump", full_disk)
+        assert main(["spectrum", "--config", str(tmp_path / "out.ini")]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert manifest.read_bytes() == before
+        assert list((tmp_path / "out").rglob("*.tmp")) == []
+
 
 def spectrum_lambda1(out_dir, kernel_id="brownian"):
     return float((out_dir / f"spectrum_{kernel_id}.csv").read_text().splitlines()[2].split(",")[1])
@@ -663,16 +678,17 @@ class TestEnvelopeCache:
             assert main(["widths", "--config", str(tmp_path / "c.ini")]) == 0
             manifest = json.loads((tmp_path / "shared" / "manifest.json").read_text())
             runs.append(((tmp_path / "shared" / "widths.csv").read_bytes(), manifest))
-        # the second run hits both the spectrum and the envelope entry
-        assert [m["cache_hits"] for _, m in runs] == [0, 2]
+        # the second run hits the spectrum, the envelope and the 16 width cell entries
+        assert [m["cache_hits"] for _, m in runs] == [0, 18]
         assert runs[1][0] == runs[0][0]
         assert runs[1][1]["warnings"] == runs[0][1]["warnings"]
 
-        # each change is an envelope miss whose rows equal a fresh directory's
+        # each change is an envelope miss whose rows equal a fresh directory's; the
+        # width cells key the evaluation points, but neither dense_max nor the spectrum
         variants = [
             ("eval_points", base.replace("eval_points_per_axis = 1024", "eval_points_per_axis = 513"), 1),
-            ("dense_max", base.replace("dense_n_max = 16", "dense_n_max = 12"), 1),
-            ("analytic", base.replace("source = nystrom", "source = analytic"), 0),
+            ("dense_max", base.replace("dense_n_max = 16", "dense_n_max = 12"), 17),
+            ("analytic", base.replace("source = nystrom", "source = analytic"), 16),
         ]
         for name, text, spectrum_hits in variants:
             (tmp_path / "c.ini").write_text(text)
@@ -708,8 +724,9 @@ class TestEnvelopeCache:
         # the entry was rewritten and is read again on the next run
         assert main([command, "--config", str(tmp_path / "c.ini")]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        # a widths run reads the spectrum, the envelope and, with multistart, its design
-        assert manifest["cache_hits"] == {"spectrum": 1, "envelope": 2, "design": 3}[entry]
+        # a widths run reads the spectrum, the envelope and the entry of each width cell:
+        # 16 uniform and greedy cells, or one multistart cell
+        assert manifest["cache_hits"] == {"spectrum": 1, "envelope": 18, "design": 3}[entry]
         assert not any("unreadable" in w for w in manifest["warnings"])
 
 
@@ -855,6 +872,86 @@ class TestDesignCache:
             assert env["threads"] >= 1
             assert [r["result"] for r in manifest["cache"]] == [result] * 4
             assert all(f"numpy_blas_threads={threads}|scipy_blas_threads={threads}|" in r["key"] for r in manifest["cache"])
+
+
+def campaign(tmp_path, text, name="c"):
+    """`widthlab campaign` on `text`; the manifest of its output directory."""
+    (tmp_path / f"{name}.ini").write_text(text)
+    assert main(["campaign", "--config", str(tmp_path / f"{name}.ini")]) == 0
+    out = Path(wl.parse_config(text).get("run", "out_dir"))
+    return json.loads((out / "manifest.json").read_text())
+
+
+def file_states(out: Path) -> dict[Path, tuple[int, int, int]]:
+    return {p: (p.stat().st_ino, p.stat().st_mtime_ns, p.stat().st_size) for p in out.rglob("*") if p.is_file()}
+
+
+def design_results(manifest) -> list[tuple[str, str]]:
+    """(strategy, result) of each width cell lookup."""
+    return [(r["key"].split("strategy=")[1].split("|")[0], r["result"]) for r in manifest["cache"] if r["entry"] == "design"]
+
+
+class TestWarmCampaign:
+    """A second campaign on the same inputs reads every width cell and the spectrum from the cache."""
+
+    @pytest.mark.parametrize("source", ["analytic", "nystrom"])
+    def test_warm_campaign_recomputes_nothing(self, tmp_path, monkeypatch, source):
+        text = small_config(tmp_path).replace("source = analytic", f"source = {source}")
+        if source == "nystrom":
+            text = text.replace("strategies = uniform,greedy", "strategies = uniform,greedy,multistart")
+            for old, new in (("points_per_axis = 400", "points_per_axis = 100"), ("n_eigs = 80", "n_eigs = 40")):
+                text = text.replace(old, new)
+            text = text.replace("eval_points_per_axis = 1024", "eval_points_per_axis = 129").replace("= 1025", "= 129")
+        cold = campaign(tmp_path, text)
+        before = {name: (tmp_path / "out" / name).read_bytes() for name in ("widths.csv", "slopes.csv", "report.txt", "verdicts.json")}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("recomputed on a warm run")
+
+        for owner in (runner, interpolation):
+            for name in ("interpolation_width", "greedy_design", "uniform_design", "optimize_interpolation_width"):
+                monkeypatch.setattr(owner, name, forbidden)
+        monkeypatch.setattr(runner, "nystrom_spectrum", forbidden)
+        monkeypatch.setattr(runner, "mercer_envelope_sup2", forbidden)
+        lam_fn, _, trace = wl.spectral._ANALYTIC_REGISTRY["brownian"]
+        monkeypatch.setitem(wl.spectral._ANALYTIC_REGISTRY, "brownian", (lam_fn, forbidden, trace))
+        warm = campaign(tmp_path, text)
+        assert warm["cache_hits"] == len(warm["cache"]) == len(cold["cache"])
+        assert len(design_results(warm)) == (24 if source == "nystrom" else 16)
+        assert {name: (tmp_path / "out" / name).read_bytes() for name in before} == before
+
+    def test_fit_and_target_edits_hit_every_cell(self, tmp_path):
+        campaign(tmp_path, small_config(tmp_path))
+        edited = small_config(tmp_path).replace("window = 2,16", "window = 4,16").replace("alpha = 1.0", "alpha = 0.9")
+        assert set(design_results(campaign(tmp_path, edited))) == {("greedy", "hit"), ("uniform", "hit")}
+        # greedy cells are prefixes of one greedy design of max(n_grid) points
+        raised = small_config(tmp_path).replace("n_grid = 2,4,8,16", "n_grid = 2,4,8,16,32").replace("dense_n_max = 16", "dense_n_max = 32")
+        lookups = design_results(campaign(tmp_path, raised))
+        assert [result for strategy, result in lookups if strategy == "greedy"] == ["miss"] * 10
+        assert [result for strategy, result in lookups if strategy == "uniform"] == (["hit"] * 4 + ["miss"]) * 2
+        campaign(tmp_path, raised.replace(str(tmp_path / "out"), str(tmp_path / "fresh")), "fresh")
+        for name in ("widths.csv", "slopes.csv"):
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+
+    def test_warm_analytic_campaign_writes_little(self, tmp_path):
+        # the cold pass writes the node values once; the warm one rewrites only the small artifacts
+        out = tmp_path / "bm_gap"
+        run_campaign(wl.load_preset("bm_gap"), out)
+        before = file_states(out)
+        run_campaign(wl.load_preset("bm_gap"), out)
+        written = sum(state[2] for path, state in file_states(out).items() if before.get(path) != state)
+        assert written < 100_000
+
+    def test_warm_warnings_match_cold(self, tmp_path):
+        # bridge uniform designs hold the boundary point where the kernel vanishes:
+        # a hit rebuilds the design from its points and warns of the same jitter
+        text = small_config(tmp_path).replace("id = brownian", "id = bridge")
+        cold, warm = campaign(tmp_path, text), campaign(tmp_path, text)
+        assert warm["cache_hits"] == len(warm["cache"])
+        assert any("jitter" in w for w in cold["warnings"])
+        assert warm["warnings"] == cold["warnings"]
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert all(w in report for w in warm["warnings"])
 
 
 class TestWidthsCommand:

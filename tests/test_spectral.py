@@ -274,6 +274,27 @@ class TestAnalyticSpectrum:
         G = V.T @ (quad_2000.weights[:, None] * V)
         assert np.abs(G - np.eye(50)).max() < 1e-8
 
+    @pytest.mark.parametrize("kernel_id", ["brownian", "bridge"])
+    def test_extend_evaluates_only_the_modes_asked_for(self, kernel_id, monkeypatch):
+        # the envelope reads 64 of 260 modes: the closed form evaluates those
+        # 64 only, and their values are the leading columns of all 260, bit for bit
+        lam_fn, basis_fn, trace = spectral._ANALYTIC_REGISTRY[kernel_id]
+        asked = []
+
+        def recording(X, n):
+            asked.append(n)
+            return basis_fn(X, n)
+
+        monkeypatch.setitem(spectral._ANALYTIC_REGISTRY, kernel_id, (lam_fn, recording, trace))
+        spectrum = wl.analytic_spectrum(kernel_id, 260)
+        X = np.linspace(0.0, 1.0, 4097)[:, None]
+        full = spectrum.extend(None, X)
+        for m in (1, 7, 63, 64, 65, 100, 259):
+            for rows in (slice(None), slice(0, 1), slice(5, 18), slice(1001, 3048)):
+                asked.clear()
+                assert spectrum.extend(None, X[rows], m).tobytes() == full[rows, :m].tobytes(), (m, rows)
+                assert asked == [m]
+
 
 class TestTailSum:
     def test_full_trace(self, bm_analytic):
