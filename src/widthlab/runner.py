@@ -7,23 +7,25 @@ width and entropy stages record each value once, as a `WidthRow`; the
 chain check and the fits read those rows, and widths.csv adds the kernel
 id and the seed to each when it is written. The visible spectrum is an
 eigenvalue CSV and a `.npy` of eigenfunction node values, a hard link to
-its cache entry's. `cache/` holds three kinds of binary entry, each keyed
-by the kernel, the quadrature rule and its box, the fields below, the BLAS
-thread counts of numpy and scipy (which move the last bits of a spectrum)
-and the package version. A `spectrum_<key>.npz` holds a spectrum and the
-CRC-32 of its node values, which are the entry's `.npy`, keyed by `n_eigs`
-and, for a Nystrom spectrum, the eigensolver path, for an analytic one the
-source; a hit never tabulates the closed form. An `envelope_<key>.npz`
-holds the squared sup-norm Mercer envelope for n = 0..`dense_max`, for
-either source, keyed by `n_eigs`, the resolved spectrum source, the
-evaluation points per axis and `dense_max`. A `design_<key>.npz` holds the
-points and value of one width cell (strategy, p, n), keyed as `_cell`
-says; a multistart entry also holds how its descents ran. An entry that
-cannot be read is recomputed and overwritten, with a manifest warning;
-`manifest.cache` records every lookup. Width cells run one after another;
-a multistart cell's descents may run in parallel processes, but their
-results are reduced in start order, so outputs are byte-deterministic for
-a fixed config and seed.
+its cache entry's. `cache/` holds three kinds of binary entry, each read,
+computed on a miss, written and recorded by one method, `_Call.cached`, and
+keyed by the kernel, the quadrature rule and its box, the fields below, the
+version, BLAS name, BLAS version and BLAS threads of numpy and of scipy
+(each moves the last bits of a result) and the package version. A
+`spectrum_<key>.npz` holds a spectrum and the CRC-32 of its node values,
+which are the entry's `.npy`, keyed by `n_eigs` and, for a Nystrom
+spectrum, the eigensolver path, for an analytic one the source; a hit never
+tabulates the closed form. An `envelope_<key>.npz` holds the squared
+sup-norm Mercer envelope for n = 0..`dense_max`, keyed by the spectrum
+entry's fields, the evaluation points per axis and `dense_max`. A
+`design_<key>.npz` holds the points and value of one width cell (strategy,
+p, n), keyed as `_cell` says; a multistart entry also holds how its
+descents ran. A miss writes the `.npy` first and the npz last, each through
+a temporary file. An entry that cannot be read is recomputed and
+overwritten, with a manifest warning; `manifest.cache` records every
+lookup. Width cells run one after another; a multistart cell's descents
+may run in parallel processes, but their results are reduced in start
+order, so outputs are byte-deterministic for a fixed config and seed.
 
 Each `run_*` entry point is one `with _call(cfg, out_dir)` block, whose call
 record (config, output directory, fresh manifest, kernel, quadrature rule)
@@ -125,8 +127,9 @@ def _environment() -> dict[str, object]:
     A multistart cell runs its descents on up to `cpus` processes, but one
     after another when `threads` is above 1. The two libraries may link
     different BLAS builds: the Cholesky factorizations run in numpy's, the
-    eigensolver and the triangular solves in scipy's. Their thread counts
-    change the last bits of a spectrum, so every cache key holds them.
+    eigensolver and the triangular solves in scipy's. A library's build or
+    its thread count may change the last bits of a result, so every cache
+    key holds each library's block.
     """
     env: dict[str, object] = {"python": platform.python_version(), "cpus": _cpu_count(), "threads": _thread_count()}
     for lib in (np, scipy):
@@ -183,14 +186,6 @@ def quad_from_config(cfg: ExperimentConfig, kernel: Kernel) -> QuadratureRule:
     return midpoint_rule(kernel.domain, cfg.get("quadrature", "points_per_axis"))
 
 
-class _CacheEntry(NamedTuple):
-    """One `cache/<kind>_<hash>.npz` file and the raw key string it hashes."""
-
-    kind: str
-    path: Path
-    key: str
-
-
 class _Call(NamedTuple):
     """One entry-point call: its config, output directory, fresh manifest, kernel and quadrature rule."""
 
@@ -200,11 +195,51 @@ class _Call(NamedTuple):
     kernel: Kernel
     quad: QuadratureRule
 
-    def entry(self, kind: str, *fields: str) -> _CacheEntry:
-        """`cache/<kind>_<key>.npz`, keyed by the kernel, the quadrature rule and its box, `fields`, the BLAS threads and the version."""
-        blas = [f"{lib}_blas_threads={self.manifest.environment[lib]['blas_threads']}" for lib in _BLAS_QUERIES]
-        raw = "|".join((self.kernel.identifier(), self.quad.signature(), *fields, *blas, f"version={__version__}"))
-        return _CacheEntry(kind, self.out / "cache" / f"{kind}_{hashlib.sha256(raw.encode()).hexdigest()[:20]}.npz", raw)
+    def cached(self, kind: str, fields: list[str], names: tuple[str, ...], compute: Callable[[], list], npy: bool = False) -> tuple[Path, list]:
+        """The arrays `names` of the entry `cache/<kind>_<key>.npz`, then with `npy` the array in the entry's `.npy`; and the npz's path.
+
+        The raw key joins the kernel, the quadrature rule and its box,
+        `fields`, the version, BLAS name, BLAS version and BLAS threads of
+        numpy and of scipy (a library build or its thread count moves the last
+        bits of a result) and the package version; the file name holds its
+        hash. A `.npy` whose bytes miss the CRC-32 in the npz is unreadable.
+        An unreadable entry is a miss, with a manifest warning naming the
+        file. Every lookup appends its `manifest.cache` record, whose hits the
+        saved manifest counts as `cache_hits`. On a miss `compute()` returns
+        the arrays in the same order, and they are written: the `.npy` first,
+        then the npz, which holds the `.npy`'s CRC-32.
+        """
+        env = self.manifest.environment
+        libs = [f"{lib}({','.join(f'{k}={v}' for k, v in env[lib].items())})" for lib in _BLAS_QUERIES]
+        raw = "|".join((self.kernel.identifier(), self.quad.signature(), *fields, *libs, f"version={__version__}"))
+        path = self.out / "cache" / f"{kind}_{hashlib.sha256(raw.encode()).hexdigest()[:20]}.npz"
+        arrays, result, read = None, "miss", path
+        if path.exists():
+            try:
+                with np.load(path) as entry:
+                    arrays = [entry[name] for name in names]
+                    crc = entry["npy_crc32"] if npy else None
+                if npy:
+                    read = path.with_suffix(".npy")
+                    arrays.append(np.load(read))
+                    if zlib.crc32(arrays[-1].ravel(order="K")) != crc:
+                        raise ValueError("CRC-32 mismatch")
+                result = "hit"
+            except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+                self.manifest.warn(f"cache entry {read} unreadable ({type(exc).__name__}): recomputed")
+                arrays, result = None, "unreadable"
+        self.manifest.cache.append({"entry": kind, "file": path.name, "key": raw, "result": result})
+        if arrays is None:
+            arrays = compute()
+            stored = dict(zip(names, arrays))
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if npy:
+                with _replacing(path.with_suffix(".npy")) as tmp, open(tmp, "wb") as fh:
+                    np.save(fh, arrays[-1])
+                stored["npy_crc32"] = zlib.crc32(arrays[-1].ravel(order="K"))
+            with _replacing(path) as tmp, open(tmp, "wb") as fh:
+                np.savez(fh, **stored)
+        return path, arrays
 
     def write(self, name: str, chunks: Iterable[str]):
         """Write the artifact `name` of the output directory chunk by chunk, with newline line endings, and list it in the manifest.
@@ -247,33 +282,6 @@ def _write_design(call: _Call, strategy: str, n: int, des: DesignSet):
 # spectrum stage with disk cache
 
 
-def _read_cache(entry: _CacheEntry, manifest: RunManifest, *names: str, npy: bool = False) -> list[np.ndarray] | None:
-    """The named arrays of a cache entry, then with `npy` the array in its `.npy`; None when it is absent or unreadable.
-
-    An unreadable entry is a miss: the caller recomputes and overwrites it,
-    and the manifest names the file. A `.npy` whose bytes miss the CRC-32 in
-    the npz is unreadable. Every lookup is recorded in
-    `manifest.cache`, whose hits the saved manifest counts as `cache_hits`.
-    """
-    arrays, result, path = None, "miss", entry.path
-    if path.exists():
-        try:
-            with np.load(path) as cached:
-                arrays = [cached[name] for name in names]
-                crc = cached["npy_crc32"] if npy else None
-            if npy:
-                path = path.with_suffix(".npy")
-                arrays.append(np.load(path))
-                if zlib.crc32(arrays[-1].ravel(order="K")) != crc:
-                    raise ValueError("CRC-32 mismatch")
-            result = "hit"
-        except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-            manifest.warn(f"cache entry {path} unreadable ({type(exc).__name__}): recomputed")
-            arrays, result = None, "unreadable"
-    manifest.cache.append({"entry": entry.kind, "file": entry.path.name, "key": entry.key, "result": result})
-    return arrays
-
-
 @contextmanager
 def _replacing(path: Path):
     """A temporary name for a new file that then replaces `path`, so no reader sees it partial and the old file is never written into.
@@ -289,35 +297,30 @@ def _replacing(path: Path):
         raise
 
 
-def _write_cache(path: Path, npy: np.ndarray | None = None, **arrays: np.ndarray):
-    """The npz of an entry and, given `npy`, first the entry's `.npy`, whose CRC-32 the npz holds."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if npy is not None:
-        with _replacing(path.with_suffix(".npy")) as tmp, open(tmp, "wb") as fh:
-            np.save(fh, npy)
-        arrays["npy_crc32"] = zlib.crc32(npy.ravel(order="K"))
-    with _replacing(path) as tmp, open(tmp, "wb") as fh:
-        np.savez(fh, **arrays)
+def _spectrum_fields(cfg: ExperimentConfig) -> list[str]:
+    """The key fields of the configured spectrum's entry: `n_eigs` and, for a Nystrom spectrum, the eigensolver path, for an analytic one the source."""
+    source = cfg.get("spectrum", "source")
+    return [f"n_eigs={cfg.get('spectrum', 'n_eigs')}", f"solver={NYSTROM_SOLVER}" if source == "nystrom" else f"source={source}"]
 
 
-def _cached(entry: _CacheEntry, manifest: RunManifest, names: tuple[str, ...], compute: Callable[[], list]) -> list:
-    """The named arrays of a cache entry; on a miss, `compute()` returns them in that order and they are written."""
-    arrays = _read_cache(entry, manifest, *names)
-    if arrays is None:
-        arrays = compute()
-        _write_cache(entry.path, **dict(zip(names, arrays)))
-    return arrays
+def _load_spectrum(call: _Call) -> tuple[SpectrumEstimate, Path]:
+    """The configured spectrum, through its cache entry, and the entry's `.npy` of node values.
 
+    The spectrum is built from the entry's arrays on a hit and on a miss
+    alike; an analytic one gets its closed form back with the entry's node
+    values, so a hit never tabulates it.
+    """
+    cfg, quad = call.cfg, call.quad
+    n_eigs, source = cfg.get("spectrum", "n_eigs"), cfg.get("spectrum", "source")
 
-def _load_spectrum(call: _Call, entry: _CacheEntry) -> SpectrumEstimate | None:
-    """The spectrum of a cache entry; an analytic one gets its closed form back, with the cached node values."""
-    cached = _read_cache(entry, call.manifest, "eigenvalues", "clamped", npy=True)
-    if cached is None:
-        return None
-    eigenvalues, clamped, node_values = cached
-    if call.cfg.get("spectrum", "source") == "analytic":
-        return analytic_spectrum(call.cfg.kernel_id, eigenvalues.size, call.quad, node_values)
-    return SpectrumEstimate(eigenvalues, node_values, call.quad, clamped=int(clamped))
+    def compute() -> list:
+        spectrum = analytic_spectrum(cfg.kernel_id, n_eigs, quad) if source == "analytic" else nystrom_spectrum(call.kernel, quad, n_eigs)
+        return [spectrum.eigenvalues, spectrum.clamped, spectrum.eigvec_node_values]
+
+    path, (eigenvalues, clamped, node_values) = call.cached("spectrum", _spectrum_fields(cfg), ("eigenvalues", "clamped"), compute, npy=True)
+    if source == "analytic":
+        return analytic_spectrum(cfg.kernel_id, n_eigs, quad, node_values), path.with_suffix(".npy")
+    return SpectrumEstimate(eigenvalues, node_values, quad, clamped=int(clamped)), path.with_suffix(".npy")
 
 
 def _save_spectrum(call: _Call, spectrum: SpectrumEstimate, meta: str, cached: Path):
@@ -339,23 +342,13 @@ def _save_spectrum(call: _Call, spectrum: SpectrumEstimate, meta: str, cached: P
 
 
 def stage_spectrum(call: _Call) -> SpectrumEstimate:
-    cfg, kernel, quad, manifest = call.cfg, call.kernel, call.quad, call.manifest
-    n_eigs = cfg.get("spectrum", "n_eigs")
-    source = cfg.get("spectrum", "source")
+    manifest = call.manifest
     with _timed(manifest, "spectrum"):
-        # a Nystrom entry names its eigensolver, an analytic one its source
-        entry = call.entry("spectrum", f"n_eigs={n_eigs}", f"solver={NYSTROM_SOLVER}" if source == "nystrom" else f"source={source}")
-        spectrum = _load_spectrum(call, entry)
-        if spectrum is None:
-            if source == "analytic":
-                spectrum = analytic_spectrum(cfg.kernel_id, n_eigs, quad)
-            else:
-                spectrum = nystrom_spectrum(kernel, quad, n_eigs)
-            _write_cache(entry.path, spectrum.eigvec_node_values, eigenvalues=spectrum.eigenvalues, clamped=spectrum.clamped)
+        spectrum, npy = _load_spectrum(call)
         if spectrum.clamped:
             manifest.warn(f"nystrom: {spectrum.clamped} negative eigenvalues clamped to zero")
-        meta = f"widthlab-spectrum kernel={kernel.identifier()} quad={quad.signature()} source={source}"
-        _save_spectrum(call, spectrum, meta, entry.path.with_suffix(".npy"))
+        meta = f"widthlab-spectrum kernel={call.kernel.identifier()} quad={call.quad.signature()} source={spectrum.source}"
+        _save_spectrum(call, spectrum, meta, npy)
     return spectrum
 
 
@@ -392,8 +385,8 @@ def stage_widths(call: _Call, spectrum: SpectrumEstimate) -> list[WidthRow]:
             rows.append(WidthRow("I_Linf_lower_tail", n, KIND_LOWER, tl, "trace-tail", "inf"))
 
     with _timed(manifest, "widths.mercer_upper"):
-        key = (f"n_eigs={spectrum.n_eigs}", f"solver={NYSTROM_SOLVER}", f"source={spectrum.source}", f"eval_points={cfg.eval_points}", f"dense_max={dense_max}")
-        (sup2,) = _cached(call.entry("envelope", *key), manifest, ("sup2",), lambda: [mercer_envelope_sup2(spectrum, kernel, eval_grid, dense_max)])
+        fields = [*_spectrum_fields(cfg), f"eval_points={cfg.eval_points}", f"dense_max={dense_max}"]
+        _, (sup2,) = call.cached("envelope", fields, ("sup2",), lambda: [mercer_envelope_sup2(spectrum, kernel, eval_grid, dense_max)])
         for n in dense:
             rows.append(WidthRow("a_Lp_upper", n, KIND_UPPER, math.sqrt(sup2[n]), "mercer-projection", "inf"))
 
@@ -446,31 +439,29 @@ def _cell(call: _Call, strategy: str, p: float, n: int, search: Callable[[str, f
     evaluation points per axis; for a greedy cell also max(`widths.n_grid`),
     since its design is a prefix of the greedy design of that many points;
     for a multistart cell also the seed and the number of random restarts.
-    A hit rebuilds the design from its points, as the search itself does, so
-    hit and miss return the same design, bit for bit. A multistart entry
+    The design is built from the entry's points on a hit and on a miss
+    alike, so both return the same design, bit for bit. A multistart entry
     also holds how the cell's descents ran, the search's
     `DesignSet.descents`, and the lookup's `manifest.cache` record carries
     it as `descents`, on a hit as on a miss.
     """
     cfg = call.cfg
-    fields = [f"strategy={strategy}", f"p={fmt(p)}", f"n={n}"]
+    fields = [f"strategy={strategy}", f"p={fmt(p)}", f"n={n}", f"candidate_points={cfg.candidate_points}", f"eval_points={cfg.eval_points}"]
     if strategy == "greedy":
         fields.append(f"n_max={max(cfg.get('widths', 'n_grid'))}")
     names = ("points", "value")
     if strategy == "multistart":
         fields += [f"seed={cfg.get('run', 'seed')}", f"restarts={MULTISTART_RESTARTS}"]
         names += ("descents",)
-    entry = call.entry("design", *fields, f"candidate_points={cfg.candidate_points}", f"eval_points={cfg.eval_points}")
-    arrays = _read_cache(entry, call.manifest, *names)
-    if arrays is None:
+
+    def compute() -> list:
         des, val = search(strategy, p, n)
-        arrays = [des.points, val, des.descents][: len(names)]
-        _write_cache(entry.path, **dict(zip(names, arrays)))
-    else:
-        des = make_design(call.kernel, arrays[0])
+        return [des.points, val, des.descents][: len(names)]
+
+    _, arrays = call.cached("design", fields, names, compute)
     if strategy == "multistart":
         call.manifest.cache[-1]["descents"] = str(arrays[2])  # the record of this lookup
-    return des, float(arrays[1])
+    return make_design(call.kernel, arrays[0]), float(arrays[1])
 
 
 # ---------------------------------------------------------------------------

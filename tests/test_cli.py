@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import widthlab as wl
 from widthlab import interpolation, runner
@@ -366,7 +367,7 @@ class TestCliExitCodes:
         def full(*args, **kwargs):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-        monkeypatch.setattr(runner, "_write_cache", full)
+        monkeypatch.setattr(np, "savez", full)  # the npz of a cache entry, the only file np.savez writes
         cfgfile = tmp_path / "c.ini"
         cfgfile.write_text(small_config(tmp_path))
         assert main(["widths", "--config", str(cfgfile)]) == 3
@@ -699,6 +700,16 @@ class TestEnvelopeCache:
             assert main(["widths", "--config", str(tmp_path / f"{name}.ini")]) == 0
             assert a_lp_upper_rows(tmp_path / "shared") == a_lp_upper_rows(tmp_path / name), name
 
+    def test_analytic_key_names_no_solver(self, tmp_path):
+        # the envelope is keyed by its spectrum entry's own fields, so an
+        # analytic one names its source and no eigensolver
+        (tmp_path / "c.ini").write_text(small_config(tmp_path))
+        assert main(["widths", "--config", str(tmp_path / "c.ini")]) == 0
+        records = json.loads((tmp_path / "out" / "manifest.json").read_text())["cache"]
+        [envelope] = [r["key"] for r in records if r["entry"] == "envelope"]
+        assert "|n_eigs=80|source=analytic|eval_points=1024|dense_max=16|" in envelope
+        assert "solver=" not in envelope
+
     @pytest.mark.parametrize("entry,command", [("spectrum", "spectrum"), ("envelope", "widths"), ("design", "widths")])
     def test_unreadable_entry_is_a_miss(self, tmp_path, capsys, entry, command):
         outputs = ("spectrum_brownian.csv", "spectrum_brownian_vectors.npy", "widths.csv")
@@ -806,11 +817,13 @@ class TestDesignCache:
         # makes every entry of an existing cache/ directory miss once
         run_widths(tmp_path, multistart_config(tmp_path, "out"))
         rule = "midpoint^1x100|m=100|mass=0.99999999999999989|lo=0|hi=1"
-        tail = f"numpy_blas_threads=1|scipy_blas_threads=1|version={wl.__version__}"
+        env = json.loads((tmp_path / "out" / "manifest.json").read_text())["environment"]
+        libs = "|".join(f"{lib}(version={env[lib]['version']},blas={env[lib]['blas']},blas_version={env[lib]['blas_version']},blas_threads=1)" for lib in ("numpy", "scipy"))
+        tail = f"{libs}|version={wl.__version__}"
         solver = "solver=dsytrd+dstevd+dormqr/24/192"
         raw = {
             "spectrum": f"matern32(ell=0.29999999999999999)|{rule}|n_eigs=30|{solver}|{tail}",
-            "envelope": f"matern32(ell=0.29999999999999999)|{rule}|n_eigs=30|{solver}|source=nystrom|eval_points=129|dense_max=16|{tail}",
+            "envelope": f"matern32(ell=0.29999999999999999)|{rule}|n_eigs=30|{solver}|eval_points=129|dense_max=16|{tail}",
         }
         for entry, key in raw.items():
             name = f"{entry}_{hashlib.sha256(key.encode()).hexdigest()[:20]}.npz"
@@ -871,7 +884,21 @@ class TestDesignCache:
             assert (env["numpy"]["blas_threads"], env["scipy"]["blas_threads"]) == (threads, threads)
             assert env["threads"] >= 1
             assert [r["result"] for r in manifest["cache"]] == [result] * 4
-            assert all(f"numpy_blas_threads={threads}|scipy_blas_threads={threads}|" in r["key"] for r in manifest["cache"])
+            assert all(r["key"].count(f",blas_threads={threads})|") == 2 for r in manifest["cache"])
+
+    @pytest.mark.parametrize("lib", [np, scipy], ids=["numpy", "scipy"])
+    def test_library_version_keys_every_entry(self, tmp_path, monkeypatch, lib):
+        # another numpy or scipy build may compute other bits, so an entry
+        # written under another version misses and the same version hits
+        text = multistart_config(tmp_path, "out")
+        for version, result in ((lib.__version__, "miss"), ("0.0.0", "miss"), (lib.__version__, "hit")):
+            with monkeypatch.context() as patched:
+                patched.setattr(lib, "__version__", version)
+                run_widths(tmp_path, text)
+            manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+            assert manifest["environment"][lib.__name__]["version"] == version
+            assert [r["result"] for r in manifest["cache"]] == [result] * 4
+            assert all(f"{lib.__name__}(version={version},blas=" in r["key"] for r in manifest["cache"])
 
 
 def campaign(tmp_path, text, name="c"):

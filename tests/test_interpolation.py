@@ -630,7 +630,7 @@ def test_design_search_multistart_matches_goldens():
         golden = {(row["n"], row["p"]): row["value"] for row in csv.DictReader(f) if row["method"] == "multistart"}
     kernel = runner.kernel_from_config(cfg)
     quad = runner.quad_from_config(cfg, kernel)
-    # the grids and arguments of runner.stage_widths and runner._multistart_cell
+    # the grids of runner.stage_widths and the arguments with which its search runs a multistart cell
     eval_grid = kernel.domain.grid(cfg.eval_points, endpoint=True)
     candidates = kernel.domain.grid(cfg.candidate_points, endpoint=True)
     values = {}
