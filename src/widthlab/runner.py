@@ -18,10 +18,13 @@ spectrum, the eigensolver path, for an analytic one the source; a hit never
 tabulates the closed form. An `envelope_<key>.npz` holds the squared
 sup-norm Mercer envelope for n = 0..`dense_max`, keyed by the spectrum
 entry's fields, the evaluation points per axis and `dense_max`. A
-`design_<key>.npz` holds the points and value of one width cell (strategy,
-p, n), keyed as `_cell` says; a multistart entry also holds how its
-descents ran. A miss writes the `.npy` first and the npz last, each through
-a temporary file. An entry that cannot be read is recomputed and
+`design_<key>.npz` holds one width cell (strategy, p, n) whole, keyed as
+`_cell` says: the searched design's points and Cholesky jitter and the
+width value, and for a multistart cell how its descents ran; a hit builds
+no design, so a warm campaign evaluates no kernel matrix and factors
+nothing, and its key names the arrays it holds, so an entry of another
+format misses. A miss writes the `.npy` first and the npz last, each
+through a temporary file. An entry that cannot be read is recomputed and
 overwritten, with a manifest warning; `manifest.cache` records every
 lookup. Width cells run one after another; a multistart cell's descents
 may run in parallel processes, but their results are reduced in start
@@ -273,9 +276,9 @@ def _call(cfg: ExperimentConfig, out_dir: str | Path | None):
         raise ConfigError(f"field run.out_dir = {out}: cannot write the output ({exc})") from exc
 
 
-def _write_design(call: _Call, strategy: str, n: int, des: DesignSet):
-    header = ",".join(f"x{i + 1}" for i in range(des.kernel.dim))
-    call.csv(f"designs/design_{call.cfg.kernel_id}_{strategy}_n{n}.csv", header, [",".join(fmt(c) for c in pt) for pt in des.points])
+def _write_design(call: _Call, strategy: str, n: int, points: np.ndarray):
+    header = ",".join(f"x{i + 1}" for i in range(call.kernel.dim))
+    call.csv(f"designs/design_{call.cfg.kernel_id}_{strategy}_n{n}.csv", header, [",".join(fmt(c) for c in pt) for pt in points])
 
 
 # ---------------------------------------------------------------------------
@@ -409,59 +412,64 @@ def stage_widths(call: _Call, spectrum: SpectrumEstimate) -> list[WidthRow]:
         else:
             if greedy is None:
                 greedy = greedy_design(kernel, candidates, max(n_grid))
-            des = greedy if n == greedy.size else make_design(kernel, greedy.points[:n])
+            des = greedy if n >= greedy.size else make_design(kernel, greedy.points[:n])
         return des, interpolation_width(des, quad, p, eval_grid=eval_grid)
 
-    designs: dict[tuple[str, int], DesignSet] = {}
+    designs: dict[tuple[str, int], np.ndarray] = {}
     # widths.csv keeps its rows in (strategy, p label, n) order
     cells = sorted(itertools.product(strategies, p_values, n_grid), key=lambda c: (c[0], p_label(c[1]), c[2]))
     with _timed(manifest, "widths.interpolation"):
         for strategy, p, n in cells:
-            des, val = _cell(call, strategy, p, n, search)
+            points, val, jitter = _cell(call, strategy, p, n, search)
             rows.append(WidthRow("I_Lp_upper", n, KIND_UPPER, val, strategy, p_label(p)))
-            if des.jitter:
-                manifest.warn(f"design ({strategy}, n={n}): Cholesky jitter {des.jitter:.3e} applied")
+            if jitter:
+                manifest.warn(f"design ({strategy}, n={n}): Cholesky jitter {jitter:.3e} applied")
             if strategy != "multistart":
-                designs[(strategy, n)] = des
+                designs[(strategy, n)] = points
 
     with _timed(manifest, "widths.designs"):
-        for (strategy, n), des in sorted(designs.items()):
-            _write_design(call, strategy, n, des)
+        for (strategy, n), points in sorted(designs.items()):
+            if strategy == "greedy" and len(points) < n:  # a 2d uniform design is short by construction
+                manifest.warn(f"design (greedy, n={n}) holds {len(points)} points: greedy stops once the power function vanishes at every candidate")
+            _write_design(call, strategy, n, points)
     validate_chain(rows)
     return rows
 
 
-def _cell(call: _Call, strategy: str, p: float, n: int, search: Callable[[str, float, int], tuple[DesignSet, float]]) -> tuple[DesignSet, float]:
-    """The design and value of one (strategy, p, n) width cell, through `cache/design_<key>.npz`; `search` makes them on a miss.
+def _cell(call: _Call, strategy: str, p: float, n: int, search: Callable[[str, float, int], tuple[DesignSet, float]]) -> tuple[np.ndarray, float, float]:
+    """The points, value and Cholesky jitter of one (strategy, p, n) width cell, through `cache/design_<key>.npz`; `search` makes its design and value on a miss.
 
     The key holds what the cell reads: the strategy, p (17 digits, since
     its label would merge 2 and 2.0000001), n and the candidate and
     evaluation points per axis; for a greedy cell also max(`widths.n_grid`),
     since its design is a prefix of the greedy design of that many points;
-    for a multistart cell also the seed and the number of random restarts.
-    The design is built from the entry's points on a hit and on a miss
-    alike, so both return the same design, bit for bit. A multistart entry
-    also holds how the cell's descents ran, the search's
-    `DesignSet.descents`, and the lookup's `manifest.cache` record carries
-    it as `descents`, on a hit as on a miss.
+    for a multistart cell also the seed and the number of random restarts;
+    last, the names of the entry's arrays, so that an entry of another
+    format misses. The entry holds the cell whole, the searched design's
+    points and jitter and the value, so a hit builds no design and returns
+    what the miss did, bit for bit. A multistart entry also holds how the
+    cell's descents ran, the search's `DesignSet.descents`, and the
+    lookup's `manifest.cache` record carries it as `descents`, on a hit as
+    on a miss.
     """
     cfg = call.cfg
     fields = [f"strategy={strategy}", f"p={fmt(p)}", f"n={n}", f"candidate_points={cfg.candidate_points}", f"eval_points={cfg.eval_points}"]
     if strategy == "greedy":
         fields.append(f"n_max={max(cfg.get('widths', 'n_grid'))}")
-    names = ("points", "value")
+    names = ("points", "value", "jitter")
     if strategy == "multistart":
         fields += [f"seed={cfg.get('run', 'seed')}", f"restarts={MULTISTART_RESTARTS}"]
         names += ("descents",)
+    fields.append(f"arrays={','.join(names)}")
 
     def compute() -> list:
         des, val = search(strategy, p, n)
-        return [des.points, val, des.descents][: len(names)]
+        return [des.points, val, des.jitter, des.descents][: len(names)]
 
-    _, arrays = call.cached("design", fields, names, compute)
-    if strategy == "multistart":
-        call.manifest.cache[-1]["descents"] = str(arrays[2])  # the record of this lookup
-    return make_design(call.kernel, arrays[0]), float(arrays[1])
+    _, (points, value, jitter, *descents) = call.cached("design", fields, names, compute)
+    if descents:
+        call.manifest.cache[-1]["descents"] = str(descents[0])  # the record of this lookup
+    return points, float(value), float(jitter)
 
 
 # ---------------------------------------------------------------------------
@@ -517,31 +525,53 @@ def stage_entropy(call: _Call, spectrum: SpectrumEstimate) -> EntropyStage:
 # fits, verdicts, report
 
 
-@dataclass
-class FitStage:
-    reports: dict[str, SlopeReport]
-    gap_reports: dict[str, SlopeReport]
-    eig_report: SlopeReport
+def _grid_error(label: str, n: int, top: int) -> ConfigError:
+    return ConfigError(
+        f"field widths.n_grid reaches n = {n}, but the greedy gap fits read {label} at every greedy n "
+        f"and it has no positive value there; it is computed for n <= {top} only (widths.dense_n_max, capped by "
+        f"spectrum.n_eigs - 1), and zero values, such as those of a clamped spectrum, are dropped"
+    )
 
-    @property
-    def slopes(self) -> dict[str, SlopeReport]:
-        """Every fit by its slopes.csv label, in slopes.csv order."""
-        return {"eigenvalues": self.eig_report, **dict(sorted(self.reports.items())), **dict(sorted(self.gap_reports.items()))}
+
+def _fit_error(name: str, label: str) -> ConfigError:
+    return ConfigError(
+        f"field targets.{name} checks the fit {label}, which this config does not produce: it needs the greedy "
+        f"strategy, p = inf in widths.p_values and at least 4 positive values at widths.n_grid inside fit.window"
+    )
+
+
+def _check_fits(cfg: ExperimentConfig):
+    """Raise, before any compute, the errors of `stage_fits` and `_eval_targets` that the config alone decides, in their order.
+
+    A greedy fit needs 4 `widths.n_grid` entries inside `fit.window`; a
+    greedy gap fit reads its dense series at every greedy n, so none may
+    pass `dense_max`; a hard target on I-Linf[greedy] or gap_Linf needs that
+    fit. Zero values may still drop a fit or a dense value: the stages
+    themselves raise then.
+    """
+    n_grid, (lo, hi), top = cfg.get("widths", "n_grid"), cfg.get("fit", "window"), cfg.dense_max
+    fitted = "greedy" in cfg.get("widths", "strategies") and sum(lo <= n <= hi for n in n_grid) >= 4
+    p_labels = {p_label(p) for p in cfg.get("widths", "p_values")} if fitted else set()
+    past = [n for n in n_grid if n > top]
+    for plab, label in (("inf", "d-L2[sqrt-eigentail]"), ("2", "I-tail-lower")):
+        if plab in p_labels and past:
+            raise _grid_error(label, past[0], top)
+    hard = not cfg.get("targets", "exploratory")
+    for name, label in _TARGET_LABELS:
+        if hard and cfg.get("targets", name) and label in ("I-Linf[greedy]", "gap_Linf") and "inf" not in p_labels:
+            raise _fit_error(name, label)
 
 
 def _on_greedy_grid(series: RateSeries, ns: np.ndarray, top: int) -> RateSeries:
     """A series of the dense range n <= `top` at the greedy indices `ns`, which `widths.n_grid` sets."""
     missing = [int(n) for n in ns if n not in series.ns]
     if missing:
-        raise ConfigError(
-            f"field widths.n_grid reaches n = {missing[0]}, but the greedy gap fits read {series.label} at every greedy n "
-            f"and it has no positive value there; it is computed for n <= {top} only (widths.dense_n_max, capped by "
-            f"spectrum.n_eigs - 1), and zero values, such as those of a clamped spectrum, are dropped"
-        )
+        raise _grid_error(series.label, missing[0], top)
     return RateSeries(ns, np.array([series.at(int(n)) for n in ns]), series.label)
 
 
-def stage_fits(call: _Call, spectrum: SpectrumEstimate, rows: list[WidthRow]) -> FitStage:
+def stage_fits(call: _Call, spectrum: SpectrumEstimate, rows: list[WidthRow]) -> dict[str, SlopeReport]:
+    """Every fit by its slopes.csv label, in slopes.csv order: `eigenvalues`, then the width fits by label, then the gap fits by label."""
     cfg = call.cfg
     window = cfg.get("fit", "window")
     reports: dict[str, SlopeReport] = {}
@@ -576,7 +606,7 @@ def stage_fits(call: _Call, spectrum: SpectrumEstimate, rows: list[WidthRow]) ->
             i2 = interp["I-L2[greedy]"]
             tail_series = rate_series(rows, "I_Linf_lower_tail", "I-tail-lower")
             gaps["gap_L2_interp_vs_tail[diagnostic]"] = gap_report(i2, _on_greedy_grid(tail_series, i2.ns, cfg.dense_max))
-    return FitStage(reports, gaps, eig_report)
+    return {"eigenvalues": eig_report, **dict(sorted(reports.items())), **dict(sorted(gaps.items()))}
 
 
 @dataclass
@@ -595,7 +625,7 @@ class CampaignResult:
     manifest: RunManifest
     targets: list[TargetResult]
     verdicts: list[Verdict]
-    fit_stage: FitStage
+    fits: dict[str, SlopeReport]  # by slopes.csv label, in slopes.csv order
     entropy_stage: EntropyStage
     width_rows: list[WidthRow]
 
@@ -610,26 +640,22 @@ _TARGET_LABELS = (
 )
 
 
-def _eval_targets(call: _Call, fits: FitStage) -> list[TargetResult]:
+def _eval_targets(call: _Call, fits: dict[str, SlopeReport]) -> list[TargetResult]:
     cfg, manifest = call.cfg, call.manifest
     miss = "exploratory-miss" if cfg.get("targets", "exploratory") else "target-miss"
-    slopes = fits.slopes
     out: list[TargetResult] = []
     for name, label in _TARGET_LABELS:
         pair = cfg.get("targets", name)
         if pair is None:
             continue
         # an exploratory target is not failed on a miss, so one without its fit is skipped
-        if label not in slopes and miss == "exploratory-miss":
+        if label not in fits and miss == "exploratory-miss":
             manifest.warn(f"exploratory target targets.{name} skipped: this config does not produce its fit {label}")
             continue
-        if label not in slopes:
-            raise ConfigError(
-                f"field targets.{name} checks the fit {label}, which this config does not produce: it needs the greedy "
-                f"strategy, p = inf in widths.p_values and at least 4 positive values at widths.n_grid inside fit.window"
-            )
+        if label not in fits:
+            raise _fit_error(name, label)
         expected, tol = pair
-        observed = slopes[label].slope
+        observed = fits[label].slope
         status = "met" if abs(observed - expected) <= tol else miss
         out.append(TargetResult(name, label, observed, expected, tol, status))
     return out
@@ -663,11 +689,11 @@ def _write_width_rows(call: _Call, rows: list[WidthRow]):
     call.write(stamp.name, [manifest.config_hash + "\n"])
 
 
-def _write_slopes(call: _Call, fits: FitStage, targets: list[TargetResult]):
+def _write_slopes(call: _Call, fits: dict[str, SlopeReport], targets: list[TargetResult]):
     status = {t.label: t.status for t in targets}
     rows = [
         f"{lbl},{fmt(rep.slope)},{fmt(rep.stderr)},{rep.window[0]},{rep.window[1]},{status.get(lbl, 'fit')}"
-        for lbl, rep in fits.slopes.items()
+        for lbl, rep in fits.items()
     ]
     call.csv("slopes.csv", "label,slope,stderr,window_lo,window_hi,status", rows)
 
@@ -741,6 +767,7 @@ def _verdicts(call: _Call, entropy_stage: EntropyStage) -> list[Verdict]:
 
 def run_campaign(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> CampaignResult:
     """Run the full pipeline for one config and write all artifacts."""
+    _check_fits(cfg)
     with _call(cfg, out_dir) as call:
         spectrum = stage_spectrum(call)
         width_rows = stage_widths(call, spectrum)
@@ -774,7 +801,7 @@ def run_greedy_only(cfg: ExperimentConfig, out_dir: str | Path | None = None) ->
     with _call(cfg, out_dir) as call:
         n_max = max(cfg.get("widths", "n_grid"))
         des = greedy_design(call.kernel, call.kernel.domain.grid(cfg.candidate_points, endpoint=True), n_max)
-        _write_design(call, "greedy", n_max, des)
+        _write_design(call, "greedy", n_max, des.points)
         if des.greedy_sup_path is not None:
             call.csv(f"designs/greedy_sup_{cfg.kernel_id}.csv", "step,sup_power", [f"{i},{fmt(v)}" for i, v in enumerate(des.greedy_sup_path)])
     return des

@@ -82,7 +82,7 @@ def test_criterion_02_trace_identities(bm_kernel, bridge_kernel, quad_2000):
 
 def test_criterion_03_l2_width_slope(bm_campaign):
     result, _ = bm_campaign
-    rep = result.fit_stage.reports["d_L2"]
+    rep = result.fits["d_L2"]
     ok = abs(rep.slope - (-1.0)) <= 0.03
     criterion(3, "sqrt(eigenvalue-tail) L2 width slope on n in [4, 64]", ok,
               f"slope {rep.slope:+.4f} vs -1.00 +/- 0.03")
@@ -124,8 +124,8 @@ def test_criterion_06_sup_norm_gap(bm_campaign, bridge_campaign):
     total = 0.0
     for label, (result, elapsed) in (("bm", bm_campaign), ("bridge", bridge_campaign)):
         total += elapsed
-        i_slope = result.fit_stage.reports["I-Linf[greedy]"].slope
-        gap_slope = result.fit_stage.gap_reports["gap_Linf"].slope
+        i_slope = result.fits["I-Linf[greedy]"].slope
+        gap_slope = result.fits["gap_Linf"].slope
         ok &= abs(i_slope - (-0.5)) <= 0.07 and abs(gap_slope - 0.5) <= 0.10
         # the gap fit divides an upper bound by a lower one, so report.txt lists it apart from the certificates
         certificates, _, rest = (result.out_dir / "report.txt").read_text().partition(
@@ -140,8 +140,8 @@ def test_criterion_06_sup_norm_gap(bm_campaign, bridge_campaign):
 
 def test_criterion_07_hilbert_gap_vanishes(bm_campaign):
     result, _ = bm_campaign
-    slope = result.fit_stage.gap_reports["gap_L2_linear_vs_kolmogorov"].slope
-    diag = result.fit_stage.gap_reports.get("gap_L2_interp_vs_tail[diagnostic]")
+    slope = result.fits["gap_L2_linear_vs_kolmogorov"].slope
+    diag = result.fits.get("gap_L2_interp_vs_tail[diagnostic]")
     ok = abs(slope) <= 0.10
     criterion(7, "L2 gap between linear and Kolmogorov width scales vanishes", ok,
               f"slope {slope:+.4f}" + (f"; interp-vs-tail diagnostic {diag.slope:+.4f}" if diag else ""))

@@ -9,6 +9,7 @@ import io
 import itertools
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -454,6 +455,20 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "targets.i_slope" in err and "I-Linf[greedy]" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()  # the config alone decides it, so nothing is computed first
+
+    def test_n_grid_past_n_eigs_exit_2_before_any_compute(self, tmp_path, capsys):
+        # the default n_grid reaches 64 > n_eigs - 1 = 39; the config alone
+        # decides that, so the campaign computes and writes nothing first
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(
+            "[kernel]\nid = matern32\nlength_scale = 0.4\n[quadrature]\npoints_per_axis = 40\n"
+            f"[spectrum]\nn_eigs = 40\n[widths]\nstrategies = greedy\n[run]\nout_dir = {tmp_path / 'out'}\n"
+        )
+        assert main(["campaign", "--config", str(cfgfile)]) == 2
+        assert "field widths.n_grid reaches n = 64, but the greedy gap fits read d-L2[sqrt-eigentail]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert main(["widths", "--config", str(cfgfile)]) == 0
 
     @pytest.mark.parametrize("where", ["config", "flag"])
     def test_negative_seed_exit_2(self, tmp_path, capsys, where):
@@ -940,12 +955,31 @@ class TestWarmCampaign:
                 monkeypatch.setattr(owner, name, forbidden)
         monkeypatch.setattr(runner, "nystrom_spectrum", forbidden)
         monkeypatch.setattr(runner, "mercer_envelope_sup2", forbidden)
+        # a hit builds no design: no kernel matrix is evaluated and nothing is factored
+        monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+        build = runner.kernel_from_config
+        monkeypatch.setattr(runner, "kernel_from_config", lambda cfg: dataclasses.replace(build(cfg), pairwise=forbidden))
         lam_fn, _, trace = wl.spectral._ANALYTIC_REGISTRY["brownian"]
         monkeypatch.setitem(wl.spectral._ANALYTIC_REGISTRY, "brownian", (lam_fn, forbidden, trace))
         warm = campaign(tmp_path, text)
         assert warm["cache_hits"] == len(warm["cache"]) == len(cold["cache"])
         assert len(design_results(warm)) == (24 if source == "nystrom" else 16)
         assert {name: (tmp_path / "out" / name).read_bytes() for name in before} == before
+
+    def test_entry_of_the_earlier_format_misses(self, tmp_path):
+        # a design entry that holds points and value but no jitter sat at the key
+        # without `arrays=`: it is never read, so every cell misses without a warning
+        cold = campaign(tmp_path, small_config(tmp_path))
+        stale = tmp_path / "stale" / "cache"
+        stale.mkdir(parents=True)
+        for record in cold["cache"]:
+            if record["entry"] == "design":
+                key = re.sub(r"\|arrays=[^|]*", "", record["key"])
+                np.savez(stale / f"design_{hashlib.sha256(key.encode()).hexdigest()[:20]}.npz", points=np.zeros((1, 1)), value=1.0)
+        warm = campaign(tmp_path, small_config(tmp_path, "stale"), "stale")
+        assert {result for _, result in design_results(warm)} == {"miss"}
+        assert warm["warnings"] == cold["warnings"]
+        assert (tmp_path / "stale" / "widths.csv").read_bytes() == (tmp_path / "out" / "widths.csv").read_bytes()
 
     def test_fit_and_target_edits_hit_every_cell(self, tmp_path):
         campaign(tmp_path, small_config(tmp_path))
@@ -971,7 +1005,7 @@ class TestWarmCampaign:
 
     def test_warm_warnings_match_cold(self, tmp_path):
         # bridge uniform designs hold the boundary point where the kernel vanishes:
-        # a hit rebuilds the design from its points and warns of the same jitter
+        # a hit reads the jitter from its entry and warns of it as the miss did
         text = small_config(tmp_path).replace("id = brownian", "id = bridge")
         cold, warm = campaign(tmp_path, text), campaign(tmp_path, text)
         assert warm["cache_hits"] == len(warm["cache"])
@@ -979,6 +1013,21 @@ class TestWarmCampaign:
         assert warm["warnings"] == cold["warnings"]
         report = (tmp_path / "out" / "report.txt").read_text()
         assert all(w in report for w in warm["warnings"])
+
+    def test_short_greedy_design_warns(self, tmp_path):
+        # the bridge kernel vanishes at both ends of [0, 1], so on 5 candidates
+        # greedy runs out after 0.5, 0.25 and 0.75: the n = 4 design holds 3 points
+        (tmp_path / "c.ini").write_text(
+            "[kernel]\nid = bridge\n[quadrature]\npoints_per_axis = 70\n[spectrum]\nn_eigs = 10\nsource = nystrom\n"
+            "[widths]\nn_grid = 1,2,3,4\ndense_n_max = 9\np_values = 2\nstrategies = greedy\neval_points_per_axis = 5\n"
+            f"candidate_points_per_axis = 5\n[fit]\nwindow = 1,9\n[run]\nout_dir = {tmp_path / 'out'}\n"
+        )
+        for result in ("miss", "hit"):
+            assert main(["widths", "--config", str(tmp_path / "c.ini")]) == 0
+            manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+            assert {r for _, r in design_results(manifest)} == {result}
+            assert manifest["warnings"] == ["design (greedy, n=4) holds 3 points: greedy stops once the power function vanishes at every candidate"]
+        assert (tmp_path / "out" / "designs" / "design_bridge_greedy_n4.csv").read_text() == "x1\n0.5\n0.25\n0.75\n"
 
 
 class TestWidthsCommand:

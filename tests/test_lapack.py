@@ -30,10 +30,13 @@ assert np.allclose(L @ scipy.linalg.solve_triangular(L, np.eye(3), lower=True), 
 
 def test_widthlab_first():
     # widthlab registers the module in sys.modules, and scipy.linalg, imported
-    # later, finds it there; its package attribute `_flapack` stays unset
+    # later, finds it there; its package attribute `_flapack` stays unset. The
+    # CLI's set-up (runner, config) imports neither scipy.linalg (about 0.25 s)
+    # nor multiprocessing, which a multistart cell imports when it runs
     run_fresh(
-        "import sys\nimport numpy as np\nimport widthlab.spectral, widthlab.interpolation\n"
-        "assert 'scipy.linalg' not in sys.modules\nimport scipy.linalg\n" + CHECK_SHARED
+        "import sys\nimport numpy as np\nimport widthlab.spectral, widthlab.interpolation, widthlab.cli\n"
+        "assert 'scipy.linalg' not in sys.modules and 'multiprocessing' not in sys.modules\n"
+        "import scipy.linalg\n" + CHECK_SHARED
     )
 
 

@@ -35,6 +35,14 @@ PINNED = {
         "[widths]\nn_grid = 1,2,3,4\ndense_n_max = 16\nstrategies = greedy\neval_points_per_axis = 2\n"
         "candidate_points_per_axis = 2\n[fit]\nwindow = 1,16\n",
     ),
+    # the uniform n = 8 design holds every evaluation point but 0, where the kernel
+    # vanishes, so the uniform p = inf upper row is 0 at n = 8 (the config sweep's draw 2)
+    "brownian_int_uniform_9_points": (
+        GRID_MAXIMUM,
+        "[kernel]\nid = brownian_int\n[quadrature]\npoints_per_axis = 60\n[spectrum]\nn_eigs = 19\n"
+        "[widths]\nn_grid = 1,2,4,8\ndense_n_max = 16\nstrategies = uniform\neval_points_per_axis = 9\n"
+        "candidate_points_per_axis = 17\n[fit]\nwindow = 1,16\n",
+    ),
     # the uniform p = 2 value rises from 4.33725e-07 at n = 4 to 8.53088e-07 at n = 8,
     # though the n = 8 grid contains the n = 4 grid
     "gaussian_wide_uniform": (
