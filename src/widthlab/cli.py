@@ -98,8 +98,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"widths: {len(rows)} curve rows written")
             return 0
         if args.command == "greedy":
-            des = runner.run_greedy_only(cfg)
-            print(f"greedy: {des.size} points selected")
+            points = runner.run_greedy_only(cfg)
+            print(f"greedy: {len(points)} points selected")
             return 0
         if args.command == "entropy":
             stage = runner.run_entropy_only(cfg)

@@ -7,7 +7,7 @@ width and entropy stages record each value once, as a `WidthRow`; the
 chain check and the fits read those rows, and widths.csv adds the kernel
 id and the seed to each when it is written. The visible spectrum is an
 eigenvalue CSV and a `.npy` of eigenfunction node values, a hard link to
-its cache entry's. `cache/` holds three kinds of binary entry, each read,
+its cache entry's. `cache/` holds four kinds of binary entry, each read,
 computed on a miss, written and recorded by one method, `_Call.cached`, and
 keyed by the kernel, the quadrature rule and its box, the fields below, the
 version, BLAS name, BLAS version and BLAS threads of numpy and of scipy
@@ -18,17 +18,20 @@ spectrum, the eigensolver path, for an analytic one the source; a hit never
 tabulates the closed form. An `envelope_<key>.npz` holds the squared
 sup-norm Mercer envelope for n = 0..`dense_max`, keyed by the spectrum
 entry's fields, the evaluation points per axis and `dense_max`. A
-`design_<key>.npz` holds one width cell (strategy, p, n) whole, keyed as
-`_cell` says: the searched design's points and Cholesky jitter and the
-width value, and for a multistart cell how its descents ran; a hit builds
-no design, so a warm campaign evaluates no kernel matrix and factors
-nothing, and its key names the arrays it holds, so an entry of another
-format misses. A miss writes the `.npy` first and the npz last, each
-through a temporary file. An entry that cannot be read is recomputed and
-overwritten, with a manifest warning; `manifest.cache` records every
-lookup. Width cells run one after another; a multistart cell's descents
-may run in parallel processes, but their results are reduced in start
-order, so outputs are byte-deterministic for a fixed config and seed.
+`greedy_<key>.npz` holds the greedy design of max(`widths.n_grid`) points
+and its sup path, keyed by the candidate points per axis and that n; every
+greedy cell and `widthlab greedy` read it. A `design_<key>.npz` holds one
+width cell (strategy, p, n) whole, keyed as `_cell` says: the searched
+design's points and Cholesky jitter and the width value, and for a
+multistart cell how its descents ran; a hit builds no design, so a warm
+campaign evaluates no kernel matrix and factors nothing, and its key names
+the arrays it holds, so an entry of another format misses. A miss writes the
+`.npy` first and the npz last, each through a temporary file. An entry that
+cannot be read is recomputed and overwritten, with a manifest warning;
+`manifest.cache` records every lookup. Width cells run one after another; a
+multistart cell's descents may run in parallel processes, but their results
+are reduced in start order, so outputs are byte-deterministic for a fixed
+config and seed.
 
 Each `run_*` entry point is one `with _call(cfg, out_dir)` block, whose call
 record (config, output directory, fresh manifest, kernel, quadrature rule)
@@ -277,6 +280,8 @@ def _call(cfg: ExperimentConfig, out_dir: str | Path | None):
 
 
 def _write_design(call: _Call, strategy: str, n: int, points: np.ndarray):
+    if strategy == "greedy" and len(points) < n:  # a 2d uniform design is short by construction
+        call.manifest.warn(f"design (greedy, n={n}) holds {len(points)} points: greedy stops once the power function vanishes at every candidate")
     header = ",".join(f"x{i + 1}" for i in range(call.kernel.dim))
     call.csv(f"designs/design_{call.cfg.kernel_id}_{strategy}_n{n}.csv", header, [",".join(fmt(c) for c in pt) for pt in points])
 
@@ -367,7 +372,6 @@ def stage_widths(call: _Call, spectrum: SpectrumEstimate) -> list[WidthRow]:
     strategies = cfg.get("widths", "strategies")
     mu = quad.mass
     eval_grid = kernel.domain.grid(cfg.eval_points, endpoint=True)
-    candidates = kernel.domain.grid(cfg.candidate_points, endpoint=True)
     trace = spectrum.trace if spectrum.trace is not None else trace_integral(kernel, quad)
 
     rows: list[WidthRow] = []
@@ -400,25 +404,19 @@ def stage_widths(call: _Call, spectrum: SpectrumEstimate) -> list[WidthRow]:
 
     if cfg.get("run", "workers") > 1:
         manifest.warn(f"run.workers = {cfg.get('run', 'workers')} ignored: a multistart cell runs its descents on up to one process per CPU")
-    greedy: DesignSet | None = None  # the greedy design of max(n_grid) points, made on the first greedy miss
 
     def search(strategy: str, p: float, n: int) -> tuple[DesignSet, float]:
-        nonlocal greedy
         if strategy == "multistart":
-            seed = cfg.get("run", "seed")
-            return optimize_interpolation_width(kernel, quad, p, n, strategy="multistart", candidates=candidates, eval_grid=eval_grid, seed=seed)
-        if strategy == "uniform":
-            des = uniform_design(kernel, n)
-        else:
-            if greedy is None:
-                greedy = greedy_design(kernel, candidates, max(n_grid))
-            des = greedy if n >= greedy.size else make_design(kernel, greedy.points[:n])
+            candidates = kernel.domain.grid(cfg.candidate_points, endpoint=True)
+            return optimize_interpolation_width(kernel, quad, p, n, strategy="multistart", candidates=candidates, eval_grid=eval_grid, seed=cfg.get("run", "seed"))
+        des = uniform_design(kernel, n) if strategy == "uniform" else make_design(kernel, greedy[:n])
         return des, interpolation_width(des, quad, p, eval_grid=eval_grid)
 
     designs: dict[tuple[str, int], np.ndarray] = {}
     # widths.csv keeps its rows in (strategy, p label, n) order
     cells = sorted(itertools.product(strategies, p_values, n_grid), key=lambda c: (c[0], p_label(c[1]), c[2]))
     with _timed(manifest, "widths.interpolation"):
+        greedy = _greedy(call)[0] if "greedy" in strategies else None  # every greedy cell's design is a prefix of these points
         for strategy, p, n in cells:
             points, val, jitter = _cell(call, strategy, p, n, search)
             rows.append(WidthRow("I_Lp_upper", n, KIND_UPPER, val, strategy, p_label(p)))
@@ -429,11 +427,21 @@ def stage_widths(call: _Call, spectrum: SpectrumEstimate) -> list[WidthRow]:
 
     with _timed(manifest, "widths.designs"):
         for (strategy, n), points in sorted(designs.items()):
-            if strategy == "greedy" and len(points) < n:  # a 2d uniform design is short by construction
-                manifest.warn(f"design (greedy, n={n}) holds {len(points)} points: greedy stops once the power function vanishes at every candidate")
             _write_design(call, strategy, n, points)
     validate_chain(rows)
     return rows
+
+
+def _greedy(call: _Call) -> tuple[np.ndarray, np.ndarray]:
+    """The points and sup path of the greedy design of max(`widths.n_grid`) points (fewer once the power function vanishes at every candidate), through `cache/greedy_<key>.npz`."""
+    kernel, candidate_points, n_max = call.kernel, call.cfg.candidate_points, max(call.cfg.get("widths", "n_grid"))
+
+    def compute() -> list:
+        des = greedy_design(kernel, kernel.domain.grid(candidate_points, endpoint=True), n_max)
+        return [des.points, des.greedy_sup_path]
+
+    _, (points, sup_path) = call.cached("greedy", [f"candidate_points={candidate_points}", f"n_max={n_max}"], ("points", "sup_path"), compute)
+    return points, sup_path
 
 
 def _cell(call: _Call, strategy: str, p: float, n: int, search: Callable[[str, float, int], tuple[DesignSet, float]]) -> tuple[np.ndarray, float, float]:
@@ -442,7 +450,7 @@ def _cell(call: _Call, strategy: str, p: float, n: int, search: Callable[[str, f
     The key holds what the cell reads: the strategy, p (17 digits, since
     its label would merge 2 and 2.0000001), n and the candidate and
     evaluation points per axis; for a greedy cell also max(`widths.n_grid`),
-    since its design is a prefix of the greedy design of that many points;
+    since its design is a prefix of the greedy entry's points (`_greedy`);
     for a multistart cell also the seed and the number of random restarts;
     last, the names of the entry's arrays, so that an entry of another
     format misses. The entry holds the cell whole, the searched design's
@@ -797,14 +805,13 @@ def run_widths_only(cfg: ExperimentConfig, out_dir: str | Path | None = None) ->
     return rows
 
 
-def run_greedy_only(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> DesignSet:
+def run_greedy_only(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> np.ndarray:
+    """Write the greedy design of max(`widths.n_grid`) points and its sup path, from the greedy entry; return its points."""
     with _call(cfg, out_dir) as call:
-        n_max = max(cfg.get("widths", "n_grid"))
-        des = greedy_design(call.kernel, call.kernel.domain.grid(cfg.candidate_points, endpoint=True), n_max)
-        _write_design(call, "greedy", n_max, des.points)
-        if des.greedy_sup_path is not None:
-            call.csv(f"designs/greedy_sup_{cfg.kernel_id}.csv", "step,sup_power", [f"{i},{fmt(v)}" for i, v in enumerate(des.greedy_sup_path)])
-    return des
+        points, sup_path = _greedy(call)
+        _write_design(call, "greedy", max(cfg.get("widths", "n_grid")), points)
+        call.csv(f"designs/greedy_sup_{cfg.kernel_id}.csv", "step,sup_power", [f"{i},{fmt(v)}" for i, v in enumerate(sup_path)])
+    return points
 
 
 def run_entropy_only(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> EntropyStage:

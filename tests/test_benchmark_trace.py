@@ -42,17 +42,19 @@ from widthlab import runner
 from widthlab.config import parse_config
 
 tracer = layer_trace.install()
-runner.run_widths_only(parse_config(open(sys.argv[1]).read()), sys.argv[2])
+cfg = parse_config(open(sys.argv[1]).read())
+for name in sys.argv[3:]:
+    getattr(runner, name)(cfg, sys.argv[2])
 print(json.dumps(tracer.totals()[1]))
 """
 
 
-def traced_counts(tmp_path, config: str) -> dict[str, int]:
-    """Work counts of one traced `run_widths_only` pass of `config`."""
+def traced_counts(tmp_path, config: str, calls=("run_widths_only",)) -> dict[str, int]:
+    """Work counts of one traced pass of `config` through the runner entry points `calls`, on the output directory `tmp_path/out`."""
     (tmp_path / "c.ini").write_text(config)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "benchmarks")])}
     out = subprocess.run(
-        [sys.executable, "-c", TRACED_PASS, str(tmp_path / "c.ini"), str(tmp_path / "out")],
+        [sys.executable, "-c", TRACED_PASS, str(tmp_path / "c.ini"), str(tmp_path / "out"), *calls],
         env=env,
         capture_output=True,
         text=True,
@@ -75,6 +77,16 @@ def test_traced_widths_pass_counts_every_layer(tmp_path):
         "interpolation.greedy_calls",
     ):
         assert counts.get(key, 0) > 0, key
+
+
+def test_traced_greedy_pass_reads_one_entry(tmp_path):
+    # the widths cells and `widthlab greedy` read one greedy entry: a cold pass
+    # runs greedy selection once, a warm one neither selects nor evaluates a kernel
+    calls = ("run_widths_only", "run_greedy_only")
+    cold, warm = traced_counts(tmp_path, CONFIG, calls), traced_counts(tmp_path, CONFIG, calls)
+    assert cold.get("interpolation.greedy_calls", 0) == 1
+    assert warm.get("interpolation.greedy_calls", 0) == 0
+    assert warm.get("kernels.entries", 0) == 0
 
 
 def test_traced_multistart_pass_counts_designs(tmp_path):
@@ -131,9 +143,10 @@ def test_design_search_pass_reads_every_manifest_field(tmp_path):
         lines = out.stdout.splitlines()
         assert len(lines) == 1, out.stdout
         records.append(json.loads(lines[0]))
-    # cold: the widths and entropy calls hit the spectrum entry; warm: every lookup hits,
-    # the three width cells' (uniform, greedy, multistart) included
-    assert [record["cache_hits"] for record in records] == [2, 7]
+    # cold: the widths and entropy calls hit the spectrum entry and the greedy call the
+    # greedy entry; warm: every lookup hits, the greedy entry's two and the three width
+    # cells' (uniform, greedy, multistart) included
+    assert [record["cache_hits"] for record in records] == [3, 9]
     # only run_campaign times the fits stage
     stages = set(layer_trace.STAGES.values()) - {"fits"}
     for record in records:

@@ -694,17 +694,18 @@ class TestEnvelopeCache:
             assert main(["widths", "--config", str(tmp_path / "c.ini")]) == 0
             manifest = json.loads((tmp_path / "shared" / "manifest.json").read_text())
             runs.append(((tmp_path / "shared" / "widths.csv").read_bytes(), manifest))
-        # the second run hits the spectrum, the envelope and the 16 width cell entries
-        assert [m["cache_hits"] for _, m in runs] == [0, 18]
+        # the second run hits the spectrum, the envelope, the greedy design and the 16 width cell entries
+        assert [m["cache_hits"] for _, m in runs] == [0, 19]
         assert runs[1][0] == runs[0][0]
         assert runs[1][1]["warnings"] == runs[0][1]["warnings"]
 
         # each change is an envelope miss whose rows equal a fresh directory's; the
-        # width cells key the evaluation points, but neither dense_max nor the spectrum
+        # width cells key the evaluation points, but neither dense_max nor the spectrum,
+        # and the greedy design keys neither
         variants = [
-            ("eval_points", base.replace("eval_points_per_axis = 1024", "eval_points_per_axis = 513"), 1),
-            ("dense_max", base.replace("dense_n_max = 16", "dense_n_max = 12"), 17),
-            ("analytic", base.replace("source = nystrom", "source = analytic"), 16),
+            ("eval_points", base.replace("eval_points_per_axis = 1024", "eval_points_per_axis = 513"), 2),
+            ("dense_max", base.replace("dense_n_max = 16", "dense_n_max = 12"), 18),
+            ("analytic", base.replace("source = nystrom", "source = analytic"), 17),
         ]
         for name, text, spectrum_hits in variants:
             (tmp_path / "c.ini").write_text(text)
@@ -725,9 +726,9 @@ class TestEnvelopeCache:
         assert "|n_eigs=80|source=analytic|eval_points=1024|dense_max=16|" in envelope
         assert "solver=" not in envelope
 
-    @pytest.mark.parametrize("entry,command", [("spectrum", "spectrum"), ("envelope", "widths"), ("design", "widths")])
+    @pytest.mark.parametrize("entry,command", [("spectrum", "spectrum"), ("envelope", "widths"), ("design", "widths"), ("greedy", "greedy")])
     def test_unreadable_entry_is_a_miss(self, tmp_path, capsys, entry, command):
-        outputs = ("spectrum_brownian.csv", "spectrum_brownian_vectors.npy", "widths.csv")
+        outputs = ("spectrum_brownian.csv", "spectrum_brownian_vectors.npy", "widths.csv", "designs/design_brownian_greedy_n16.csv", "designs/greedy_sup_brownian.csv")
         text = small_config(tmp_path).replace("source = analytic", "source = nystrom")
         if entry == "design":
             # one multistart cell, so one design entry
@@ -750,9 +751,10 @@ class TestEnvelopeCache:
         # the entry was rewritten and is read again on the next run
         assert main([command, "--config", str(tmp_path / "c.ini")]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        # a widths run reads the spectrum, the envelope and the entry of each width cell:
-        # 16 uniform and greedy cells, or one multistart cell
-        assert manifest["cache_hits"] == {"spectrum": 1, "envelope": 18, "design": 3}[entry]
+        # a widths run reads the spectrum, the envelope, the greedy design when a strategy
+        # is greedy, and the entry of each width cell: 16 uniform and greedy cells, or one
+        # multistart cell; a greedy run reads the greedy design alone
+        assert manifest["cache_hits"] == {"spectrum": 1, "envelope": 19, "design": 3, "greedy": 1}[entry]
         assert not any("unreadable" in w for w in manifest["warnings"])
 
 
@@ -933,38 +935,70 @@ def design_results(manifest) -> list[tuple[str, str]]:
     return [(r["key"].split("strategy=")[1].split("|")[0], r["result"]) for r in manifest["cache"] if r["entry"] == "design"]
 
 
+def nystrom_three_strategies(text: str) -> str:
+    """`text` on a small Nystrom spectrum, with the uniform, greedy and multistart strategies."""
+    text = text.replace("source = analytic", "source = nystrom").replace("strategies = uniform,greedy", "strategies = uniform,greedy,multistart")
+    for old, new in (("points_per_axis = 400", "points_per_axis = 100"), ("n_eigs = 80", "n_eigs = 40")):
+        text = text.replace(old, new)
+    return text.replace("eval_points_per_axis = 1024", "eval_points_per_axis = 129").replace("= 1025", "= 129")
+
+
+def forbid_compute(monkeypatch):
+    """Make every spectrum, envelope, design and width computation raise."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("recomputed on a warm run")
+
+    for owner in (runner, interpolation):
+        for name in ("interpolation_width", "greedy_design", "uniform_design", "optimize_interpolation_width"):
+            monkeypatch.setattr(owner, name, forbidden)
+    monkeypatch.setattr(runner, "nystrom_spectrum", forbidden)
+    monkeypatch.setattr(runner, "mercer_envelope_sup2", forbidden)
+    # a hit builds no design: no kernel matrix is evaluated and nothing is factored
+    monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+    build = runner.kernel_from_config
+    monkeypatch.setattr(runner, "kernel_from_config", lambda cfg: dataclasses.replace(build(cfg), pairwise=forbidden))
+    lam_fn, _, trace = wl.spectral._ANALYTIC_REGISTRY["brownian"]
+    monkeypatch.setitem(wl.spectral._ANALYTIC_REGISTRY, "brownian", (lam_fn, forbidden, trace))
+
+
 class TestWarmCampaign:
     """A second campaign on the same inputs reads every width cell and the spectrum from the cache."""
 
     @pytest.mark.parametrize("source", ["analytic", "nystrom"])
     def test_warm_campaign_recomputes_nothing(self, tmp_path, monkeypatch, source):
-        text = small_config(tmp_path).replace("source = analytic", f"source = {source}")
-        if source == "nystrom":
-            text = text.replace("strategies = uniform,greedy", "strategies = uniform,greedy,multistart")
-            for old, new in (("points_per_axis = 400", "points_per_axis = 100"), ("n_eigs = 80", "n_eigs = 40")):
-                text = text.replace(old, new)
-            text = text.replace("eval_points_per_axis = 1024", "eval_points_per_axis = 129").replace("= 1025", "= 129")
+        text = small_config(tmp_path) if source == "analytic" else nystrom_three_strategies(small_config(tmp_path))
         cold = campaign(tmp_path, text)
         before = {name: (tmp_path / "out" / name).read_bytes() for name in ("widths.csv", "slopes.csv", "report.txt", "verdicts.json")}
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("recomputed on a warm run")
-
-        for owner in (runner, interpolation):
-            for name in ("interpolation_width", "greedy_design", "uniform_design", "optimize_interpolation_width"):
-                monkeypatch.setattr(owner, name, forbidden)
-        monkeypatch.setattr(runner, "nystrom_spectrum", forbidden)
-        monkeypatch.setattr(runner, "mercer_envelope_sup2", forbidden)
-        # a hit builds no design: no kernel matrix is evaluated and nothing is factored
-        monkeypatch.setattr(np.linalg, "cholesky", forbidden)
-        build = runner.kernel_from_config
-        monkeypatch.setattr(runner, "kernel_from_config", lambda cfg: dataclasses.replace(build(cfg), pairwise=forbidden))
-        lam_fn, _, trace = wl.spectral._ANALYTIC_REGISTRY["brownian"]
-        monkeypatch.setitem(wl.spectral._ANALYTIC_REGISTRY, "brownian", (lam_fn, forbidden, trace))
+        forbid_compute(monkeypatch)
         warm = campaign(tmp_path, text)
         assert warm["cache_hits"] == len(warm["cache"]) == len(cold["cache"])
         assert len(design_results(warm)) == (24 if source == "nystrom" else 16)
         assert {name: (tmp_path / "out" / name).read_bytes() for name in before} == before
+
+    def test_warm_stage_commands_compute_nothing(self, tmp_path, monkeypatch):
+        # the four stage commands on one directory: a warm pass hits every lookup,
+        # and each command lists the same lookups and warnings as its cold pass
+        (tmp_path / "c.ini").write_text(nystrom_three_strategies(small_config(tmp_path)))
+        commands = ("spectrum", "widths", "greedy", "entropy")
+
+        def manifests() -> list[dict]:
+            """The manifest of each command, run in order."""
+            out = []
+            for command in commands:
+                assert main([command, "--config", str(tmp_path / "c.ini")]) == 0
+                out.append(json.loads((tmp_path / "out" / "manifest.json").read_text()))
+            return out
+
+        cold = manifests()
+        forbid_compute(monkeypatch)
+        warm = manifests()
+        for command, c, w in zip(commands, cold, warm):
+            assert w["cache_hits"] == len(w["cache"]), command
+            assert [(r["entry"], r["file"]) for r in w["cache"]] == [(r["entry"], r["file"]) for r in c["cache"]], command
+            assert w["warnings"] == c["warnings"], command
+        assert [r["entry"] for r in warm[2]["cache"]] == ["greedy"]
+        assert [r["entry"] for r in warm[1]["cache"]].count("greedy") == 1
 
     def test_entry_of_the_earlier_format_misses(self, tmp_path):
         # a design entry that holds points and value but no jitter sat at the key
@@ -1014,7 +1048,7 @@ class TestWarmCampaign:
         report = (tmp_path / "out" / "report.txt").read_text()
         assert all(w in report for w in warm["warnings"])
 
-    def test_short_greedy_design_warns(self, tmp_path):
+    def test_short_greedy_design_warns(self, tmp_path, capsys):
         # the bridge kernel vanishes at both ends of [0, 1], so on 5 candidates
         # greedy runs out after 0.5, 0.25 and 0.75: the n = 4 design holds 3 points
         (tmp_path / "c.ini").write_text(
@@ -1022,12 +1056,22 @@ class TestWarmCampaign:
             "[widths]\nn_grid = 1,2,3,4\ndense_n_max = 9\np_values = 2\nstrategies = greedy\neval_points_per_axis = 5\n"
             f"candidate_points_per_axis = 5\n[fit]\nwindow = 1,9\n[run]\nout_dir = {tmp_path / 'out'}\n"
         )
+        short = "design (greedy, n=4) holds 3 points: greedy stops once the power function vanishes at every candidate"
         for result in ("miss", "hit"):
             assert main(["widths", "--config", str(tmp_path / "c.ini")]) == 0
             manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
             assert {r for _, r in design_results(manifest)} == {result}
-            assert manifest["warnings"] == ["design (greedy, n=4) holds 3 points: greedy stops once the power function vanishes at every candidate"]
+            assert manifest["warnings"] == [short]
         assert (tmp_path / "out" / "designs" / "design_bridge_greedy_n4.csv").read_text() == "x1\n0.5\n0.25\n0.75\n"
+        # `widthlab greedy` writes the same design from the same entry, and warns alike, cold and warm
+        capsys.readouterr()
+        for result in ("miss", "hit"):
+            assert main(["greedy", "--config", str(tmp_path / "c.ini"), "--out", str(tmp_path / "greedy")]) == 0
+            assert capsys.readouterr().out == "greedy: 3 points selected\n"
+            manifest = json.loads((tmp_path / "greedy" / "manifest.json").read_text())
+            assert [(r["entry"], r["result"]) for r in manifest["cache"]] == [("greedy", result)]
+            assert manifest["warnings"] == [short]
+        assert (tmp_path / "greedy" / "designs" / "design_bridge_greedy_n4.csv").read_text() == "x1\n0.5\n0.25\n0.75\n"
 
 
 class TestWidthsCommand:
