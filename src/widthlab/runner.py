@@ -449,11 +449,13 @@ def _cell(call: _Call, strategy: str, p: float, n: int, search: Callable[[str, f
 
     The key holds what the cell reads: the strategy, p (17 digits, since
     its label would merge 2 and 2.0000001), n and the candidate and
-    evaluation points per axis; for a greedy cell also max(`widths.n_grid`),
-    since its design is a prefix of the greedy entry's points (`_greedy`);
-    for a multistart cell also the seed and the number of random restarts;
-    last, the names of the entry's arrays, so that an entry of another
-    format misses. The entry holds the cell whole, the searched design's
+    evaluation points per axis; for a multistart cell also the seed and
+    the number of random restarts; last, the names of the entry's arrays,
+    so that an entry of another format misses. A greedy cell's design is
+    the first n of the greedy entry's points (`_greedy`), which are the
+    n-point greedy design's, bit for bit, so its key leaves out
+    max(`widths.n_grid`) and a longer grid hits the cells it shares with a
+    shorter one. The entry holds the cell whole, the searched design's
     points and jitter and the value, so a hit builds no design and returns
     what the miss did, bit for bit. A multistart entry also holds how the
     cell's descents ran, the search's `DesignSet.descents`, and the
@@ -462,8 +464,6 @@ def _cell(call: _Call, strategy: str, p: float, n: int, search: Callable[[str, f
     """
     cfg = call.cfg
     fields = [f"strategy={strategy}", f"p={fmt(p)}", f"n={n}", f"candidate_points={cfg.candidate_points}", f"eval_points={cfg.eval_points}"]
-    if strategy == "greedy":
-        fields.append(f"n_max={max(cfg.get('widths', 'n_grid'))}")
     names = ("points", "value", "jitter")
     if strategy == "multistart":
         fields += [f"seed={cfg.get('run', 'seed')}", f"restarts={MULTISTART_RESTARTS}"]

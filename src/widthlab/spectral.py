@@ -187,10 +187,19 @@ def nystrom_spectrum(kernel: Kernel, quad: QuadratureRule, n_eigs: int) -> Spect
     non-finite matrix raises ValueError with eigh's message (each tile is
     checked as it is stored), and a nonzero
     `info` raises ValueError (an illegal argument) or LinAlgError (no
-    convergence), naming the routine. The peak is in `dstevd`: beside `A`,
-    Z and its work array of n^2 doubles each, 3 n^2 in all, as in `dsyevd`.
-    Z is cut to its kept columns before the Householder vectors below
-    `A`'s diagonal are copied into the contiguous block `dormqr` reads.
+    convergence), naming the routine.
+
+    The peak is in `dstevd`: Z and its work array, n^2 doubles each, and
+    the Householder vectors, n^2 / 2 doubles, 2.5 n^2 in all (3 n^2 in
+    `dsyevd`, which keeps the whole matrix). `dsytrd` leaves vector j in
+    A[j + 2:, j], below the first subdiagonal, so the vectors are packed
+    column by column into (n - 1)(n - 2) / 2 doubles and the n x n buffer
+    is freed before `dstevd` runs. Once Z is cut to its kept columns, they
+    are unpacked into Z's buffer, as the (n - 1)^2 block `dormqr` reads:
+    it reads the strict lower triangle alone (it sets the diagonal to one
+    itself), so Z's values left above it change no bit, and the buffer
+    costs no new allocation. Z and the work array are `dstevd`'s own, so
+    2.5 n^2 is this path's floor.
     """
     if n_eigs > quad.size:
         raise InsufficientResolutionError(
@@ -202,14 +211,24 @@ def nystrom_spectrum(kernel: Kernel, quad: QuadratureRule, n_eigs: int) -> Spect
     lwork, _ = flapack.dsytrd_lwork(n, lower=1)
     c, d, e, tau, info = flapack.dsytrd(A, lower=1, lwork=int(lwork), overwrite_a=1)
     _check_info("dsytrd", info, n)
+    # dormqr reads the strict lower triangle of c[1:, :m]: the Householder vector
+    # of column j is c[j + 2:, j], packed at packed[at[j]:at[j + 1]]
+    m = n - 1
+    at = np.cumsum([0, *range(m - 1, 0, -1)]).tolist()
+    packed = np.empty(at[-1])
+    for j in range(m - 1):
+        packed[at[j] : at[j + 1]] = c[j + 2 :, j]
+    del A, c  # n^2 doubles, freed before dstevd allocates 2 n^2
     lam_all, Z, info = flapack.dstevd(d, e if n > 1 else np.zeros(1))  # the wrapper wants an off-diagonal even at n = 1
     _check_info("dstevd", info, n)
     order = np.argsort(lam_all)[::-1][:n_eigs]
     s = max(0, min(order.min(), n - BACK_TRANSFORM_MIN)) // BACK_TRANSFORM_ALIGN * BACK_TRANSFORM_ALIGN
     U = Z[:, s:].copy(order="F")
-    del Z  # n^2 doubles, freed before the reflectors are copied
     if n > 1:
-        H = np.asfortranarray(c[1:, : n - 1])  # the Householder vectors, once; the wrapper copies a strided view on each call
+        H = Z.reshape(-1, order="F")[: m * m].reshape((m, m), order="F")  # Z's buffer, already in memory
+        for j in range(m - 1):
+            H[j + 1 :, j] = packed[at[j] : at[j + 1]]
+        del packed
         _, work, _ = flapack.dormqr("L", "N", H, tau, U[1:], -1)  # the workspace query
         QZ, _, info = flapack.dormqr("L", "N", H, tau, U[1:], int(work[0]))
         _check_info("dormqr", info, n)

@@ -1019,14 +1019,33 @@ class TestWarmCampaign:
         campaign(tmp_path, small_config(tmp_path))
         edited = small_config(tmp_path).replace("window = 2,16", "window = 4,16").replace("alpha = 1.0", "alpha = 0.9")
         assert set(design_results(campaign(tmp_path, edited))) == {("greedy", "hit"), ("uniform", "hit")}
-        # greedy cells are prefixes of one greedy design of max(n_grid) points
+        # a greedy cell's design is the n-point greedy design whatever max(n_grid) is,
+        # so a longer grid misses only its new cells, as a uniform one does
         raised = small_config(tmp_path).replace("n_grid = 2,4,8,16", "n_grid = 2,4,8,16,32").replace("dense_n_max = 16", "dense_n_max = 32")
         lookups = design_results(campaign(tmp_path, raised))
-        assert [result for strategy, result in lookups if strategy == "greedy"] == ["miss"] * 10
+        assert [result for strategy, result in lookups if strategy == "greedy"] == (["hit"] * 4 + ["miss"]) * 2
         assert [result for strategy, result in lookups if strategy == "uniform"] == (["hit"] * 4 + ["miss"]) * 2
         campaign(tmp_path, raised.replace(str(tmp_path / "out"), str(tmp_path / "fresh")), "fresh")
         for name in ("widths.csv", "slopes.csv"):
             assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+
+    def test_longer_greedy_grid_hits_the_shorter_ones_cells(self, tmp_path):
+        # the greedy entry is keyed by max(n_grid) and misses, but the cells at
+        # n = 1, 2 and 4 hit, and the rows equal those of a fresh directory
+        text = (
+            "[kernel]\nid = brownian\n[quadrature]\npoints_per_axis = 200\n[spectrum]\nn_eigs = 20\nsource = analytic\n"
+            "[widths]\nn_grid = 1,2,4\ndense_n_max = 8\np_values = inf\nstrategies = greedy\neval_points_per_axis = 129\n"
+            f"candidate_points_per_axis = 129\n[fit]\nwindow = 1,8\n[run]\nout_dir = {tmp_path / 'out'}\n"
+        )
+        longer = text.replace("n_grid = 1,2,4", "n_grid = 1,2,4,8")
+        for name, config in (("short", text), ("long", longer), ("fresh", longer.replace(str(tmp_path / "out"), str(tmp_path / "fresh")))):
+            (tmp_path / f"{name}.ini").write_text(config)
+            assert main(["widths", "--config", str(tmp_path / f"{name}.ini")]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert [(r["entry"], r["result"]) for r in manifest["cache"] if r["entry"] in ("greedy", "design")] == [
+            ("greedy", "miss"), ("design", "hit"), ("design", "hit"), ("design", "hit"), ("design", "miss")
+        ]
+        assert (tmp_path / "out" / "widths.csv").read_bytes() == (tmp_path / "fresh" / "widths.csv").read_bytes()
 
     def test_warm_analytic_campaign_writes_little(self, tmp_path):
         # the cold pass writes the node values once; the warm one rewrites only the small artifacts

@@ -20,6 +20,7 @@ from widthlab import runner
 from widthlab.config import p_label
 from widthlab.errors import DegenerateDesignError
 from widthlab.interpolation import _coordinate_descent, _objective, _solve_lower
+from widthlab.kernels import ONE_DIM_IDS
 
 
 INF = math.inf
@@ -130,6 +131,19 @@ class TestGreedyDesign:
         des = wl.greedy_design(kernel, cand, 24)
         assert np.array_equal(des.points, cand[chosen])
         assert np.array_equal(des.greedy_sup_path, np.asarray(sups))
+
+    @pytest.mark.parametrize("kid,dim", [(kid, 1) for kid in wl.CATALOG_IDS] + [(kid, 2) for kid in wl.CATALOG_IDS if kid not in ONE_DIM_IDS])
+    def test_prefix_of_longer_design(self, kid, dim):
+        # the n-point design is the first n points and sup-path entries of a
+        # longer one, bit for bit, so a greedy width cell's cache key leaves
+        # out the largest n of the grid (runner._cell)
+        kernel = wl.make_kernel(kid, dim=dim)
+        cand = kernel.domain.grid({1: 1025, 2: 33}[dim], endpoint=True)
+        full = wl.greedy_design(kernel, cand, 64)
+        for n in (1, 2, 3, 4, 7, 8, 16, 31, 32, 63):
+            des = wl.greedy_design(kernel, cand, n)
+            assert np.array_equal(des.points, full.points[:n]), n
+            assert np.array_equal(des.greedy_sup_path, full.greedy_sup_path[:n]), n
 
 
 class TestInterpolationWidth:
